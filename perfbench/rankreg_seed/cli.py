@@ -1,0 +1,601 @@
+"""Command-line surface: CSV ingestion, fits, sweeps, and simulation commands.
+
+Subcommands
+-----------
+fit        fit one specification to a CSV and report estimates with standard
+           errors from any of: plugin (correct), hom, ew, bootstrap
+sweep      refit over a grid of tie weights omega and report every row
+coverage   Monte Carlo CI coverage experiment for a copula family (CSV out)
+curve      correct/hom/ew variance curves over a copula parameter grid (CSV out)
+calibrate  find the copula parameter matching a target rank correlation
+
+fit/sweep/calibrate emit JSON (schema_version 1) with the resolved
+configuration echoed so a run can be reproduced byte-for-byte; coverage and
+curve emit CSV tables.  Exit codes: 0 success, 2 assumption violation
+(singular or degenerate design), 1 I/O or data errors.
+"""
+
+import argparse
+import csv
+import io
+import json
+import math
+import sys
+
+import numpy as np
+
+from . import __version__
+from .bootstrap import BootstrapPlan, bootstrap_report
+from .copulas import (
+    FAMILIES,
+    CopulaModel,
+    calibrate_parameter,
+    coverage_experiment,
+    variance_curve,
+)
+from .errors import (
+    AssumptionViolationError,
+    CalibrationError,
+    DegenerateInputError,
+    InvalidInputError,
+    RankRegressionError,
+    SingularDesignError,
+)
+from .estimators import SPECS, Dataset, fit_spec
+from .inference import (
+    ew_covariance,
+    hom_covariance,
+    linear_combo_inference,
+    omega_sweep,
+    plugin_covariance,
+)
+from .ranks import tie_count
+
+SCHEMA_VERSION = 1
+
+EXIT_OK = 0
+EXIT_IO = 1
+EXIT_ASSUMPTION = 2
+
+_MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none", "."}
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion
+# ---------------------------------------------------------------------------
+
+def _parse_number(token):
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
+               drop_missing=False):
+    """Read a header CSV into columns, rejecting or dropping bad rows.
+
+    Returns (columns dict, info dict).  In strict mode (default) any row with
+    a missing or non-numeric required field aborts with the 1-based line
+    number; with ``drop_missing`` such rows are dropped and counted.
+    """
+    needed = [y_col] + ([x_col] if x_col else []) + list(w_cols)
+    needed = list(dict.fromkeys(needed))  # duplicated names read once; the
+    # design keeps every requested column, so duplicates still surface as a
+    # singular design downstream
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InvalidInputError(f"{path}: empty file") from None
+        index = {name.strip(): k for k, name in enumerate(header)}
+        for name in needed + ([group_col] if group_col else []):
+            if name not in index:
+                raise InvalidInputError(
+                    f"{path}: column {name!r} not found in header {sorted(index)}"
+                )
+        values = {name: [] for name in needed}
+        groups = []
+        dropped = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            parsed = {}
+            bad_field = None
+            for name in needed:
+                token = row[index[name]].strip()
+                if token.lower() in _MISSING_TOKENS:
+                    bad_field = name
+                    break
+                number = _parse_number(token)
+                if number is None:
+                    bad_field = name
+                    break
+                parsed[name] = number
+            if group_col:
+                gtoken = row[index[group_col]].strip()
+                if bad_field is None and gtoken.lower() in _MISSING_TOKENS:
+                    bad_field = group_col
+            if bad_field is not None:
+                if drop_missing:
+                    dropped.append(line_no)
+                    continue
+                raise InvalidInputError(
+                    f"{path}: line {line_no}: missing or non-numeric value "
+                    f"in column {bad_field!r}"
+                )
+            for name in needed:
+                values[name].append(parsed[name])
+            if group_col:
+                groups.append(gtoken)
+        if not values[y_col]:
+            raise InvalidInputError(f"{path}: no usable data rows")
+    info = {"rows_used": len(values[y_col]), "rows_dropped": len(dropped)}
+    columns = {name: np.array(vals) for name, vals in values.items()}
+    if group_col:
+        columns[group_col] = np.array(groups)
+    return columns, info
+
+
+def build_dataset(columns, info, args):
+    w_cols = list(args.w_cols)
+    w_parts = []
+    w_names = []
+    if args.intercept:
+        w_parts.append(np.ones(len(columns[args.y_col])))
+        w_names.append("const")
+    for name in w_cols:
+        w_parts.append(columns[name])
+        w_names.append(name)
+    w = np.column_stack(w_parts) if w_parts else None
+    x = columns[args.x_col] if args.spec != "rank-level" else None
+    g = columns[args.group_col] if args.group_col else None
+    return Dataset(y=columns[args.y_col], x=x, w=w, g=g, w_names=w_names)
+
+
+# ---------------------------------------------------------------------------
+# JSON helpers
+# ---------------------------------------------------------------------------
+
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _report_block(report):
+    return {
+        "method": report.method,
+        "names": list(report.names),
+        "estimates": _jsonable(report.estimates),
+        "asymptotic_variance": _jsonable(report.variance),
+        "se": _jsonable(report.se),
+        "ci": _jsonable(report.ci),
+        "alpha": report.alpha,
+        "n": report.n,
+    }
+
+
+def _emit(text, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_json(payload, out_path):
+    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _emit_csv(fieldnames, rows, out_path):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
+    _emit(buf.getvalue(), out_path)
+
+
+# ---------------------------------------------------------------------------
+# subcommand implementations
+# ---------------------------------------------------------------------------
+
+def _config_echo(args, keys):
+    return {key: _jsonable(getattr(args, key)) for key in keys}
+
+_FIT_CONFIG_KEYS = [
+    "command", "csv", "spec", "omega", "alpha", "se", "bootstrap_reps",
+    "ci_kind", "theta_p", "y_col", "x_col", "w_cols", "group_col", "seed",
+    "drop_missing", "intercept", "out",
+]
+
+
+def _tie_warnings(d, args, se_methods):
+    warnings = []
+    ties_x = tie_count(d.x) if d.x is not None else 0
+    ties_y = tie_count(d.y)
+    has_ties = (ties_x + ties_y) > 0
+    if has_ties and ({"hom", "ew"} & set(se_methods)):
+        warnings.append(
+            "data contain ties and hom/ew standard errors were requested; these "
+            "formulas ignore rank-estimation noise and are inconsistent here"
+        )
+    if has_ties and args.spec in ("rank-rank", "rank-rank-group") and not args.omega_given:
+        warnings.append(
+            "data contain ties and omega was not specified: the estimand depends "
+            "on how ties are ranked; consider --omega or the sweep command"
+        )
+    return warnings, ties_x, ties_y
+
+
+def _diagnostics(d, fit, info, ties_x, ties_y):
+    if fit.spec == "rank-level":
+        design = d.w
+    else:
+        design = np.column_stack([fit.ranks_x, d.w])
+    diag = {
+        "n": d.n,
+        "rows_dropped": info.get("rows_dropped", 0),
+        "tie_count_x": ties_x,
+        "tie_count_y": ties_y,
+        "design_condition_number": float(np.linalg.cond(design)),
+    }
+    if d.group_index is not None:
+        diag["group_sizes"] = {
+            str(name): int(np.sum(d.group_index == k))
+            for k, name in enumerate(d.group_names)
+        }
+    return diag
+
+
+def _theta_p_block(fit, plugin_report, p_value, alpha):
+    """Delta-method expected outcome rank at regressor rank p: intercept + slope*p."""
+    if fit.spec not in ("rank-rank", "rank-rank-group"):
+        raise InvalidInputError("--theta-p applies to rank-rank specifications")
+    names = plugin_report.names
+    q = len(names)
+    blocks = []
+    if fit.spec == "rank-rank":
+        targets = [("", "rank(x)", "const")]
+    else:
+        targets = [
+            (str(label), f"rank(x)@{label}", f"const@{label}")
+            for label in fit.data.group_names
+        ]
+    for label, slope_name, const_name in targets:
+        if const_name not in names:
+            raise InvalidInputError(
+                "--theta-p needs an intercept column (drop --no-intercept)"
+            )
+        weights = np.zeros(q)
+        weights[names.index(slope_name)] = p_value
+        weights[names.index(const_name)] = 1.0
+        rep = linear_combo_inference(
+            plugin_report.variance, weights, plugin_report.estimates,
+            plugin_report.n, alpha=alpha,
+        )
+        blocks.append({
+            "group": label,
+            "p": p_value,
+            "estimate": float(rep.estimates[0]),
+            "se": float(rep.se[0]),
+            "ci": _jsonable(rep.ci[0]),
+        })
+    return blocks
+
+
+def cmd_fit(args):
+    columns, info = ingest_csv(
+        args.csv, args.y_col, args.x_col if args.spec != "rank-level" else None,
+        args.w_cols, args.group_col, args.drop_missing,
+    )
+    d = build_dataset(columns, info, args)
+    se_methods = args.se
+    for method in se_methods:
+        if method not in ("plugin", "hom", "ew", "bootstrap"):
+            raise InvalidInputError(f"unknown se method {method!r}")
+    warnings, ties_x, ties_y = _tie_warnings(d, args, se_methods)
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    fit = fit_spec(d, args.spec, args.omega)
+    plugin_report = None
+    se_blocks = {}
+    for method in se_methods:
+        if method == "plugin":
+            plugin_report = plugin_covariance(fit, d, alpha=args.alpha)
+            se_blocks[method] = _report_block(plugin_report)
+        elif method == "hom":
+            se_blocks[method] = _report_block(hom_covariance(fit, d, alpha=args.alpha))
+        elif method == "ew":
+            se_blocks[method] = _report_block(ew_covariance(fit, d, alpha=args.alpha))
+        elif method == "bootstrap":
+            plan = BootstrapPlan(
+                reps=args.bootstrap_reps, seed=args.seed,
+                ci_kind=args.ci_kind, alpha=args.alpha,
+            )
+            se_blocks[method] = _report_block(
+                bootstrap_report(d, args.spec, args.omega, plan)
+            )
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "fit",
+        "spec": args.spec,
+        "omega": args.omega,
+        "alpha": args.alpha,
+        "n": d.n,
+        "coefficients": {
+            "names": fit.coef_names,
+            "estimates": _jsonable(fit.estimates),
+        },
+        "first_stage": _jsonable(fit.gamma) if fit.gamma is not None else None,
+        "se_methods": se_blocks,
+        "diagnostics": _diagnostics(d, fit, info, ties_x, ties_y),
+        "warnings": warnings,
+        "config": _config_echo(args, _FIT_CONFIG_KEYS),
+    }
+    if d.group_index is not None:
+        payload["groups"] = [str(name) for name in d.group_names]
+    if args.theta_p is not None:
+        if plugin_report is None:
+            plugin_report = plugin_covariance(fit, d, alpha=args.alpha)
+        payload["theta_p"] = _theta_p_block(fit, plugin_report, args.theta_p, args.alpha)
+    _emit_json(payload, args.out)
+    return EXIT_OK
+
+
+def cmd_sweep(args):
+    columns, info = ingest_csv(
+        args.csv, args.y_col, args.x_col if args.spec != "rank-level" else None,
+        args.w_cols, args.group_col, args.drop_missing,
+    )
+    d = build_dataset(columns, info, args)
+    result = omega_sweep(d, args.spec, args.grid, alpha=args.alpha)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "sweep",
+        "spec": args.spec,
+        "alpha": args.alpha,
+        "n": d.n,
+        "names": result.names,
+        "rows": [
+            {
+                "omega": row.omega,
+                "estimates": _jsonable(row.estimates),
+                "se": _jsonable(row.se),
+                "ci": _jsonable(row.ci),
+            }
+            for row in result.rows
+        ],
+        "grid_average": _jsonable(result.average),
+        "config": _config_echo(args, [
+            "command", "csv", "spec", "grid", "alpha", "y_col", "x_col",
+            "w_cols", "group_col", "drop_missing", "intercept", "out",
+        ]),
+    }
+    _emit_json(payload, args.out)
+    return EXIT_OK
+
+
+def _model_from_args(args):
+    param = None if args.family == "independence" else args.param
+    if args.family != "independence" and param is None:
+        raise InvalidInputError(f"--param is required for the {args.family} family")
+    return CopulaModel(args.family, param)
+
+
+def cmd_coverage(args):
+    model = _model_from_args(args)
+    plan = None
+    if "bootstrap" in args.methods:
+        plan = BootstrapPlan(reps=args.bootstrap_reps, seed=args.seed, alpha=args.alpha)
+    rows = coverage_experiment(
+        model, args.n, args.reps, methods=args.methods, alpha=args.alpha,
+        omega=args.omega, seed=args.seed, bootstrap_plan=plan,
+    )
+    fields = [
+        "schema_version", "family", "param", "true_rho", "n", "reps", "alpha",
+        "omega", "seed", "method", "coverage", "mean_ci_width", "coverage_mc_se",
+    ]
+    csv_rows = [
+        {
+            "schema_version": SCHEMA_VERSION,
+            "family": args.family,
+            "param": "" if model.param is None else repr(model.param),
+            "true_rho": repr(row.true_value),
+            "n": row.n,
+            "reps": row.reps,
+            "alpha": row.alpha,
+            "omega": args.omega,
+            "seed": args.seed,
+            "method": row.method,
+            "coverage": repr(row.coverage),
+            "mean_ci_width": repr(row.mean_ci_width),
+            "coverage_mc_se": repr(row.mc_se),
+        }
+        for row in rows
+    ]
+    _emit_csv(fields, csv_rows, args.out)
+    return EXIT_OK
+
+
+def cmd_curve(args):
+    if args.grid:
+        grid = args.grid
+    else:
+        grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points).tolist()
+    rows = variance_curve(args.family, grid, n_mc=args.n_mc, seed=args.seed)
+    fields = [
+        "schema_version", "family", "param", "rho",
+        "sigma2", "sigma2_hom", "sigma2_ew", "n_mc", "seed",
+    ]
+    csv_rows = [
+        {
+            "schema_version": SCHEMA_VERSION,
+            "family": args.family,
+            "param": repr(param),
+            "rho": repr(triple.rho),
+            "sigma2": repr(triple.sigma2),
+            "sigma2_hom": repr(triple.sigma2_hom),
+            "sigma2_ew": repr(triple.sigma2_ew),
+            "n_mc": args.n_mc,
+            "seed": args.seed,
+        }
+        for param, triple in rows
+    ]
+    _emit_csv(fields, csv_rows, args.out)
+    return EXIT_OK
+
+
+def cmd_calibrate(args):
+    param = calibrate_parameter(
+        args.family, args.target, tolerance=args.tol, seed=args.seed, n_mc=args.n_mc,
+    )
+    check = CopulaModel(args.family, param)
+    from .ranks import spearman  # local import keeps CLI import light
+
+    x, y = check.sample(args.n_mc, args.seed)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "calibrate",
+        "family": args.family,
+        "target_rank_corr": args.target,
+        "parameter": param,
+        "achieved_rank_corr": spearman(x, y, 0.5),
+        "tolerance": args.tol,
+        "n_mc": args.n_mc,
+        "seed": args.seed,
+        "config": _config_echo(args, [
+            "command", "family", "target", "tol", "n_mc", "seed", "out",
+        ]),
+    }
+    _emit_json(payload, args.out)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _comma_list(text):
+    return [tok for tok in (t.strip() for t in text.split(",")) if tok]
+
+
+def _comma_floats(text):
+    return [float(tok) for tok in _comma_list(text)]
+
+
+def _add_data_flags(sub):
+    sub.add_argument("csv", help="input CSV file with a header row")
+    sub.add_argument("--spec", default="rank-rank", choices=SPECS)
+    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--y-col", dest="y_col", default="y")
+    sub.add_argument("--x-col", dest="x_col", default="x")
+    sub.add_argument("--w-cols", dest="w_cols", type=_comma_list, default=[],
+                     help="comma-separated covariate column names")
+    sub.add_argument("--group-col", dest="group_col", default=None)
+    sub.add_argument("--drop-missing", dest="drop_missing", action="store_true",
+                     help="drop rows with missing/non-numeric fields instead of erroring")
+    sub.add_argument("--no-intercept", dest="intercept", action="store_false",
+                     help="do not prepend a constant column to the covariates")
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="rankreg",
+        description="Rank regressions with asymptotically valid standard errors.",
+    )
+    parser.add_argument("--version", action="version", version=f"rankreg {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    fit = subs.add_parser("fit", help="fit one specification to a CSV")
+    _add_data_flags(fit)
+    fit.add_argument("--omega", type=float, default=None,
+                     help="tie weight in [0,1]; 1=largest rank (default), "
+                          "0=smallest, 0.5=mid-rank")
+    fit.add_argument("--se", type=_comma_list, default=["plugin"],
+                     help="comma list from plugin,hom,ew,bootstrap")
+    fit.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int, default=999)
+    fit.add_argument("--ci-kind", dest="ci_kind", default="percentile",
+                     choices=["percentile", "normal"])
+    fit.add_argument("--theta-p", dest="theta_p", type=float, default=None,
+                     help="also report the expected outcome rank at this regressor rank")
+    fit.add_argument("--seed", type=int, default=0)
+    fit.set_defaults(func=cmd_fit)
+
+    sweep = subs.add_parser("sweep", help="refit over a grid of tie weights")
+    _add_data_flags(sweep)
+    sweep.add_argument("--grid", type=_comma_floats, default=[0.0, 0.25, 0.5, 0.75, 1.0],
+                       help="comma-separated omega values")
+    sweep.set_defaults(func=cmd_sweep)
+
+    coverage = subs.add_parser("coverage", help="CI coverage experiment for a copula")
+    coverage.add_argument("--family", required=True, choices=FAMILIES)
+    coverage.add_argument("--param", type=float, default=None)
+    coverage.add_argument("--n", type=int, required=True)
+    coverage.add_argument("--reps", type=int, required=True)
+    coverage.add_argument("--methods", type=_comma_list, default=["plugin", "hom", "ew"])
+    coverage.add_argument("--alpha", type=float, default=0.05)
+    coverage.add_argument("--omega", type=float, default=1.0)
+    coverage.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int, default=299)
+    coverage.add_argument("--seed", type=int, default=0)
+    coverage.add_argument("--out", default=None)
+    coverage.set_defaults(func=cmd_coverage)
+
+    curve = subs.add_parser("curve", help="variance curves over a parameter grid")
+    curve.add_argument("--family", required=True, choices=FAMILIES)
+    curve.add_argument("--grid", type=_comma_floats, default=None,
+                       help="explicit comma-separated parameter grid")
+    curve.add_argument("--grid-start", dest="grid_start", type=float, default=0.0)
+    curve.add_argument("--grid-stop", dest="grid_stop", type=float, default=1.0)
+    curve.add_argument("--grid-points", dest="grid_points", type=int, default=41)
+    curve.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
+    curve.add_argument("--seed", type=int, default=0)
+    curve.add_argument("--out", default=None)
+    curve.set_defaults(func=cmd_curve)
+
+    calibrate = subs.add_parser("calibrate", help="match a target rank correlation")
+    calibrate.add_argument("--family", required=True,
+                           choices=[f for f in FAMILIES if f != "independence"])
+    calibrate.add_argument("--target", type=float, required=True)
+    calibrate.add_argument("--tol", type=float, default=0.005)
+    calibrate.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
+    calibrate.add_argument("--seed", type=int, default=0)
+    calibrate.add_argument("--out", default=None)
+    calibrate.set_defaults(func=cmd_calibrate)
+
+    return parser
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fit":
+        args.omega_given = args.omega is not None
+        if args.omega is None:
+            args.omega = 1.0
+    try:
+        return args.func(args)
+    except (SingularDesignError, AssumptionViolationError, DegenerateInputError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_ASSUMPTION
+    except (RankRegressionError, OSError, csv.Error) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+
+
+if __name__ == "__main__":
+    sys.exit(main())

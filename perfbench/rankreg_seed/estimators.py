@@ -1,0 +1,395 @@
+"""OLS fits for the four rank regression specifications.
+
+The four specifications share one mechanical core (a QR least-squares solve)
+and differ in which side of the regression is rank-transformed:
+
+* ``rank-rank``        rank(y) on rank(x) and covariates W
+* ``rank-rank-group``  the same, fit separately per subpopulation while the
+                       ranks stay pooled across the whole sample
+* ``level-rank``       raw y on rank(x) and W
+* ``rank-level``       rank(y) on W only
+
+Covariates are taken exactly as given; no intercept column is added here
+(the CLI adds one by default).  Every fit also runs the projections the
+asymptotic variance needs later: the first stage of rank(x) on W and, per
+covariate column, the projection of that column on the remaining regressors.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.linalg
+
+from .errors import AssumptionViolationError, InvalidInputError, SingularDesignError
+from .ranks import check_omega, rank_transform
+
+__all__ = [
+    "Dataset",
+    "FitResult",
+    "ols",
+    "fit_rank_rank",
+    "fit_rank_rank_by_group",
+    "fit_level_rank",
+    "fit_rank_level",
+    "fit_spec",
+    "expected_rank_at",
+    "SPECS",
+]
+
+SPECS = ("rank-rank", "rank-rank-group", "level-rank", "rank-level")
+
+# reciprocal-condition threshold on the R factor of the pivoted QR
+_RCOND_MIN = 1e-12
+# in-sample residual variance below this is treated as a degenerate projection
+_DEGENERATE_VAR = 1e-12
+
+
+def _column_matrix(w, n):
+    if w is None:
+        return np.zeros((n, 0))
+    arr = np.asarray(w, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    return arr
+
+
+@dataclass
+class Dataset:
+    """One regression sample: response, rankable regressor, covariates, groups.
+
+    ``x`` may be omitted for the rank-level specification, where the
+    covariate matrix absorbs every regressor.  Group labels may be arbitrary
+    hashables; they are densified to 0..n_groups-1 with the original labels
+    kept for reporting.
+    """
+
+    y: np.ndarray
+    x: np.ndarray | None = None
+    w: np.ndarray | None = None
+    g: np.ndarray | None = None
+    w_names: list[str] | None = None
+    group_index: np.ndarray = field(init=False, default=None, repr=False)
+    group_names: list = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
+        n = self.y.size
+        if n == 0:
+            raise InvalidInputError("dataset is empty")
+        if not np.all(np.isfinite(self.y)):
+            raise InvalidInputError("y contains non-finite values")
+        if self.x is not None:
+            self.x = np.asarray(self.x, dtype=np.float64).reshape(-1)
+            if self.x.size != n:
+                raise InvalidInputError("x and y must have equal length")
+            if not np.all(np.isfinite(self.x)):
+                raise InvalidInputError("x contains non-finite values")
+        self.w = _column_matrix(self.w, n)
+        if self.w.shape[0] != n:
+            raise InvalidInputError("w must have one row per observation")
+        if not np.all(np.isfinite(self.w)):
+            raise InvalidInputError("w contains non-finite values")
+        if n < self.w.shape[1] + 2:
+            raise InvalidInputError(
+                f"need n >= p + 2 observations (n={n}, p={self.w.shape[1]})"
+            )
+        if self.w_names is None:
+            self.w_names = [f"w{j}" for j in range(self.w.shape[1])]
+        elif len(self.w_names) != self.w.shape[1]:
+            raise InvalidInputError("w_names length must match covariate count")
+        if self.g is not None:
+            labels = np.asarray(self.g).reshape(-1)
+            if labels.size != n:
+                raise InvalidInputError("g and y must have equal length")
+            names, dense = np.unique(labels, return_inverse=True)
+            counts = np.bincount(dense)
+            if np.any(counts < 2):
+                small = names[np.argmin(counts)]
+                raise InvalidInputError(f"group {small!r} has fewer than 2 observations")
+            self.group_index = dense.astype(np.int64)
+            self.group_names = list(names)
+
+    @property
+    def n(self):
+        return self.y.size
+
+    @property
+    def p(self):
+        return self.w.shape[1]
+
+    @property
+    def n_groups(self):
+        return 0 if self.group_index is None else len(self.group_names)
+
+
+def ols(design, response, column_names=None):
+    """Least squares via column-pivoted QR.
+
+    Raises :class:`SingularDesignError` naming the offending column when the
+    R factor's diagonal decays below the reciprocal-condition threshold.
+    The returned coefficients satisfy the normal equations to the accuracy
+    of the orthogonal decomposition.
+    """
+    Z = np.asarray(design, dtype=np.float64)
+    if Z.ndim == 1:
+        Z = Z.reshape(-1, 1)
+    r = np.asarray(response, dtype=np.float64).reshape(-1)
+    n, q = Z.shape
+    if q == 0:
+        return np.zeros(0)
+    if r.size != n:
+        raise InvalidInputError("design and response lengths differ")
+    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0 or diag[-1] < _RCOND_MIN * diag[0]:
+        bad = int(piv[int(np.argmax(diag < _RCOND_MIN * max(diag[0], 1e-300)))])
+        name = column_names[bad] if column_names else f"column {bad}"
+        raise SingularDesignError(f"design is numerically singular at {name}", column=bad)
+    coef_pivoted = scipy.linalg.solve_triangular(R, Q.T @ r)
+    coef = np.empty(q)
+    coef[piv] = coef_pivoted
+    return coef
+
+
+def _project(design, response, column_names=None):
+    """OLS coefficients plus residuals; empty design projects to nothing."""
+    if design.shape[1] == 0:
+        return np.zeros(0), response.copy()
+    coef = ols(design, response, column_names)
+    return coef, response - design @ coef
+
+
+@dataclass
+class FitResult:
+    """Fitted coefficients, residuals, ranks, and auxiliary projections.
+
+    ``slope`` is the coefficient on the ranked regressor (a per-group vector
+    for grouped fits, None for rank-level).  ``gamma`` holds the first-stage
+    projection of rank(x) on W.  ``tau``/``delta`` hold, per covariate column
+    l, the projection of W_l on (rank(x), W_-l); for rank-level fits ``tau``
+    is None and ``delta[l]`` is the projection of W_l on the remaining
+    columns alone.  All projection residual variances the inference step
+    divides by are kept in ``scale`` / ``scale_by_group``.
+    """
+
+    spec: str
+    omega: float
+    data: Dataset
+    slope: float | np.ndarray | None
+    beta: np.ndarray
+    gamma: np.ndarray | None
+    tau: np.ndarray | None
+    delta: list | None
+    ranks_x: np.ndarray | None
+    ranks_y: np.ndarray | None
+    residuals: np.ndarray
+
+    @property
+    def n(self):
+        return self.data.n
+
+    @property
+    def coef_names(self):
+        names = []
+        base = ["rank(x)"] if self.spec in ("rank-rank", "level-rank") else []
+        if self.spec == "rank-rank-group":
+            for label in self.data.group_names:
+                names.append(f"rank(x)@{label}")
+            for w in self.data.w_names:
+                for label in self.data.group_names:
+                    names.append(f"{w}@{label}")
+            return names
+        return base + list(self.data.w_names)
+
+    @property
+    def estimates(self):
+        """Coefficients aligned with :attr:`coef_names`."""
+        if self.spec == "rank-rank-group":
+            return np.concatenate([np.asarray(self.slope), np.asarray(self.beta).T.ravel()])
+        if self.spec == "rank-level":
+            return np.asarray(self.beta)
+        return np.concatenate([[self.slope], np.asarray(self.beta)])
+
+
+def _check_nu(nu, context=""):
+    if float(np.mean(nu * nu)) <= _DEGENERATE_VAR:
+        raise AssumptionViolationError(
+            "rank variation is fully explained by the covariates" + context
+        )
+
+
+def _aux_projections(rx, W, w_names, rows=None):
+    """Per covariate column l: project W_l on (rank regressor, W_-l)."""
+    idx = slice(None) if rows is None else rows
+    p = W.shape[1]
+    tau = np.zeros(p)
+    delta = []
+    for l in range(p):
+        others = np.delete(np.arange(p), l)
+        design = np.column_stack([rx[idx], W[idx][:, others]])
+        names = ["rank(x)"] + [w_names[j] for j in others]
+        coef = ols(design, W[idx][:, l], names)
+        tau[l] = coef[0]
+        delta.append(coef[1:])
+    return tau, delta
+
+
+def fit_rank_rank(d, omega=1.0):
+    """Joint OLS of rank(y) on (rank(x), W), with first-stage and auxiliary projections."""
+    omega = check_omega(omega)
+    if d.x is None:
+        raise InvalidInputError("rank-rank fit needs the ranked regressor x")
+    rx = rank_transform(d.x, omega)
+    ry = rank_transform(d.y, omega)
+    names = ["rank(x)"] + list(d.w_names)
+    Z = np.column_stack([rx, d.w])
+    theta = ols(Z, ry, names)
+    gamma, nu = _project(d.w, rx, d.w_names)
+    _check_nu(nu)
+    tau, delta = _aux_projections(rx, d.w, d.w_names)
+    return FitResult(
+        spec="rank-rank",
+        omega=omega,
+        data=d,
+        slope=float(theta[0]),
+        beta=theta[1:],
+        gamma=gamma,
+        tau=tau,
+        delta=delta,
+        ranks_x=rx,
+        ranks_y=ry,
+        residuals=ry - Z @ theta,
+    )
+
+
+def fit_level_rank(d, omega=1.0):
+    """OLS of raw y on (rank(x), W); same projections as the rank-rank fit."""
+    omega = check_omega(omega)
+    if d.x is None:
+        raise InvalidInputError("level-rank fit needs the ranked regressor x")
+    rx = rank_transform(d.x, omega)
+    names = ["rank(x)"] + list(d.w_names)
+    Z = np.column_stack([rx, d.w])
+    theta = ols(Z, d.y, names)
+    gamma, nu = _project(d.w, rx, d.w_names)
+    _check_nu(nu)
+    tau, delta = _aux_projections(rx, d.w, d.w_names)
+    return FitResult(
+        spec="level-rank",
+        omega=omega,
+        data=d,
+        slope=float(theta[0]),
+        beta=theta[1:],
+        gamma=gamma,
+        tau=tau,
+        delta=delta,
+        ranks_x=rx,
+        ranks_y=None,
+        residuals=d.y - Z @ theta,
+    )
+
+
+def fit_rank_level(d, omega=1.0):
+    """OLS of rank(y) on W alone; per-column leave-one-out projections."""
+    omega = check_omega(omega)
+    if d.p == 0:
+        raise InvalidInputError("rank-level fit needs at least one regressor column")
+    ry = rank_transform(d.y, omega)
+    beta = ols(d.w, ry, d.w_names)
+    delta = []
+    for l in range(d.p):
+        others = np.delete(np.arange(d.p), l)
+        coef, _ = _project(d.w[:, others], d.w[:, l],
+                           [d.w_names[j] for j in others])
+        delta.append(coef)
+    return FitResult(
+        spec="rank-level",
+        omega=omega,
+        data=d,
+        slope=None,
+        beta=beta,
+        gamma=None,
+        tau=None,
+        delta=delta,
+        ranks_x=None,
+        ranks_y=ry,
+        residuals=ry - d.w @ beta,
+    )
+
+
+def fit_rank_rank_by_group(d, omega=1.0):
+    """Per-group OLS of rank(y) on (rank(x), W) with ranks pooled across groups.
+
+    The ranks are computed once from all observations; only the regression
+    rows are restricted to each group, so the group fits share the pooled
+    rank scale and are statistically dependent through it.
+    """
+    omega = check_omega(omega)
+    if d.group_index is None:
+        raise InvalidInputError("grouped fit needs group labels")
+    if d.x is None:
+        raise InvalidInputError("rank-rank fit needs the ranked regressor x")
+    rx = rank_transform(d.x, omega)
+    ry = rank_transform(d.y, omega)
+    n_g = d.n_groups
+    p = d.p
+    slope = np.zeros(n_g)
+    beta = np.zeros((n_g, p))
+    gamma = np.zeros((n_g, p))
+    tau = np.zeros((n_g, p))
+    delta = [[None] * p for _ in range(n_g)]
+    residuals = np.zeros(d.n)
+    names = ["rank(x)"] + list(d.w_names)
+    for g in range(n_g):
+        rows = d.group_index == g
+        label = d.group_names[g]
+        try:
+            Z = np.column_stack([rx[rows], d.w[rows]])
+            theta = ols(Z, ry[rows], names)
+            gamma_g, nu_g = _project(d.w[rows], rx[rows], d.w_names)
+            _check_nu(nu_g, context=f" in group {label!r}")
+            tau_g, delta_g = _aux_projections(rx, d.w, d.w_names, rows=rows)
+        except (SingularDesignError, AssumptionViolationError) as err:
+            raise type(err)(f"group {label!r}: {err}") from err
+        slope[g] = theta[0]
+        beta[g] = theta[1:]
+        gamma[g] = gamma_g
+        tau[g] = tau_g
+        delta[g] = delta_g
+        residuals[rows] = ry[rows] - Z @ theta
+    return FitResult(
+        spec="rank-rank-group",
+        omega=omega,
+        data=d,
+        slope=slope,
+        beta=beta,
+        gamma=gamma,
+        tau=tau,
+        delta=delta,
+        ranks_x=rx,
+        ranks_y=ry,
+        residuals=residuals,
+    )
+
+
+_FITTERS = {
+    "rank-rank": fit_rank_rank,
+    "rank-rank-group": fit_rank_rank_by_group,
+    "level-rank": fit_level_rank,
+    "rank-level": fit_rank_level,
+}
+
+
+def fit_spec(d, spec, omega=1.0):
+    """Dispatch to the fitter for one of the four specifications."""
+    if spec not in _FITTERS:
+        raise InvalidInputError(f"unknown specification {spec!r}; expected one of {SPECS}")
+    return _FITTERS[spec](d, omega)
+
+
+def expected_rank_at(intercept, slope, p):
+    """Expected outcome rank at regressor rank p: intercept + slope * p."""
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise InvalidInputError(f"rank position p must lie in [0, 1], got {p}")
+    return float(intercept) + float(slope) * p
