@@ -84,7 +84,8 @@ def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
     needed = list(dict.fromkeys(needed))  # duplicated names read once; the
     # design keeps every requested column, so duplicates still surface as a
     # singular design downstream
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel and other tools write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -242,16 +243,12 @@ def _tie_warnings(d, args, se_methods):
 
 
 def _diagnostics(d, fit, info, ties_x, ties_y):
-    if fit.spec == "rank-level":
-        design = d.w
-    else:
-        design = np.column_stack([fit.ranks_x, d.w])
     diag = {
         "n": d.n,
         "rows_dropped": info.get("rows_dropped", 0),
         "tie_count_x": ties_x,
         "tie_count_y": ties_y,
-        "design_condition_number": float(np.linalg.cond(design)),
+        "design_condition_number": float(np.linalg.cond(fit.regressors)),
     }
     if d.group_index is not None:
         diag["group_sizes"] = {

@@ -40,6 +40,7 @@ from .bootstrap import BootstrapPlan, bootstrap_ci, bootstrap_distribution
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_rank_rank
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
+from .kernels import comparison_weighted_sums
 from .ranks import rank_transform, spearman
 
 __all__ = [
@@ -178,14 +179,6 @@ def reflection_closed_forms(a):
     return VarianceTriple(sigma2=sigma2, sigma2_hom=hom, sigma2_ew=ew, rho=rho)
 
 
-def _prefix_conditional(u, v):
-    """g(u_i) = (1/n) sum_j 1{u_j <= u_i} v_j via one sorted pass."""
-    order = np.argsort(u, kind="mergesort")
-    prefix = np.cumsum(v[order])
-    hi = np.searchsorted(u[order], u, side="right")
-    return prefix[hi - 1] / u.size  # hi >= 1: every u_i is in the sample
-
-
 def variance_triple_mc(model, n_mc, seed):
     """Monte Carlo (sigma^2, sigma_hom^2, sigma_ew^2, rho) for a copula.
 
@@ -193,8 +186,8 @@ def variance_triple_mc(model, n_mc, seed):
     matters.  The correct variance uses the projected-kernel representation
     sigma^2 = 144 Var(h(U, V)) with
     h(u, v) = u v - E[1{U <= u} V] - E[1{V <= v} U], the inner conditional
-    expectations estimated by a sorted prefix pass; the naive limits use the
-    centered rank moments M_kl:
+    expectations estimated by one comparison-kernel sum each; the naive
+    limits use the centered rank moments M_kl:
 
         sigma_hom^2 = 1 - rho^2
         sigma_ew^2  = 144 (M_22 - 2 rho M_31 + rho^2 / 80)
@@ -204,7 +197,11 @@ def variance_triple_mc(model, n_mc, seed):
     x, y = model.sample(n_mc, seed)
     u = rank_transform(x, 0.5)
     v = rank_transform(y, 0.5)
-    h = u * v - _prefix_conditional(u, v) - _prefix_conditional(v, u)
+    # (1/n) sum_j 1{u_j <= u_i} v_j is the total of v minus the omega = 0
+    # kernel sum sum_j 1{u_i < u_j} v_j
+    n = u.size
+    h = (u * v - (v.sum() - comparison_weighted_sums(u, v, 0.0)) / n
+         - (u.sum() - comparison_weighted_sums(v, u, 0.0)) / n)
     sigma2 = 144.0 * float(np.var(h))
     du = u - u.mean()
     dv = v - v.mean()

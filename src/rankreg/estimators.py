@@ -10,9 +10,12 @@ and differ in which side of the regression is rank-transformed:
 * ``rank-level``       rank(y) on W only
 
 Covariates are taken exactly as given; no intercept column is added here
-(the CLI adds one by default).  Every fit also runs the projections the
-asymptotic variance needs later: the first stage of rank(x) on W and, per
-covariate column, the projection of that column on the remaining regressors.
+(the CLI adds one by default).  Each fit block (the whole sample, or one
+group of the grouped fit) makes one pivoted QR factorisation, which gives
+both the coefficients and A^-1 = (Z'Z/n)^-1.  By the Frisch-Waugh-Lovell
+identity that one matrix holds every projection the asymptotic variance
+needs later: the first stage of rank(x) on W and, per covariate column, the
+projection of that column on the remaining regressors.
 """
 
 from dataclasses import dataclass, field
@@ -122,13 +125,11 @@ class Dataset:
         return 0 if self.group_index is None else len(self.group_names)
 
 
-def ols(design, response, column_names=None):
-    """Least squares via column-pivoted QR.
+def _solve(design, response, column_names=None):
+    """:func:`ols` coefficients plus (Z'Z)^-1 from the same pivoted QR.
 
-    Raises :class:`SingularDesignError` naming the offending column when the
-    R factor's diagonal decays below the reciprocal-condition threshold.
-    The returned coefficients satisfy the normal equations to the accuracy
-    of the orthogonal decomposition.
+    (Z'Z)^-1 = P R^-1 R^-T P' is read off the R factor, so its accuracy
+    follows cond(Z) rather than the cond(Z)^2 of inverting Z'Z itself.
     """
     Z = np.asarray(design, dtype=np.float64)
     if Z.ndim == 1:
@@ -136,7 +137,7 @@ def ols(design, response, column_names=None):
     r = np.asarray(response, dtype=np.float64).reshape(-1)
     n, q = Z.shape
     if q == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros((0, 0))
     if r.size != n:
         raise InvalidInputError("design and response lengths differ")
     Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
@@ -148,28 +149,51 @@ def ols(design, response, column_names=None):
     coef_pivoted = scipy.linalg.solve_triangular(R, Q.T @ r)
     coef = np.empty(q)
     coef[piv] = coef_pivoted
-    return coef
+    r_inv = scipy.linalg.solve_triangular(R, np.eye(q))
+    gram_inv = np.empty((q, q))
+    gram_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return coef, gram_inv
 
 
-def _project(design, response, column_names=None):
-    """OLS coefficients plus residuals; empty design projects to nothing."""
-    if design.shape[1] == 0:
-        return np.zeros(0), response.copy()
-    coef = ols(design, response, column_names)
-    return coef, response - design @ coef
+def ols(design, response, column_names=None):
+    """Least squares via column-pivoted QR.
+
+    Raises :class:`SingularDesignError` naming the offending column when the
+    R factor's diagonal decays below the reciprocal-condition threshold.
+    The returned coefficients satisfy the normal equations to the accuracy
+    of the orthogonal decomposition.
+    """
+    return _solve(design, response, column_names)[0]
+
+
+def _projection_coefficients(a_inv):
+    """Column l: minus the coefficients of regressor l projected on the others.
+
+    Frisch-Waugh-Lovell: column l of A^-1 is proportional to the unit vector
+    e_l minus those coefficients, with 1/A^-1[l, l] the projection residual's
+    second moment.  Works on one block (q, q) or a stack (G, q, q).
+    """
+    return -a_inv / np.diagonal(a_inv, axis1=-2, axis2=-1)[..., None, :]
 
 
 @dataclass
 class FitResult:
-    """Fitted coefficients, residuals, ranks, and auxiliary projections.
+    """Fitted coefficients, residuals, ranks, and the inverse design moment.
 
     ``slope`` is the coefficient on the ranked regressor (a per-group vector
-    for grouped fits, None for rank-level).  ``gamma`` holds the first-stage
-    projection of rank(x) on W.  ``tau``/``delta`` hold, per covariate column
-    l, the projection of W_l on (rank(x), W_-l); for rank-level fits ``tau``
-    is None and ``delta[l]`` is the projection of W_l on the remaining
-    columns alone.  All projection residual variances the inference step
-    divides by are kept in ``scale`` / ``scale_by_group``.
+    for grouped fits, None for rank-level).  ``a_inv`` is A^-1 with
+    A = Z'Z/n for the regressors Z = [rank(x), W] (Z = W for rank-level),
+    read off the R factor of the fit's own QR.  Grouped fits keep one block
+    per group, shape (n_groups, 1+p, 1+p), with Z restricted to the group's
+    rows and n the pooled count.  Column l of Z A^-1 is the projection
+    residual of Z_l on the other regressors over its second moment, which is
+    everything the inference step needs.
+
+    ``gamma``, ``tau`` and ``delta`` are read-only views of ``a_inv`` (per
+    group for grouped fits): ``gamma`` is the first-stage projection of
+    rank(x) on W, and per covariate column l, ``tau[l]``/``delta[l]`` project
+    W_l on (rank(x), W_-l).  For rank-level fits ``gamma`` and ``tau`` are
+    None and ``delta[l]`` projects W_l on the remaining columns alone.
     """
 
     spec: str
@@ -177,9 +201,7 @@ class FitResult:
     data: Dataset
     slope: float | np.ndarray | None
     beta: np.ndarray
-    gamma: np.ndarray | None
-    tau: np.ndarray | None
-    delta: list | None
+    a_inv: np.ndarray
     ranks_x: np.ndarray | None
     ranks_y: np.ndarray | None
     residuals: np.ndarray
@@ -187,6 +209,37 @@ class FitResult:
     @property
     def n(self):
         return self.data.n
+
+    @property
+    def regressors(self):
+        """The design Z: [rank(x), W], or W alone for rank-level fits."""
+        if self.spec == "rank-level":
+            return self.data.w
+        return np.column_stack([self.ranks_x, self.data.w])
+
+    @property
+    def gamma(self):
+        if self.spec == "rank-level":
+            return None
+        return _projection_coefficients(self.a_inv)[..., 1:, 0]
+
+    @property
+    def tau(self):
+        if self.spec == "rank-level":
+            return None
+        return _projection_coefficients(self.a_inv)[..., 0, 1:]
+
+    @property
+    def delta(self):
+        coef = _projection_coefficients(self.a_inv)
+        k = 0 if self.spec == "rank-level" else 1
+
+        def block(c):
+            return [np.delete(c[k:, k + l], l) for l in range(c.shape[0] - k)]
+
+        if self.spec == "rank-rank-group":
+            return [block(c) for c in coef]
+        return block(coef)
 
     @property
     def coef_names(self):
@@ -211,106 +264,65 @@ class FitResult:
         return np.concatenate([[self.slope], np.asarray(self.beta)])
 
 
-def _check_nu(nu, context=""):
-    if float(np.mean(nu * nu)) <= _DEGENERATE_VAR:
+def _check_nu(gram_inv, n_rows, context=""):
+    """Reject a fit whose first-stage residual has ~0 variance over its rows.
+
+    1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma.
+    """
+    if 1.0 / (gram_inv[0, 0] * n_rows) <= _DEGENERATE_VAR:
         raise AssumptionViolationError(
             "rank variation is fully explained by the covariates" + context
         )
 
 
-def _aux_projections(rx, W, w_names, rows=None):
-    """Per covariate column l: project W_l on (rank regressor, W_-l)."""
-    idx = slice(None) if rows is None else rows
-    p = W.shape[1]
-    tau = np.zeros(p)
-    delta = []
-    for l in range(p):
-        others = np.delete(np.arange(p), l)
-        design = np.column_stack([rx[idx], W[idx][:, others]])
-        names = ["rank(x)"] + [w_names[j] for j in others]
-        coef = ols(design, W[idx][:, l], names)
-        tau[l] = coef[0]
-        delta.append(coef[1:])
-    return tau, delta
+def _fit_ranked_regressor(d, omega, spec):
+    """OLS of rank(y) (rank-rank) or raw y (level-rank) on (rank(x), W)."""
+    omega = check_omega(omega)
+    if d.x is None:
+        raise InvalidInputError(f"{spec} fit needs the ranked regressor x")
+    rx = rank_transform(d.x, omega)
+    ry = rank_transform(d.y, omega) if spec == "rank-rank" else None
+    response = d.y if ry is None else ry
+    Z = np.column_stack([rx, d.w])
+    theta, gram_inv = _solve(Z, response, ["rank(x)"] + list(d.w_names))
+    _check_nu(gram_inv, d.n)
+    return FitResult(
+        spec=spec,
+        omega=omega,
+        data=d,
+        slope=float(theta[0]),
+        beta=theta[1:],
+        a_inv=d.n * gram_inv,
+        ranks_x=rx,
+        ranks_y=ry,
+        residuals=response - Z @ theta,
+    )
 
 
 def fit_rank_rank(d, omega=1.0):
-    """Joint OLS of rank(y) on (rank(x), W), with first-stage and auxiliary projections."""
-    omega = check_omega(omega)
-    if d.x is None:
-        raise InvalidInputError("rank-rank fit needs the ranked regressor x")
-    rx = rank_transform(d.x, omega)
-    ry = rank_transform(d.y, omega)
-    names = ["rank(x)"] + list(d.w_names)
-    Z = np.column_stack([rx, d.w])
-    theta = ols(Z, ry, names)
-    gamma, nu = _project(d.w, rx, d.w_names)
-    _check_nu(nu)
-    tau, delta = _aux_projections(rx, d.w, d.w_names)
-    return FitResult(
-        spec="rank-rank",
-        omega=omega,
-        data=d,
-        slope=float(theta[0]),
-        beta=theta[1:],
-        gamma=gamma,
-        tau=tau,
-        delta=delta,
-        ranks_x=rx,
-        ranks_y=ry,
-        residuals=ry - Z @ theta,
-    )
+    """Joint OLS of rank(y) on (rank(x), W)."""
+    return _fit_ranked_regressor(d, omega, "rank-rank")
 
 
 def fit_level_rank(d, omega=1.0):
-    """OLS of raw y on (rank(x), W); same projections as the rank-rank fit."""
-    omega = check_omega(omega)
-    if d.x is None:
-        raise InvalidInputError("level-rank fit needs the ranked regressor x")
-    rx = rank_transform(d.x, omega)
-    names = ["rank(x)"] + list(d.w_names)
-    Z = np.column_stack([rx, d.w])
-    theta = ols(Z, d.y, names)
-    gamma, nu = _project(d.w, rx, d.w_names)
-    _check_nu(nu)
-    tau, delta = _aux_projections(rx, d.w, d.w_names)
-    return FitResult(
-        spec="level-rank",
-        omega=omega,
-        data=d,
-        slope=float(theta[0]),
-        beta=theta[1:],
-        gamma=gamma,
-        tau=tau,
-        delta=delta,
-        ranks_x=rx,
-        ranks_y=None,
-        residuals=d.y - Z @ theta,
-    )
+    """OLS of raw y on (rank(x), W)."""
+    return _fit_ranked_regressor(d, omega, "level-rank")
 
 
 def fit_rank_level(d, omega=1.0):
-    """OLS of rank(y) on W alone; per-column leave-one-out projections."""
+    """OLS of rank(y) on W alone."""
     omega = check_omega(omega)
     if d.p == 0:
         raise InvalidInputError("rank-level fit needs at least one regressor column")
     ry = rank_transform(d.y, omega)
-    beta = ols(d.w, ry, d.w_names)
-    delta = []
-    for l in range(d.p):
-        others = np.delete(np.arange(d.p), l)
-        coef, _ = _project(d.w[:, others], d.w[:, l],
-                           [d.w_names[j] for j in others])
-        delta.append(coef)
+    beta, gram_inv = _solve(d.w, ry, d.w_names)
     return FitResult(
         spec="rank-level",
         omega=omega,
         data=d,
         slope=None,
         beta=beta,
-        gamma=None,
-        tau=None,
-        delta=delta,
+        a_inv=d.n * gram_inv,
         ranks_x=None,
         ranks_y=ry,
         residuals=ry - d.w @ beta,
@@ -335,9 +347,7 @@ def fit_rank_rank_by_group(d, omega=1.0):
     p = d.p
     slope = np.zeros(n_g)
     beta = np.zeros((n_g, p))
-    gamma = np.zeros((n_g, p))
-    tau = np.zeros((n_g, p))
-    delta = [[None] * p for _ in range(n_g)]
+    a_inv = np.zeros((n_g, 1 + p, 1 + p))
     residuals = np.zeros(d.n)
     names = ["rank(x)"] + list(d.w_names)
     for g in range(n_g):
@@ -345,17 +355,13 @@ def fit_rank_rank_by_group(d, omega=1.0):
         label = d.group_names[g]
         try:
             Z = np.column_stack([rx[rows], d.w[rows]])
-            theta = ols(Z, ry[rows], names)
-            gamma_g, nu_g = _project(d.w[rows], rx[rows], d.w_names)
-            _check_nu(nu_g, context=f" in group {label!r}")
-            tau_g, delta_g = _aux_projections(rx, d.w, d.w_names, rows=rows)
+            theta, gram_inv = _solve(Z, ry[rows], names)
+            _check_nu(gram_inv, Z.shape[0], context=f" in group {label!r}")
         except (SingularDesignError, AssumptionViolationError) as err:
             raise type(err)(f"group {label!r}: {err}") from err
         slope[g] = theta[0]
         beta[g] = theta[1:]
-        gamma[g] = gamma_g
-        tau[g] = tau_g
-        delta[g] = delta_g
+        a_inv[g] = d.n * gram_inv
         residuals[rows] = ry[rows] - Z @ theta
     return FitResult(
         spec="rank-rank-group",
@@ -363,9 +369,7 @@ def fit_rank_rank_by_group(d, omega=1.0):
         data=d,
         slope=slope,
         beta=beta,
-        gamma=gamma,
-        tau=tau,
-        delta=delta,
+        a_inv=a_inv,
         ranks_x=rx,
         ranks_y=ry,
         residuals=residuals,

@@ -4,17 +4,27 @@ The OLS coefficients of a regression involving estimated ranks behave like
 third-order U-statistics: the estimation error in the empirical CDFs is of
 the same order as the sampling error of the coefficients and never washes
 out.  Each coefficient therefore has a three-part per-observation influence
-value
+value: the familiar residual-times-projection-residual term the usual OLS
+theory would give, plus kernel averages over the sample that account for
+the noise in the outcome ranks and in the regressor ranks.
 
-    phi_l(i) = (H1_li + H2_li + H3_li) / scale_l,
+With the regressors Z = [rank(x), W], A = Z'Z/n and C = Z A^-1 (column l of
+C is the projection residual of Z_l on the other regressors over its second
+moment, by Frisch-Waugh-Lovell), all influence columns of a rank-rank fit
+are one matrix expression,
 
-where H1 is the familiar residual-times-projection-residual term the usual
-OLS theory would give, and H2/H3 are kernel averages over the sample that
-account for the noise in the outcome ranks and regressor ranks respectively.
-The plugin covariance is the empirical second moment of the stacked
-influence rows.  The classical homoskedastic and Eicker-White estimators
-(which drop H2 and H3) are provided for comparison; they are inconsistent
-for ranked data and can come out too large or too small.
+    psi = eps*C + (T_y(C) - rho T_x(C) - 1 (W beta)'C) / n
+              + (T_x(eps) - eps'rank(x)) A^-1[0, :] / n,
+
+where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
+:mod:`rankreg.ranks` down each column.  The other specifications are
+special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
+rank-level has Z = W and drops every x term, and the grouped fit evaluates
+the expression once per group with Z and eps zeroed outside the group's rows
+and the pooled n.  The plugin covariance is the empirical second moment of
+the influence rows.  The classical homoskedastic and Eicker-White
+estimators (which drop the kernel terms) are provided for comparison; they
+are inconsistent for ranked data and can come out too large or too small.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
 errors are sqrt(diag(variance)/n).  Grouped fits keep the pooled n as the
@@ -22,12 +32,12 @@ scaling count throughout (naive per-group variances are rescaled to match).
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from .errors import AssumptionViolationError, InvalidInputError
-from .estimators import Dataset, FitResult, fit_spec
+from .estimators import SPECS, fit_spec
 from .kernels import comparison_weighted_sums
 from .ranks import check_omega
 
@@ -52,13 +62,15 @@ _DEGENERATE_VAR = 1e-12
 def normal_quantile(p):
     """Upper-tail standard normal quantile: the z with P(N(0,1) > z) = p.
 
-    Backed by scipy's rational-approximation inverse CDF; for reference,
-    normal_quantile(0.025) = 1.959963984540054.
+    Computed as the negated lower-tail quantile -Phi^-1(p) of the standard
+    library's NormalDist, which keeps full relative accuracy for small p
+    (Phi^-1(1 - p) would lose digits to the rounding of 1 - p); for
+    reference, normal_quantile(0.025) = 1.959963984540054.
     """
     p = float(p)
     if not (0.0 < p < 1.0):
         raise InvalidInputError(f"tail probability must lie in (0, 1), got {p}")
-    return float(scipy.stats.norm.isf(p))
+    return -NormalDist().inv_cdf(p)
 
 
 def confidence_interval(estimate, sigma, n, alpha=0.05):
@@ -83,7 +95,8 @@ class InfluenceRows:
 
     ``psi`` already carries the 1/scale_l factor, so the plugin covariance
     is psi'psi/n.  ``scales`` keeps the projection residual second moments
-    (first entry: the first-stage residual variance) for diagnostics.
+    1/A^-1[l, l] (first entry: the first-stage residual variance) for
+    diagnostics.
     """
 
     psi: np.ndarray
@@ -119,164 +132,79 @@ def _resolve_data(fit, data):
         and (d.x is None) == (fit.data.x is None)
         and (d.x is None or np.array_equal(d.x, fit.data.x))
         and np.array_equal(d.w, fit.data.w)
+        and (d.group_index is None) == (fit.data.group_index is None)
+        and (d.group_index is None or np.array_equal(d.group_index, fit.data.group_index))
     )
     if not same:
         raise InvalidInputError("fit was produced from a different dataset")
     return d
 
 
-def _xi1_columns(fit, d, rows=None, gamma=None, tau=None, delta=None):
-    """First-stage and per-covariate projection residuals xi_{l,1}.
+def _blocks(fit, d):
+    """(rows or None, slope, beta, A^-1, psi columns) for each fit block.
 
-    Column 0 is rank(x) - W'gamma; column l >= 1 is
-    W_l - tau_l * rank(x) - W_-l' delta_l.  For grouped fits the caller
-    passes the group's coefficients; the residuals are still evaluated at
-    every observation (the kernel averages run over group members only, but
-    the projections are functions defined everywhere).
+    The grouped fit has one block per group; its columns are ordered
+    coefficient-major then group, so group g owns every n_groups-th column.
     """
-    gamma = fit.gamma if gamma is None else gamma
-    tau = fit.tau if tau is None else tau
-    delta = fit.delta if delta is None else delta
-    rx, W = fit.ranks_x, d.w
-    p = W.shape[1]
-    cols = [rx - W @ gamma]
-    for l in range(p):
-        others = np.delete(np.arange(p), l)
-        cols.append(W[:, l] - tau[l] * rx - W[:, others] @ delta[l])
-    return cols
-
-
-def _check_scale(scale, label):
-    if scale <= _DEGENERATE_VAR:
-        raise AssumptionViolationError(
-            f"projection residual for {label} is degenerate; its variance is ~0"
-        )
-
-
-def _influence_ranked_regressor(fit, d, only_slope=False):
-    """Influence columns for rank-rank and level-rank fits (shared core)."""
-    n = d.n
-    omega = fit.omega
-    W = d.w
-    p = W.shape[1]
-    rho = fit.slope
-    eps = fit.residuals
-    w_beta = W @ fit.beta
-    xi1 = _xi1_columns(fit, d)
-    ranked_outcome = fit.spec == "rank-rank"
-
-    # kernel sums shared across coefficients
-    t_x_eps = comparison_weighted_sums(d.x, d.x, eps, omega)
-    eps_w_gamma = float(eps @ (W @ fit.gamma))
-
-    names = ["rank(x)"] + list(d.w_names)
-    q = 1 if only_slope else 1 + p
-    psi = np.empty((n, q))
-    scales = np.empty(q)
-    for l in range(q):
-        c = xi1[l]
-        scale = float(np.mean(c * c))
-        _check_scale(scale, names[l])
-        h1 = eps * c
-        if ranked_outcome:
-            t_y = comparison_weighted_sums(d.y, d.y, c, omega)
-            t_x = comparison_weighted_sums(d.x, d.x, c, omega)
-            h2 = (t_y - rho * t_x - float(w_beta @ c)) / n
-        else:
-            t_x = comparison_weighted_sums(d.x, d.x, c, omega)
-            h2 = (float((d.y - w_beta) @ c) - rho * t_x) / n
-        if l == 0:
-            h3 = (t_x_eps - eps_w_gamma) / n
-        else:
-            j = l - 1
-            others = np.delete(np.arange(p), j)
-            const = float(eps @ W[:, j]) - float(eps @ (W[:, others] @ fit.delta[j]))
-            h3 = (const - fit.tau[j] * t_x_eps) / n
-        psi[:, l] = (h1 + h2 + h3) / scale
-        scales[l] = scale
-    return InfluenceRows(psi=psi, names=names[:q], scales=scales)
-
-
-def _influence_grouped(fit, d):
-    """Influence columns for the grouped fit, coefficient-major then group.
-
-    Every observation receives the kernel-average parts of every group's
-    influence (the pooled ranks tie the groups together), while the residual
-    part is nonzero only for the group's own rows.
-    """
-    n = d.n
-    omega = fit.omega
-    W = d.w
-    p = W.shape[1]
+    if fit.spec != "rank-rank-group":
+        return [(None, fit.slope, fit.beta, fit.a_inv, slice(None))]
     n_g = d.n_groups
-    names = fit.coef_names
-    q = (1 + p) * n_g
-    psi = np.empty((n, q))
-    scales = np.empty(q)
-    for g in range(n_g):
-        rows = d.group_index == g
-        mask = rows.astype(np.float64)
-        label = d.group_names[g]
-        rho_g = fit.slope[g]
-        beta_g = fit.beta[g]
-        eps_g = (fit.ranks_y - rho_g * fit.ranks_x - W @ beta_g) * mask
-        w_beta_masked = (W @ beta_g) * mask
-        xi1 = _xi1_columns(fit, d, gamma=fit.gamma[g], tau=fit.tau[g], delta=fit.delta[g])
-        t_x_eps = comparison_weighted_sums(d.x, d.x, eps_g, omega)
-        eps_w_gamma = float(eps_g @ (W @ fit.gamma[g]))
-        for l in range(1 + p):
-            c = xi1[l] * mask
-            scale = float(np.mean(c * c))
-            _check_scale(scale, f"{names[l * n_g + g]}")
-            h1 = eps_g * xi1[l]
-            t_y = comparison_weighted_sums(d.y, d.y, c, omega)
-            t_x = comparison_weighted_sums(d.x, d.x, c, omega)
-            h2 = (t_y - rho_g * t_x - float(w_beta_masked @ xi1[l])) / n
-            if l == 0:
-                h3 = (t_x_eps - eps_w_gamma) / n
-            else:
-                j = l - 1
-                others = np.delete(np.arange(p), j)
-                const = float(eps_g @ W[:, j]) - float(eps_g @ (W[:, others] @ fit.delta[g][j]))
-                h3 = (const - fit.tau[g][j] * t_x_eps) / n
-            psi[:, l * n_g + g] = (h1 + h2 + h3) / scale
-            scales[l * n_g + g] = scale
-    return InfluenceRows(psi=psi, names=names, scales=scales)
+    return [
+        (d.group_index == g, fit.slope[g], fit.beta[g], fit.a_inv[g], slice(g, None, n_g))
+        for g in range(n_g)
+    ]
 
 
-def _influence_rank_level(fit, d):
-    """Influence columns for rank(y) on W: two terms per coefficient, no h3."""
+def _block_psi(fit, d, Z, rows, rho, beta, a_cols):
+    """Influence columns of one fit block for the columns ``a_cols`` of A^-1.
+
+    ``Z`` is the fit's whole design.  Rows outside the block are zeroed in Z
+    and eps, so the kernel sums run over the block's members while every
+    observation receives their terms (pooled ranks tie the groups together).
+    """
     n = d.n
-    omega = fit.omega
-    W = d.w
-    p = W.shape[1]
     eps = fit.residuals
-    w_beta = W @ fit.beta
-    psi = np.empty((n, p))
-    scales = np.empty(p)
-    for l in range(p):
-        others = np.delete(np.arange(p), l)
-        nu_l = W[:, l] - W[:, others] @ fit.delta[l]
-        scale = float(np.mean(nu_l * nu_l))
-        _check_scale(scale, d.w_names[l])
-        h1 = eps * nu_l
-        t_y = comparison_weighted_sums(d.y, d.y, nu_l, omega)
-        h2 = (t_y - float(w_beta @ nu_l)) / n
-        psi[:, l] = (h1 + h2) / scale
-        scales[l] = scale
-    return InfluenceRows(psi=psi, names=list(d.w_names), scales=scales)
+    if rows is not None:
+        Z = Z * rows[:, None]
+        eps = np.where(rows, eps, 0.0)
+    C = Z @ a_cols
+    w_beta = d.w @ beta
+    if fit.spec == "level-rank":
+        kernel = (d.y - w_beta) @ C
+    else:
+        kernel = comparison_weighted_sums(d.y, C, fit.omega) - w_beta @ C
+    if fit.spec != "rank-level":
+        t_x = comparison_weighted_sums(d.x, np.column_stack([C, eps]), fit.omega)
+        t_x_eps = t_x[:, -1] - eps @ fit.ranks_x
+        kernel = kernel - rho * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
+    return eps[:, None] * C + kernel / n
+
+
+def _influence(fit, d, only_slope=False):
+    """Influence rows of every coefficient, or of the slope alone."""
+    names = fit.coef_names[:1] if only_slope else fit.coef_names
+    psi = np.empty((d.n, len(names)))
+    scales = np.empty(len(names))
+    Z = fit.regressors
+    for rows, rho, beta, a_inv, cols in _blocks(fit, d):
+        a_cols = a_inv[:, :1] if only_slope else a_inv
+        block_scales = 1.0 / np.diagonal(a_inv)[: a_cols.shape[1]]
+        for name, scale in zip(names[cols], block_scales):
+            if scale <= _DEGENERATE_VAR:
+                raise AssumptionViolationError(
+                    f"projection residual for {name} is degenerate; its variance is ~0"
+                )
+        psi[:, cols] = _block_psi(fit, d, Z, rows, rho, beta, a_cols)
+        scales[cols] = block_scales
+    return InfluenceRows(psi=psi, names=names, scales=scales)
 
 
 def influence_rows(fit, data=None):
     """Per-observation influence values for every coefficient of a fit."""
     d = _resolve_data(fit, data)
-    if fit.spec in ("rank-rank", "level-rank"):
-        return _influence_ranked_regressor(fit, d)
-    if fit.spec == "rank-rank-group":
-        return _influence_grouped(fit, d)
-    if fit.spec == "rank-level":
-        return _influence_rank_level(fit, d)
-    raise InvalidInputError(f"unknown specification {fit.spec!r}")
+    if fit.spec not in SPECS:
+        raise InvalidInputError(f"unknown specification {fit.spec!r}")
+    return _influence(fit, d)
 
 
 def _report_from_variance(fit, variance, names, estimates, alpha, n, method,
@@ -323,7 +251,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
         )
-    rows = _influence_ranked_regressor(fit, d, only_slope=True)
+    rows = _influence(fit, d, only_slope=True)
     sigma2 = float(np.mean(rows.psi[:, 0] ** 2))
     return _report_from_variance(
         fit, [[sigma2]], rows.names, [fit.slope], alpha, d.n, "plugin", influence=rows
@@ -334,40 +262,26 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
 # classical (inconsistent-for-ranks) variance estimators, kept for comparison
 # ---------------------------------------------------------------------------
 
-def _sandwich(Z, resid, kind):
-    n = Z.shape[0]
-    a = Z.T @ Z / n
-    a_inv = np.linalg.inv(a)
-    if kind == "hom":
-        return a_inv * float(np.mean(resid**2))
-    meat = (Z * (resid**2)[:, None]).T @ Z / n
-    return a_inv @ meat @ a_inv
-
-
 def _naive_covariance(fit, d, alpha, kind):
-    if fit.spec in ("rank-rank", "level-rank"):
-        Z = np.column_stack([fit.ranks_x, d.w])
-        variance = _sandwich(Z, fit.residuals, kind)
-        return _report_from_variance(
-            fit, variance, fit.coef_names, fit.estimates, alpha, d.n, kind
-        )
-    if fit.spec == "rank-level":
-        variance = _sandwich(d.w, fit.residuals, kind)
-        return _report_from_variance(
-            fit, variance, fit.coef_names, fit.estimates, alpha, d.n, kind
-        )
-    # grouped: separate per-group regressions; rescale each block to the
-    # pooled sqrt(n) convention so one report covers all coefficients
-    n_g = d.n_groups
-    p = d.p
-    q = (1 + p) * n_g
+    """Sandwich variance on the fit's own A^-1, one block per fit block.
+
+    A grouped fit gets separate per-group regression blocks.  Its A^-1 is
+    taken over the pooled n, which already puts each block on the pooled
+    sqrt(n) convention, so one report covers all coefficients.
+    """
+    q = len(fit.coef_names)
     variance = np.zeros((q, q))
-    for g in range(n_g):
-        rows = d.group_index == g
-        n_rows = int(np.count_nonzero(rows))
-        Z = np.column_stack([fit.ranks_x[rows], d.w[rows]])
-        block = _sandwich(Z, fit.residuals[rows], kind) * (d.n / n_rows)
-        idx = [l * n_g + g for l in range(1 + p)]
+    design = fit.regressors
+    for rows, _, _, a_inv, cols in _blocks(fit, d):
+        Z, resid = design, fit.residuals
+        if rows is not None:
+            Z, resid = Z[rows], resid[rows]
+        if kind == "hom":
+            block = a_inv * float(np.mean(resid**2))
+        else:
+            meat = (Z * (resid**2)[:, None]).T @ Z / d.n
+            block = a_inv @ meat @ a_inv
+        idx = np.arange(q)[cols]
         variance[np.ix_(idx, idx)] = block
     return _report_from_variance(
         fit, variance, fit.coef_names, fit.estimates, alpha, d.n, kind

@@ -71,6 +71,21 @@ class TestIngest:
         with pytest.raises(InvalidInputError, match="expected 2 fields"):
             ingest_csv(str(path), "y", "x")
 
+    def test_utf8_bom_gives_same_report(self, sample_csv, tmp_path):
+        # spreadsheet exports start with a byte-order mark; the report must
+        # not change, so both runs read the same path
+        path = tmp_path / "input.csv"
+        out = tmp_path / "report.json"
+        text = open(sample_csv, encoding="utf-8").read()
+        argv = ["fit", str(path), "--w-cols", "z", "--out", str(out)]
+        path.write_text(text, encoding="utf-8")
+        assert main(argv) == EXIT_OK
+        plain = out.read_bytes()
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == plain
+
     def test_group_labels_pass_through(self, sample_csv):
         columns, _ = ingest_csv(sample_csv, "y", "x", group_col="region")
         assert set(columns["region"]) == {"BY", "SN"}

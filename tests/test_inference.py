@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankreg import (
     Dataset,
     InvalidInputError,
+    RankRegressionError,
     confidence_interval,
     ew_covariance,
     fit_level_rank,
     fit_rank_level,
     fit_rank_rank,
     fit_rank_rank_by_group,
+    fit_spec,
     hom_covariance,
     influence_rows,
     linear_combo_inference,
@@ -168,6 +172,19 @@ class TestGroupedCovariance:
         joint_g = plugin_covariance(fit_rank_rank_by_group(dg, 1.0), dg)
         joint = plugin_covariance(fit_rank_rank(d, 1.0), d)
         assert joint_g.variance == pytest.approx(joint.variance, abs=1e-10)
+
+    def test_foreign_group_labels_rejected(self, rng):
+        n = 600
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        w = np.column_stack([np.ones(n), rng.normal(size=n)])
+        g = rng.integers(0, 3, n)
+        d = Dataset(y=y, x=x, w=w, g=g)
+        fit = fit_rank_rank_by_group(d, 1.0)
+        permuted = Dataset(y=y, x=x, w=w, g=rng.permutation(g))
+        for method in (plugin_covariance, hom_covariance, ew_covariance):
+            method(fit, d)
+            with pytest.raises(InvalidInputError):
+                method(fit, permuted)
 
     def test_cross_group_covariance_against_monte_carlo(self):
         # groups with disjoint x supports but a shared y scale: the pooled
@@ -356,6 +373,11 @@ class TestConfidenceInterval:
         # reference constant for the 97.5% point of the standard normal
         assert normal_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-9)
 
+    def test_normal_quantile_matches_scipy(self):
+        for p in (1e-12, 1e-6, 0.001, 0.005, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.975):
+            assert normal_quantile(p) == pytest.approx(
+                scipy.stats.norm.isf(p), rel=1e-14, abs=1e-300)
+
     def test_example_interval(self):
         lo, hi = confidence_interval(0.0, 1.0, 100, alpha=0.05)
         assert lo == pytest.approx(-0.196, abs=1e-3)
@@ -458,3 +480,49 @@ class TestGroupedThetaCoverage:
             lo, hi = combo.ci[0]
             covered += lo <= theta_true <= hi
         assert abs(covered / reps - 0.95) <= 0.02
+
+
+@st.composite
+def _tied_problem(draw):
+    """Small tied sample, a spec and omega; 2-3 groups for the grouped spec."""
+    n = draw(st.integers(12, 40))
+    support = draw(st.integers(2, 5))
+    points = st.lists(st.integers(0, support - 1), min_size=n, max_size=n)
+    x = np.array(draw(points), dtype=float)
+    y = np.array(draw(points), dtype=float)
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = np.column_stack([np.ones(n), np.random.default_rng(seed).normal(size=n)])
+    spec = draw(st.sampled_from(["rank-rank", "rank-rank-group", "level-rank",
+                                 "rank-level"]))
+    omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    g = np.arange(n) % draw(st.integers(2, 3)) if spec == "rank-rank-group" else None
+    return Dataset(y=y, x=x, w=w, g=g), spec, omega
+
+
+class TestInfluenceMatrixForm:
+    @settings(max_examples=60, deadline=None)
+    @given(_tied_problem())
+    def test_matches_double_sum_on_tied_samples(self, problem):
+        d, spec, omega = problem
+        try:
+            fit = fit_spec(d, spec, omega)
+            fast = influence_rows(fit, d).psi
+        except RankRegressionError:
+            assume(False)
+        slow = influence_rows_pairwise(fit, d).psi
+        assert np.max(np.abs(fast - slow)) < 1e-10
+
+    def test_ill_scaled_covariate_matches_double_sum(self, rng):
+        # a covariate with mean 1e4 and unit spread makes Z'Z ill-conditioned;
+        # A^-1 from the R factor must keep the influence rows exact
+        n = 60
+        x = make_tied_sample(rng, n)
+        y = make_tied_sample(rng, n)
+        w = np.column_stack([np.ones(n), 1e4 + rng.normal(size=n)])
+        g = np.arange(n) % 2
+        for spec in ("rank-rank", "rank-rank-group", "level-rank", "rank-level"):
+            d = Dataset(y=y, x=x, w=w, g=g if spec == "rank-rank-group" else None)
+            fit = fit_spec(d, spec, 0.5)
+            fast = influence_rows(fit, d).psi
+            slow = influence_rows_pairwise(fit, d).psi
+            assert np.max(np.abs(fast - slow)) < 1e-10 * max(1.0, np.max(np.abs(slow)))

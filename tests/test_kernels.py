@@ -1,7 +1,6 @@
-"""Backend parity and correctness of the low-level kernels."""
+"""Correctness of the low-level kernels against their literal definitions."""
 
 import numpy as np
-import pytest
 
 from rankreg import kernels
 
@@ -10,6 +9,15 @@ def _samples(rng, n):
     continuous = rng.normal(size=n)
     tied = rng.choice(np.arange(6.0), size=n)
     return [continuous, tied]
+
+
+def _pairwise_sums(values, weights, omega):
+    """sum_j K(values_i, values_j) * weights_j, one row of the kernel at a time."""
+    out = np.empty(values.size)
+    for i in range(values.size):
+        kernel_row = omega * (values[i] <= values) + (1.0 - omega) * (values[i] < values)
+        out[i] = kernel_row @ weights
+    return out
 
 
 def test_counts_match_definition(rng):
@@ -23,32 +31,22 @@ def test_counts_match_definition(rng):
 def test_weighted_sums_match_pairwise(rng):
     for values in _samples(rng, 90):
         weights = rng.normal(size=90)
-        points = rng.choice(values, size=40)  # includes exact ties with data
         for omega in (0.0, 0.3, 0.5, 1.0):
-            fast = kernels.comparison_weighted_sums(points, values, weights, omega)
-            slow = kernels.comparison_weighted_sums_pairwise(points, values, weights, omega)
+            fast = kernels.comparison_weighted_sums(values, weights, omega)
+            slow = _pairwise_sums(values, weights, omega)
             assert np.max(np.abs(fast - slow)) < 1e-12
 
 
-def test_backends_agree(rng):
-    impls = kernels.IMPLEMENTATIONS
-    if len(impls) < 2:
-        pytest.skip("only one backend available")
-    for values in _samples(rng, 64):
-        weights = rng.normal(size=64)
-        results_counts = {}
-        results_sums = {}
-        for name, impl in impls.items():
-            results_counts[name] = impl["comparison_counts"](values)
-            results_sums[name] = impl["comparison_weighted_sums"](values, values, weights, 0.5)
-        ref_lt, ref_le = results_counts["numpy"]
-        for name, (lt, le) in results_counts.items():
-            assert np.array_equal(lt, ref_lt), name
-            assert np.array_equal(le, ref_le), name
-        ref = results_sums["numpy"]
-        for name, sums in results_sums.items():
-            assert np.max(np.abs(sums - ref)) < 1e-12, name
+def test_weight_matrix_equals_column_calls_bitwise(rng):
+    for values in _samples(rng, 64) + [np.zeros(5), np.array([2.5])]:
+        weights = rng.normal(size=(values.size, 4))
+        for omega in (0.0, 0.5, 1.0):
+            batched = kernels.comparison_weighted_sums(values, weights, omega)
+            assert batched.shape == weights.shape
+            for k in range(weights.shape[1]):
+                single = kernels.comparison_weighted_sums(values, weights[:, k], omega)
+                assert np.array_equal(batched[:, k], single)
 
 
 def test_backend_name_is_known():
-    assert kernels.backend_name() in kernels.IMPLEMENTATIONS
+    assert kernels.backend_name() == "numpy"
