@@ -164,26 +164,25 @@ def build_dataset(columns, info, args):
 # JSON helpers
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _json_default(value):
+    """Encode a numpy array or scalar; json calls this only for types it lacks.
+
+    np.float64 subclasses float and is written by json itself with float's
+    repr, so converting here changes no byte of the report.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _report_block(report):
     return {
         "method": report.method,
         "names": list(report.names),
-        "estimates": _jsonable(report.estimates),
-        "asymptotic_variance": _jsonable(report.variance),
-        "se": _jsonable(report.se),
-        "ci": _jsonable(report.ci),
+        "estimates": report.estimates,
+        "asymptotic_variance": report.variance,
+        "se": report.se,
+        "ci": report.ci,
         "alpha": report.alpha,
         "n": report.n,
     }
@@ -198,7 +197,8 @@ def _emit(text, out_path):
 
 
 def _emit_json(payload, out_path):
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", out_path)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    _emit(text + "\n", out_path)
 
 
 def _emit_csv(fieldnames, rows, out_path):
@@ -215,7 +215,7 @@ def _emit_csv(fieldnames, rows, out_path):
 # ---------------------------------------------------------------------------
 
 def _config_echo(args, keys):
-    return {key: _jsonable(getattr(args, key)) for key in keys}
+    return {key: getattr(args, key) for key in keys}
 
 _FIT_CONFIG_KEYS = [
     "command", "csv", "spec", "omega", "alpha", "se", "bootstrap_reps",
@@ -289,7 +289,7 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
             "p": p_value,
             "estimate": float(rep.estimates[0]),
             "se": float(rep.se[0]),
-            "ci": _jsonable(rep.ci[0]),
+            "ci": rep.ci[0],
         })
     return blocks
 
@@ -335,9 +335,9 @@ def cmd_fit(args):
         "n": d.n,
         "coefficients": {
             "names": fit.coef_names,
-            "estimates": _jsonable(fit.estimates),
+            "estimates": fit.estimates,
         },
-        "first_stage": _jsonable(fit.gamma) if fit.gamma is not None else None,
+        "first_stage": fit.gamma,
         "se_methods": se_blocks,
         "diagnostics": _diagnostics(d, fit, info, ties_x, ties_y),
         "warnings": warnings,
@@ -370,13 +370,13 @@ def cmd_sweep(args):
         "rows": [
             {
                 "omega": row.omega,
-                "estimates": _jsonable(row.estimates),
-                "se": _jsonable(row.se),
-                "ci": _jsonable(row.ci),
+                "estimates": row.estimates,
+                "se": row.se,
+                "ci": row.ci,
             }
             for row in result.rows
         ],
-        "grid_average": _jsonable(result.average),
+        "grid_average": result.average,
         "config": _config_echo(args, [
             "command", "csv", "spec", "grid", "alpha", "y_col", "x_col",
             "w_cols", "group_col", "drop_missing", "intercept", "out",

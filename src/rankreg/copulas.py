@@ -30,8 +30,6 @@ conservative; other copulas (e.g. the quadratic family) push the ratio the
 opposite way and produce under-coverage.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,8 +290,7 @@ class CoverageRow:
 
 
 def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
-                        alpha=0.05, omega=1.0, seed=0, bootstrap_plan=None,
-                        n_jobs=None):
+                        alpha=0.05, omega=1.0, seed=0, bootstrap_plan=None):
     """Empirical CI coverage of the true rank-rank slope, per method.
 
     Each rep draws a fresh sample from the copula, fits the intercept-only
@@ -309,8 +306,6 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     if "bootstrap" in methods and bootstrap_plan is None:
         bootstrap_plan = BootstrapPlan(reps=299, seed=seed, alpha=alpha)
     truth = true_rank_correlation(model)
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("RANKREG_JOBS", "1"))
 
     def one_rep(rep):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
@@ -344,16 +339,8 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
 
     covered = np.zeros((reps, len(methods)))
     widths = np.zeros((reps, len(methods)))
-
-    def run(rep):
+    for rep in range(reps):
         covered[rep], widths[rep] = one_rep(rep)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(run, range(reps)))
-    else:
-        for rep in range(reps):
-            run(rep)
 
     rows = []
     for k, m in enumerate(methods):

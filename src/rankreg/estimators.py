@@ -141,7 +141,9 @@ def _solve(design, response, column_names=None):
     if r.size != n:
         raise InvalidInputError("design and response lengths differ")
     Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    # fewer rows than columns: the diagonal past row n is zero
+    diag = np.zeros(q)
+    diag[:min(n, q)] = np.abs(np.diag(R))
     if diag[0] == 0.0 or diag[-1] < _RCOND_MIN * diag[0]:
         bad = int(piv[int(np.argmax(diag < _RCOND_MIN * max(diag[0], 1e-300)))])
         name = column_names[bad] if column_names else f"column {bad}"

@@ -89,7 +89,15 @@ def rank_transform(sample, omega=1.0):
     omega = check_omega(omega)
     arr = _as_sample(sample)
     below, at_or_below = kernels.comparison_counts(arr)
-    n = arr.size
+    return ranks_from_counts(below, at_or_below, arr.size, omega)
+
+
+def ranks_from_counts(below, at_or_below, n, omega):
+    """Ranks from the counts of sample values below and at or below each point.
+
+    The counts may be integers or floats holding integers; both give the same
+    bits.  ``omega`` must already be checked.
+    """
     # single division keeps e.g. (0.5*4 + 0.5*2 + 0.5)/10 bit-equal to 0.35
     return (omega * at_or_below + (1.0 - omega) * below + (1.0 - omega)) / n
 

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from rankreg import (
+    AssumptionViolationError,
     BootstrapDiagnosticError,
     BootstrapPlan,
     Dataset,
     InvalidInputError,
+    SingularDesignError,
     bootstrap_ci,
     bootstrap_distribution,
     bootstrap_report,
     bootstrap_se,
     fit_rank_rank,
+    fit_spec,
     ols,
     plugin_slope_variance,
     rank_transform,
 )
-from rankreg.bootstrap import _resample, replicate_statistic
+from rankreg.bootstrap import replicate_statistic
 
 from conftest import make_tied_sample
 
@@ -26,6 +29,49 @@ def _dataset(rng, n=80, tied=False):
     x = make_tied_sample(rng, n) if tied else rng.normal(size=n)
     y = 0.7 * x + rng.normal(size=n)
     return Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
+
+
+def _resample(d, indices):
+    return Dataset(
+        y=d.y[indices],
+        x=None if d.x is None else d.x[indices],
+        w=d.w[indices],
+        g=None if d.g is None else np.asarray(d.g)[indices],
+        w_names=d.w_names,
+    )
+
+
+def _literal_replicate(d, spec, omega, seed, b):
+    """Replicate b by the literal route: build the resample and refit it.
+
+    A resample is rejected and redrawn when it misses a group, when a group
+    has fewer than 2 rows (Dataset refuses it), or when the refit's design
+    is degenerate.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+    rejections = 0
+    while True:
+        indices = rng.integers(0, d.n, size=d.n)
+        if d.g is not None and np.unique(d.group_index[indices]).size < d.n_groups:
+            rejections += 1
+            continue
+        try:
+            fit = fit_spec(_resample(d, indices), spec, omega)
+        except (SingularDesignError, AssumptionViolationError, InvalidInputError):
+            rejections += 1
+            continue
+        value = fit.beta if spec == "rank-level" else np.atleast_1d(fit.slope)
+        return np.asarray(value, dtype=np.float64), rejections
+
+
+def _tied_design(rng, n=90, labels=("A", "B", "C")):
+    """Heavily tied x and y, a binary covariate, and three groups."""
+    x = make_tied_sample(rng, n, support=5)
+    y = 0.5 * x + make_tied_sample(rng, n, support=4)
+    flag = (rng.random(n) < 0.4).astype(float)
+    g = np.array(labels)[rng.integers(0, len(labels), n)]
+    return Dataset(y=y, x=x, w=np.column_stack([np.ones(n), flag]), g=g,
+                   w_names=["const", "flag"])
 
 
 class TestDistribution:
@@ -42,13 +88,6 @@ class TestDistribution:
         a = bootstrap_distribution(d, "rank-rank", 1.0, plan)
         b = bootstrap_distribution(d, "rank-rank", 1.0, plan)
         assert np.array_equal(a, b)
-
-    def test_independent_of_worker_count(self, rng):
-        d = _dataset(rng)
-        plan = BootstrapPlan(reps=40, seed=5)
-        serial = bootstrap_distribution(d, "rank-rank", 1.0, plan, n_jobs=1)
-        threaded = bootstrap_distribution(d, "rank-rank", 1.0, plan, n_jobs=4)
-        assert np.array_equal(serial, threaded)
 
     def test_independent_of_evaluation_order(self, rng):
         d = _dataset(rng)
@@ -100,6 +139,76 @@ class TestDistribution:
         )
         reps = bootstrap_distribution(d, "rank-level", 1.0, BootstrapPlan(reps=20, seed=3))
         assert reps.shape == (20, 2)
+
+
+SPECS = ("rank-rank", "rank-rank-group", "level-rank", "rank-level")
+
+
+class TestLiteralOracle:
+    """Multiplicity-weighted replicates against the literal resample-and-refit."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    def test_matches_literal_refit(self, rng, spec, omega):
+        d = _tied_design(rng)
+        plan = BootstrapPlan(reps=30, seed=3)
+        reps = bootstrap_distribution(d, spec, omega, plan).reshape(plan.reps, -1)
+        for b in range(plan.reps):
+            want, _ = _literal_replicate(d, spec, omega, plan.seed, b)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(reps[b] - want)) <= 1e-12 * scale
+
+    def test_collinear_covariate_rejections_match(self, rng):
+        # a binary covariate with nonzero levels 1 and 3: resamples that miss
+        # its 3 rare rows make it a multiple of the intercept, which a
+        # singularity check taken from Z'MZ (error on the cond^2 scale) lets
+        # through with a garbage slope
+        n = 40
+        level = np.ones(n)
+        level[[4, 17, 33]] = 3.0
+        d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
+                    w=np.column_stack([np.ones(n), level]))
+        total = 0
+        for b in range(80):
+            value, rejections = replicate_statistic(d, "rank-rank", 0.5, 2, b)
+            want, want_rejections = _literal_replicate(d, "rank-rank", 0.5, 2, b)
+            assert rejections == want_rejections
+            assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
+            total += rejections
+        assert total > 0
+
+    @pytest.mark.parametrize("labels", [
+        ["A"] * 57 + ["B"] * 3,
+        ["A"] * 40 + ["B"] * 17 + ["C"] * 3,
+    ], ids=["two-groups", "three-groups"])
+    def test_resample_missing_a_group_is_redrawn(self, rng, labels):
+        # a resample that misses a whole group used to shrink the label set:
+        # with 2 groups the survivor's slope filled both columns, with 3 the
+        # replicate did not fit its slot and a raw ValueError escaped
+        n = len(labels)
+        d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
+                    w=np.ones((n, 1)), g=np.array(labels))
+        missed = 0
+        for b in range(40):
+            value, rejections = replicate_statistic(d, "rank-rank-group", 1.0, 1, b)
+            want, want_rejections = _literal_replicate(d, "rank-rank-group", 1.0, 1, b)
+            assert value.shape == (d.n_groups,)
+            assert rejections == want_rejections
+            assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
+            r = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(b,)))
+            missed += np.unique(d.group_index[r.integers(0, n, size=n)]).size < d.n_groups
+        assert missed > 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_replicates_independent_of_order_and_count(self, rng, spec):
+        d = _tied_design(rng, n=60)
+        full = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=24, seed=8))
+        prefix = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=10, seed=8))
+        assert np.array_equal(full[:10], prefix)
+        reversed_order = np.empty_like(full.reshape(24, -1))
+        for b in reversed(range(24)):
+            reversed_order[b] = replicate_statistic(d, spec, 0.5, 8, b)[0]
+        assert np.array_equal(full.reshape(24, -1), reversed_order)
 
 
 class TestFrozenRankRegression:

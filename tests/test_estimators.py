@@ -212,6 +212,16 @@ class TestRankRankByGroup:
         with pytest.raises(SingularDesignError, match="bad"):
             fit_rank_rank_by_group(d, 1.0)
 
+    def test_group_with_fewer_rows_than_regressors_is_singular(self, rng):
+        # two rows cannot identify rank(x) and two covariates; the QR's R
+        # factor is not square, which must still surface as a singular design
+        n = 20
+        g = np.array(["big"] * 18 + ["pair"] * 2)
+        d = Dataset(y=rng.normal(size=n), x=rng.normal(size=n),
+                    w=np.column_stack([np.ones(n), rng.normal(size=n)]), g=g)
+        with pytest.raises(SingularDesignError, match="pair"):
+            fit_rank_rank_by_group(d, 1.0)
+
 
 class TestLevelRank:
     def test_exact_fit_on_ranks(self, rng):
