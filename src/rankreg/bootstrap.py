@@ -116,14 +116,12 @@ class _Resampler:
         d = self.data
         rows = self.rows[m[self.rows] > 0]
         mult = m[rows]
-        scale = np.sqrt(mult)
-        if self.run_x is None:
-            design = d.w[rows]
-        else:
-            design = np.column_stack([self._ranks(self.run_x, rows, mult), d.w[rows]])
-        design *= scale[:, None]
         response = d.y[rows] if self.run_y is None else self._ranks(self.run_y, rows, mult)
-        response = response * scale
+        columns = [d.w[rows], response]
+        if self.run_x is not None:
+            columns.insert(0, self._ranks(self.run_x, rows, mult))
+        system = np.column_stack(columns)
+        system *= np.sqrt(mult)[:, None]
         if self.spec == "rank-rank-group":
             groups = d.group_index[rows]
             counts = np.bincount(groups, minlength=d.n_groups)
@@ -136,7 +134,7 @@ class _Resampler:
             blocks = [(0, rows.size, d.n)]
         value = []
         for lo, hi, size in blocks:
-            coef, gram_inv = _solve(design[lo:hi], response[lo:hi], self.names)
+            coef, gram_inv = _solve(system[lo:hi], self.names)
             if self.run_x is None:
                 value.append(coef)
             else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, bootstrap_ci, bootstrap_distribution
+from .bootstrap import BootstrapPlan, _replicates, bootstrap_ci
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_rank_rank
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
@@ -331,7 +331,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
                     ci_kind=bootstrap_plan.ci_kind,
                     alpha=alpha,
                 )
-                boots = bootstrap_distribution(d, "rank-rank", omega, plan)
+                boots = _replicates(fit, plan)[:, 0]
                 lo_, hi_ = bootstrap_ci(boots, fit.slope, plan)
             covered[k] = 1.0 if lo_ <= truth <= hi_ else 0.0
             widths[k] = hi_ - lo_

@@ -11,17 +11,20 @@ and differ in which side of the regression is rank-transformed:
 
 Covariates are taken exactly as given; no intercept column is added here
 (the CLI adds one by default).  Each fit block (the whole sample, or one
-group of the grouped fit) makes one pivoted QR factorisation, which gives
-both the coefficients and A^-1 = (Z'Z/n)^-1.  By the Frisch-Waugh-Lovell
-identity that one matrix holds every projection the asymptotic variance
-needs later: the first stage of rank(x) on W and, per covariate column, the
-projection of that column on the remaining regressors.
+group of the grouped fit) makes one numpy QR factorisation of the design
+with the response appended, which gives both the coefficients and
+A^-1 = (Z'Z/n)^-1; a column-pivoted QR of its small R factor decides
+whether the design is singular.  By the Frisch-Waugh-Lovell identity that
+one matrix holds every projection the asymptotic variance needs later: the
+first stage of rank(x) on W and, per covariate column, the projection of
+that column on the remaining regressors.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AssumptionViolationError, InvalidInputError, SingularDesignError
 from .ranks import check_omega, rank_transform
@@ -43,6 +46,9 @@ SPECS = ("rank-rank", "rank-rank-group", "level-rank", "rank-level")
 
 # reciprocal-condition threshold on the R factor of the pivoted QR
 _RCOND_MIN = 1e-12
+# pivot norms this close, relative to the column's length, are a tie; the
+# rounding between duplicate columns' norms is ~1e-16 of it up to n = 1e6
+_TIE = 1e-13
 # in-sample residual variance below this is treated as a degenerate projection
 _DEGENERATE_VAR = 1e-12
 
@@ -105,12 +111,14 @@ class Dataset:
             if labels.size != n:
                 raise InvalidInputError("g and y must have equal length")
             names, dense = np.unique(labels, return_inverse=True)
+            # plain Python labels, so messages read 'bad', not np.str_('bad')
+            names = names.tolist()
             counts = np.bincount(dense)
             if np.any(counts < 2):
-                small = names[np.argmin(counts)]
+                small = names[int(np.argmin(counts))]
                 raise InvalidInputError(f"group {small!r} has fewer than 2 observations")
             self.group_index = dense.astype(np.int64)
-            self.group_names = list(names)
+            self.group_names = names
 
     @property
     def n(self):
@@ -125,47 +133,94 @@ class Dataset:
         return 0 if self.group_index is None else len(self.group_names)
 
 
-def _solve(design, response, column_names=None):
-    """:func:`ols` coefficients plus (Z'Z)^-1 from the same pivoted QR.
+def _pivoted_diagonal(R):
+    """Diagonal magnitudes and column order of a column-pivoted QR of ``R``.
 
-    (Z'Z)^-1 = P R^-1 R^-T P' is read off the R factor, so its accuracy
-    follows cond(Z) rather than the cond(Z)^2 of inverting Z'Z itself.
+    Householder steps with LAPACK's pivot rule (``geqp3``): each step takes
+    the remaining column with the largest norm below the finished rows, the
+    first of equal norms.  Columns that are equal in the design reach R with
+    norms that differ by rounding, so norms within ``_TIE`` of the largest
+    column's length count as equal.  Plain floats: R is q x q for a handful
+    of regressors, where numpy's per-call overhead exceeds the arithmetic.
+    """
+    k, q = R.shape
+    cols = R.T.tolist()
+    order = list(range(q))
+    length = [math.hypot(*c) for c in cols]
+    norms = length[:]
+    diag = [0.0] * q
+    for i in range(k):
+        top = max(range(i, q), key=norms.__getitem__)
+        floor = norms[top] - _TIE * length[top]
+        pvt = i
+        while norms[pvt] < floor:
+            pvt += 1
+        if pvt != i:
+            for seq in (cols, order, norms, length):
+                seq[i], seq[pvt] = seq[pvt], seq[i]
+        nrm = diag[i] = norms[i]
+        if nrm == 0.0:
+            break  # every remaining column is zero below row i
+        v = cols[i][i:]
+        v[0] += math.copysign(nrm, v[0])
+        scale = 1.0 / (nrm * abs(v[0]))  # 2 / v'v
+        for j in range(i + 1, q):
+            c = cols[j]
+            s = scale * sum(map(operator.mul, v, c[i:]))
+            c[i + 1:] = tail = [a - s * b for a, b in zip(c[i + 1:], v[1:])]
+            norms[j] = math.hypot(*tail)
+    return diag, order
+
+
+def _solve(system, column_names=None):
+    """Least-squares coefficients of r on Z plus (Z'Z)^-1, from one QR.
+
+    ``system`` is [Z, r], the design with the response as its last column;
+    callers build it in one piece so that Z is not copied again here.  The
+    R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
+    The coefficients and (Z'Z)^-1 = R^-1 R^-T both come from that R, with
+    accuracy that follows cond(Z) rather than the cond(Z)^2 of inverting
+    Z'Z.  Singularity is judged on a column-pivoted QR of R: since
+    Z P = Q (R P), its diagonal is that of Z's own pivoted QR.
+    """
+    q = system.shape[1] - 1
+    if q == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    R = np.linalg.qr(system, mode="r")
+    # fewer rows than columns: R has fewer rows, the diagonal past them is zero
+    diag, order = _pivoted_diagonal(R[:q, :q])
+    if diag[0] == 0.0 or diag[-1] < _RCOND_MIN * diag[0]:
+        cut = _RCOND_MIN * max(diag[0], 1e-300)
+        bad = order[next((k for k, v in enumerate(diag) if v < cut), 0)]
+        name = column_names[bad] if column_names else f"column {bad}"
+        raise SingularDesignError(f"design is numerically singular at {name}", column=bad)
+    # one solve against [Q'r, I] gives the coefficients and R^-1; the LU
+    # factors of an upper-triangular R are I and R, so this is back substitution
+    rhs = np.eye(q, q + 1, 1)
+    rhs[:, 0] = R[:q, q]
+    sol = np.linalg.solve(R[:q, :q], rhs)
+    r_inv = sol[:, 1:]
+    return sol[:, 0], r_inv @ r_inv.T
+
+
+def ols(design, response, column_names=None):
+    """Least squares via QR, with a column-pivoted singularity check.
+
+    Raises :class:`SingularDesignError` naming the offending column when the
+    diagonal of the design's column-pivoted R factor decays below the
+    reciprocal-condition threshold.  The returned coefficients satisfy the
+    normal equations to the accuracy of the orthogonal decomposition.
     """
     Z = np.asarray(design, dtype=np.float64)
     if Z.ndim == 1:
         Z = Z.reshape(-1, 1)
     r = np.asarray(response, dtype=np.float64).reshape(-1)
-    n, q = Z.shape
-    if q == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if r.size != n:
+    if r.size != Z.shape[0]:
         raise InvalidInputError("design and response lengths differ")
-    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    # fewer rows than columns: the diagonal past row n is zero
-    diag = np.zeros(q)
-    diag[:min(n, q)] = np.abs(np.diag(R))
-    if diag[0] == 0.0 or diag[-1] < _RCOND_MIN * diag[0]:
-        bad = int(piv[int(np.argmax(diag < _RCOND_MIN * max(diag[0], 1e-300)))])
-        name = column_names[bad] if column_names else f"column {bad}"
-        raise SingularDesignError(f"design is numerically singular at {name}", column=bad)
-    coef_pivoted = scipy.linalg.solve_triangular(R, Q.T @ r)
-    coef = np.empty(q)
-    coef[piv] = coef_pivoted
-    r_inv = scipy.linalg.solve_triangular(R, np.eye(q))
-    gram_inv = np.empty((q, q))
-    gram_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
-    return coef, gram_inv
-
-
-def ols(design, response, column_names=None):
-    """Least squares via column-pivoted QR.
-
-    Raises :class:`SingularDesignError` naming the offending column when the
-    R factor's diagonal decays below the reciprocal-condition threshold.
-    The returned coefficients satisfy the normal equations to the accuracy
-    of the orthogonal decomposition.
-    """
-    return _solve(design, response, column_names)[0]
+    system = np.column_stack([Z, r])
+    if not np.all(np.isfinite(system)):
+        raise InvalidInputError("design and response must be finite")
+    return _solve(system, column_names)[0]
 
 
 def _projection_coefficients(a_inv):
@@ -285,8 +340,9 @@ def _fit_ranked_regressor(d, omega, spec):
     rx = rank_transform(d.x, omega)
     ry = rank_transform(d.y, omega) if spec == "rank-rank" else None
     response = d.y if ry is None else ry
-    Z = np.column_stack([rx, d.w])
-    theta, gram_inv = _solve(Z, response, ["rank(x)"] + list(d.w_names))
+    system = np.column_stack([rx, d.w, response])
+    Z = system[:, :-1]
+    theta, gram_inv = _solve(system, ["rank(x)"] + list(d.w_names))
     _check_nu(gram_inv, d.n)
     return FitResult(
         spec=spec,
@@ -317,7 +373,7 @@ def fit_rank_level(d, omega=1.0):
     if d.p == 0:
         raise InvalidInputError("rank-level fit needs at least one regressor column")
     ry = rank_transform(d.y, omega)
-    beta, gram_inv = _solve(d.w, ry, d.w_names)
+    beta, gram_inv = _solve(np.column_stack([d.w, ry]), d.w_names)
     return FitResult(
         spec="rank-level",
         omega=omega,
@@ -356,8 +412,9 @@ def fit_rank_rank_by_group(d, omega=1.0):
         rows = d.group_index == g
         label = d.group_names[g]
         try:
-            Z = np.column_stack([rx[rows], d.w[rows]])
-            theta, gram_inv = _solve(Z, ry[rows], names)
+            system = np.column_stack([rx[rows], d.w[rows], ry[rows]])
+            Z = system[:, :-1]
+            theta, gram_inv = _solve(system, names)
             _check_nu(gram_inv, Z.shape[0], context=f" in group {label!r}")
         except (SingularDesignError, AssumptionViolationError) as err:
             raise type(err)(f"group {label!r}: {err}") from err

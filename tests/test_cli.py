@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rankreg
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -41,6 +45,17 @@ def tied_csv(tmp_path, rng):
     y = x + rng.choice([0.0, 1.0, 2.0], size=n)
     rows = [[y[i], x[i]] for i in range(n)]
     return _write_csv(tmp_path / "tied.csv", ["y", "x"], rows)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg alone cost about 0.3 s of every CLI start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rankreg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, rankreg.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestIngest:
@@ -149,6 +164,20 @@ class TestFitCommand:
     def test_singular_design_is_assumption_error(self, sample_csv, capsys):
         code = main(["fit", sample_csv, "--w-cols", "z,z"])
         assert code == EXIT_ASSUMPTION
+
+    def test_singular_group_named_by_plain_label(self, tmp_path, rng, capsys):
+        # numpy string labels used to print as np.str_('bad')
+        n = 40
+        region = np.repeat(["ok", "bad"], n // 2)
+        z = np.where(region == "bad", 1.0, rng.normal(size=n))
+        rows = [[rng.normal(), rng.normal(), z[i], region[i]] for i in range(n)]
+        path = _write_csv(tmp_path / "groups.csv", ["y", "x", "z", "region"], rows)
+        code = main(["fit", path, "--spec", "rank-rank-group", "--group-col", "region",
+                     "--w-cols", "z", "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_ASSUMPTION
+        err = capsys.readouterr().err
+        assert "group 'bad'" in err
+        assert "np.str_" not in err
 
     def test_strict_missing_value_is_io_error(self, tmp_path, capsys):
         path = _write_csv(tmp_path / "bad.csv", ["y", "x"], [[1, 2], ["NA", 3], [2, 2]])

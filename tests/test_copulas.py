@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankreg import (
+    BootstrapPlan,
     CalibrationError,
     CopulaModel,
     InvalidInputError,
@@ -247,6 +248,37 @@ class TestCoverageExperiment:
             assert abs(row.coverage - 0.95) <= 0.02, row.method
             assert row.mean_ci_width > 0.0
             assert row.mc_se < 0.01
+
+    def test_bootstrap_reuses_the_rep_fit(self, monkeypatch):
+        # each rep fits its sample once; the bootstrap replicates it passes to
+        # the interval are those of bootstrap_distribution on the same sample
+        import rankreg.copulas as copulas
+        import rankreg.estimators as estimators
+        from rankreg import bootstrap_distribution, coverage_experiment, reflection
+
+        fit_calls = []
+        fit_ranked = estimators._fit_ranked_regressor
+        seen = []
+        replicates = copulas._replicates
+
+        def counting_fit(*args):
+            fit_calls.append(args)
+            return fit_ranked(*args)
+
+        def spy(fit, plan):
+            out = replicates(fit, plan)
+            seen.append((fit.data, plan, out[:, 0]))
+            return out
+
+        monkeypatch.setattr(estimators, "_fit_ranked_regressor", counting_fit)
+        monkeypatch.setattr(copulas, "_replicates", spy)
+        coverage_experiment(reflection(0.3), n=60, reps=4, methods=("bootstrap",),
+                            seed=5, bootstrap_plan=BootstrapPlan(reps=50, seed=0))
+        assert len(fit_calls) == 4
+        assert len(seen) == 4
+        monkeypatch.undo()
+        for d, plan, boots in seen:
+            assert np.array_equal(boots, bootstrap_distribution(d, "rank-rank", 1.0, plan))
 
     def test_reports_width_and_mc_se(self):
         from rankreg import coverage_experiment, reflection

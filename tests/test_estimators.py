@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankreg import (
     AssumptionViolationError,
@@ -17,6 +20,7 @@ from rankreg import (
     rank_transform,
     spearman,
 )
+from rankreg.estimators import _solve
 
 from conftest import make_tied_sample
 
@@ -45,12 +49,97 @@ class TestOls:
         with pytest.raises(SingularDesignError, match="(b|c)"):
             ols(design, rng.normal(size=20), column_names=["a", "b", "c"])
 
+    @pytest.mark.parametrize("n", [50, 500])
+    @pytest.mark.parametrize("layout, named", [
+        ("x11", 2), ("1x1", 2), ("11x", 0), ("xzx", 2), ("1xx", 2),
+    ])
+    def test_identical_columns_named_by_pivot_position(self, rng, n, layout, named):
+        # the pivoted QR swaps each pivot into place and breaks exact ties by
+        # position, so of two identical columns it names the one it reaches
+        # second ("11x": x moves to the front and column 0 to the back)
+        cols = {"1": np.ones(n), "x": 3.0 * rng.normal(size=n), "z": rng.normal(size=n)}
+        design = np.column_stack([cols[c] for c in layout])
+        with pytest.raises(SingularDesignError) as info:
+            ols(design, rng.normal(size=n))
+        assert info.value.column == named
+
     def test_normal_equations(self, rng):
         Z = rng.normal(size=(60, 4))
         r = rng.normal(size=60)
         coef = ols(Z, r)
         resid = r - Z @ coef
         assert np.max(np.abs(Z.T @ resid)) < 1e-8 * np.abs(Z.T @ r).max()
+
+
+def _lapack_pivoted_solve(Z, r):
+    """The solve on LAPACK's column-pivoted QR of Z: the reference for _solve.
+
+    Returns (coef, gram_inv), or the column the rejection rule names.
+    """
+    n, q = Z.shape
+    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag = np.zeros(q)
+    diag[:min(n, q)] = np.abs(np.diag(R))
+    if diag[0] == 0.0 or diag[-1] < 1e-12 * diag[0]:
+        return int(piv[int(np.argmax(diag < 1e-12 * max(diag[0], 1e-300)))])
+    coef = np.empty(q)
+    coef[piv] = scipy.linalg.solve_triangular(R, Q.T @ r)
+    r_inv = scipy.linalg.solve_triangular(R, np.eye(q))
+    gram_inv = np.empty((q, q))
+    gram_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return coef, gram_inv
+
+
+@st.composite
+def _designs(draw):
+    """Random designs with an intercept, some columns scaled by 1e8 and at
+    most one defect (duplicate, multiple of the intercept, zero column).
+
+    Either n < q, or n is large enough for a well-conditioned random design,
+    where two stable solves agree to far below 1e-12.
+    """
+    q = draw(st.integers(1, 6))
+    if q > 1 and draw(st.booleans()):
+        n = draw(st.integers(1, q - 1))
+    else:
+        n = draw(st.integers(3 * q + 10, 3 * q + 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.normal(size=(n, q))
+    cols = draw(st.permutations(range(q)))
+    Z[:, cols[0]] = 1.0
+    for j in draw(st.sets(st.integers(0, q - 1))):
+        Z[:, j] *= 1e8
+    defect = draw(st.sampled_from(["none", "duplicate", "intercept-multiple", "zero"]))
+    if q >= 2 and defect == "duplicate":
+        Z[:, cols[1]] = Z[:, cols[-1]]
+    elif q >= 2 and defect == "intercept-multiple":
+        Z[:, cols[1]] = draw(st.sampled_from([-3.0, 0.5, 2.0, 1e8])) * Z[:, cols[0]]
+    elif defect == "zero":
+        Z[:, cols[-1]] = 0.0
+    return Z, rng.normal(size=n)
+
+
+class TestSolveAgainstPivotedQR:
+    @settings(max_examples=300, deadline=None)
+    @given(_designs())
+    def test_matches_lapack_pivoted_qr(self, problem):
+        Z, r = problem
+        want = _lapack_pivoted_solve(Z, r)
+        try:
+            coef, gram_inv = _solve(np.column_stack([Z, r]))
+        except SingularDesignError as err:
+            assert isinstance(want, int), "the reference accepts the design"
+            # LAPACK's norms of two identical columns can differ by rounding
+            # in its BLAS kernels, which then decides the one it names
+            assert err.column == want or np.array_equal(Z[:, err.column], Z[:, want])
+            return
+        assert not isinstance(want, int), f"the reference rejects column {want}"
+        # relative on the column-equilibrated problem, where 1e8 scales cancel
+        length = np.linalg.norm(Z, axis=0)
+        assert np.max(np.abs(coef - want[0]) * length) <= 1e-12 * np.linalg.norm(r)
+        scaled = np.outer(length, length)
+        assert np.max(np.abs(gram_inv - want[1]) * scaled) <= (
+            1e-12 * np.max(np.abs(want[1]) * scaled))
 
 
 class TestRankRank:
