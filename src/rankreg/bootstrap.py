@@ -8,12 +8,10 @@ the bootstrap is supposed to reproduce.  (A regression test guards this
 distinction.)
 
 A resample is read as the multiplicities ``m = bincount(idx)`` of the drawn
-indices (the multinomial-weights view of Efron's bootstrap).  The tie runs
-of x and y are found by one stable sort per variable and bootstrap call; a
-resample's ranks are then run totals of ``m`` over those runs, the same
-integers a fresh rank transform of the resample counts.  The fit uses the
-rows with ``m > 0`` scaled by sqrt(m), whose QR R factor is that of the
-design with repeated rows, so the singular-design rule is unchanged.
+indices (the multinomial-weights view of Efron's bootstrap) and fit by the
+same prepared sample as the point estimate, ``estimators._Sample.solve(m)``:
+x and y are sorted once per bootstrap call, and a resample's ranks are run
+totals of ``m``, the same numbers a fresh rank transform of it gives.
 
 Determinism: replicate b draws from its own counter-derived RNG stream
 ``SeedSequence(seed).spawn()[b]``, so the replicate vector depends only on
@@ -35,10 +33,8 @@ from .errors import (
     InvalidInputError,
     SingularDesignError,
 )
-from .estimators import _check_nu, _solve, fit_spec
+from .estimators import _Sample
 from .inference import InferenceReport, normal_quantile
-from .kernels import comparison_counts
-from .ranks import ranks_from_counts
 
 __all__ = [
     "BootstrapPlan",
@@ -67,122 +63,51 @@ class BootstrapPlan:
             raise InvalidInputError("alpha must lie in (0, 1)")
 
 
-def _statistic(fit):
-    """Target statistic per specification: the slope(s), or beta for rank-level."""
-    if fit.spec == "rank-level":
-        return np.asarray(fit.beta, dtype=np.float64)
-    return np.atleast_1d(np.asarray(fit.slope, dtype=np.float64))
-
-
-class _Resampler:
-    """A fitted sample prepared for resampling by multiplicities.
-
-    ``run_x``/``run_y`` hold, per observation, the start of its tie run in
-    the sorted order (its count of values strictly below), which indexes the
-    run in every resample.  ``rows`` lists the observations group by group
-    (one block for ungrouped fits), so each replicate's group blocks are
-    contiguous without a sort.
-    """
-
-    def __init__(self, fit):
-        d = fit.data
-        self.data = d
-        self.spec = fit.spec
-        self.omega = fit.omega
-        self.run_x = None if fit.spec == "rank-level" else comparison_counts(d.x)[0]
-        self.run_y = None if fit.spec == "level-rank" else comparison_counts(d.y)[0]
-        if fit.spec == "rank-rank-group":
-            self.rows = np.argsort(d.group_index, kind="stable")
-        else:
-            self.rows = np.arange(d.n)
-        self.names = list(d.w_names)
-        if self.run_x is not None:
-            self.names = ["rank(x)"] + self.names
-
-    def _ranks(self, run, rows, mult):
-        """Ranks of ``rows`` within the resample, from run totals of ``mult``."""
-        run = run[rows]
-        per_run = np.bincount(run, weights=mult, minlength=self.data.n)
-        at_or_below = np.cumsum(per_run)[run]
-        below = at_or_below - per_run[run]
-        return ranks_from_counts(below, at_or_below, self.data.n, self.omega)
-
-    def statistic(self, m):
-        """Statistic of the resample with multiplicities ``m``.
-
-        Raises SingularDesignError, AssumptionViolationError or
-        DegenerateInputError when the resample's design is degenerate.
-        """
-        d = self.data
-        rows = self.rows[m[self.rows] > 0]
-        mult = m[rows]
-        response = d.y[rows] if self.run_y is None else self._ranks(self.run_y, rows, mult)
-        columns = [d.w[rows], response]
-        if self.run_x is not None:
-            columns.insert(0, self._ranks(self.run_x, rows, mult))
-        system = np.column_stack(columns)
-        system *= np.sqrt(mult)[:, None]
-        if self.spec == "rank-rank-group":
-            groups = d.group_index[rows]
-            counts = np.bincount(groups, minlength=d.n_groups)
-            sizes = np.bincount(groups, weights=mult, minlength=d.n_groups)
-            if np.any(sizes < 2):
-                raise DegenerateInputError("a group has fewer than 2 rows in the resample")
-            ends = np.cumsum(counts)
-            blocks = zip(ends - counts, ends, sizes)
-        else:
-            blocks = [(0, rows.size, d.n)]
-        value = []
-        for lo, hi, size in blocks:
-            coef, gram_inv = _solve(system[lo:hi], self.names)
-            if self.run_x is None:
-                value.append(coef)
-            else:
-                _check_nu(gram_inv, size)
-                value.append(coef[:1])
-        return np.concatenate(value)
-
-
-def replicate_statistic(d, spec, omega, seed, b, resampler=None):
+def replicate_statistic(d, spec, omega, seed, b, sample=None):
     """Statistic of replicate b; pure function of (data, spec, omega, seed, b).
 
-    Returns (value, rejections) where rejections counts redrawn degenerate
-    resamples for this replicate.  ``resampler`` is the ``_Resampler`` of the
-    fit of ``d``; a loop over replicates passes it so that the sample is fit
-    and sorted once.
+    The statistic is the slope (one per group for grouped fits), or beta for
+    rank-level.  Returns (value, rejections) where rejections counts redrawn
+    degenerate resamples for this replicate.  ``sample`` is the prepared
+    ``estimators._Sample`` of ``d``; a loop over replicates passes it so
+    that the sample is sorted once.
     """
-    if resampler is None:
-        resampler = _Resampler(fit_spec(d, spec, omega))
+    if sample is None:
+        sample = _Sample(d, spec, omega)
+        sample.solve()  # a degenerate sample fails here, not as redraws
     # identical to SeedSequence(seed).spawn(...)[b] but O(1) in b
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
     rejections = 0
     for _ in range(_MAX_ATTEMPTS_PER_REPLICATE):
         m = np.bincount(rng.integers(0, d.n, size=d.n), minlength=d.n)
         try:
-            return resampler.statistic(m), rejections
+            _, _, blocks = sample.solve(m)
         except (SingularDesignError, AssumptionViolationError, DegenerateInputError):
             rejections += 1
+            continue
+        width = None if sample.spec == "rank-level" else 1
+        return np.concatenate([coef[:width] for _, _, coef, _ in blocks]), rejections
     raise BootstrapDiagnosticError(
         f"replicate {b}: {_MAX_ATTEMPTS_PER_REPLICATE} consecutive degenerate resamples"
     )
 
 
-def _replicates(fit, plan):
-    """(B, q) statistic replicates of a fitted sample."""
-    resampler = _Resampler(fit)
-    out = np.empty((plan.reps, _statistic(fit).size))
+def _replicates(sample, plan):
+    """(B, k) statistic replicates of a prepared sample."""
+    values = []
     total_rejections = 0
     for b in range(plan.reps):
-        out[b], rejections = replicate_statistic(
-            fit.data, fit.spec, fit.omega, plan.seed, b, resampler
+        value, rejections = replicate_statistic(
+            sample.data, sample.spec, sample.omega, plan.seed, b, sample
         )
+        values.append(value)
         total_rejections += rejections
     if total_rejections > 0.1 * plan.reps:
         raise BootstrapDiagnosticError(
             f"{total_rejections} degenerate resamples out of {plan.reps} replicates "
             "(>10%); the design is too fragile to bootstrap"
         )
-    return out
+    return np.array(values)
 
 
 def bootstrap_distribution(d, spec, omega, plan):
@@ -190,9 +115,11 @@ def bootstrap_distribution(d, spec, omega, plan):
 
     Returns an array of shape (B,) for a scalar statistic, else (B, q).
     Replicate b depends only on (d, spec, omega, plan.seed, b): each lives in
-    its own RNG stream and lands in a preallocated buffer by index.
+    its own RNG stream and lands in the result by index.
     """
-    out = _replicates(fit_spec(d, spec, omega), plan)
+    sample = _Sample(d, spec, omega)
+    sample.solve()  # a degenerate sample fails here, not as redraws
+    out = _replicates(sample, plan)
     return out[:, 0] if out.shape[1] == 1 else out
 
 
@@ -231,25 +158,23 @@ def bootstrap_ci(replicates, point, plan):
 
 
 def bootstrap_report(d, spec, omega, plan):
-    """InferenceReport for the target statistic with bootstrap SEs and CIs."""
-    fit = fit_spec(d, spec, omega)
-    point = _statistic(fit)
-    reps2d = _replicates(fit, plan)
+    """InferenceReport for the target statistic with bootstrap SEs and CIs.
+
+    The statistic is the leading k coefficients of the fit: k = p for
+    rank-level, one slope per group for grouped fits, the slope otherwise.
+    """
+    sample = _Sample(d, spec, omega)
+    fit = sample.fit()
+    reps2d = _replicates(sample, plan)
+    k = reps2d.shape[1]
+    point = fit.estimates[:k]
     se = reps2d.std(axis=0, ddof=1)
-    ci = np.array([
-        bootstrap_ci(reps2d[:, k], point[k], plan) for k in range(point.size)
-    ])
-    if fit.spec == "rank-level":
-        names = list(d.w_names)
-    elif fit.spec == "rank-rank-group":
-        names = [f"rank(x)@{label}" for label in d.group_names]
-    else:
-        names = ["rank(x)"]
+    ci = np.array([bootstrap_ci(reps2d[:, j], point[j], plan) for j in range(k)])
     # variance on the sqrt(n) scale to stay comparable with analytic reports
     variance = np.diag((se**2) * d.n)
     return InferenceReport(
         method="bootstrap",
-        names=names,
+        names=fit.coef_names[:k],
         estimates=point,
         variance=variance,
         se=se,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bootstrap import BootstrapPlan, _replicates, bootstrap_ci
 from .errors import CalibrationError, InvalidInputError
-from .estimators import Dataset, fit_rank_rank
+from .estimators import Dataset, _Sample
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
 from .kernels import comparison_weighted_sums
 from .ranks import rank_transform, spearman
@@ -311,7 +311,8 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
         x, y = model.sample(n, rng)
         d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
-        fit = fit_rank_rank(d, omega)
+        sample = _Sample(d, "rank-rank", omega)
+        fit = sample.fit()
         covered = np.zeros(len(methods))
         widths = np.zeros(len(methods))
         for k, m in enumerate(methods):
@@ -331,7 +332,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
                     ci_kind=bootstrap_plan.ci_kind,
                     alpha=alpha,
                 )
-                boots = _replicates(fit, plan)[:, 0]
+                boots = _replicates(sample, plan)[:, 0]
                 lo_, hi_ = bootstrap_ci(boots, fit.slope, plan)
             covered[k] = 1.0 if lo_ <= truth <= hi_ else 0.0
             widths[k] = hi_ - lo_

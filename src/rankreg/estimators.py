@@ -1,7 +1,7 @@
 """OLS fits for the four rank regression specifications.
 
-The four specifications share one mechanical core (a QR least-squares solve)
-and differ in which side of the regression is rank-transformed:
+The four specifications differ in which side of the regression is
+rank-transformed:
 
 * ``rank-rank``        rank(y) on rank(x) and covariates W
 * ``rank-rank-group``  the same, fit separately per subpopulation while the
@@ -9,10 +9,14 @@ and differ in which side of the regression is rank-transformed:
 * ``level-rank``       raw y on rank(x) and W
 * ``rank-level``       rank(y) on W only
 
-Covariates are taken exactly as given; no intercept column is added here
-(the CLI adds one by default).  Each fit block (the whole sample, or one
-group of the grouped fit) makes one numpy QR factorisation of the design
-with the response appended, which gives both the coefficients and
+All four take one path.  A prepared sample (``_Sample``) sorts each ranked
+variable once and orders the rows group by group; its ``solve(m)`` fits
+every block (the whole sample, or one group) of the resample with
+multiplicities m.  The sample's own fit is the case where every multiplicity
+is 1, and a bootstrap replicate is one draw of m.  Covariates are taken
+exactly as given; no intercept column is added here (the CLI adds one by
+default).  Each block makes one numpy QR factorisation of the design with
+the response appended, which gives both the coefficients and
 A^-1 = (Z'Z/n)^-1; a column-pivoted QR of its small R factor decides
 whether the design is singular.  By the Frisch-Waugh-Lovell identity that
 one matrix holds every projection the asymptotic variance needs later: the
@@ -20,14 +24,21 @@ first stage of rank(x) on W and, per covariate column, the projection of
 that column on the remaining regressors.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolationError, InvalidInputError, SingularDesignError
-from .ranks import check_omega, rank_transform
+from .errors import (
+    AssumptionViolationError,
+    DegenerateInputError,
+    InvalidInputError,
+    SingularDesignError,
+)
+from .kernels import comparison_counts
+from .ranks import check_omega, ranks_from_counts
 
 __all__ = [
     "Dataset",
@@ -321,70 +332,156 @@ class FitResult:
         return np.concatenate([[self.slope], np.asarray(self.beta)])
 
 
-def _check_nu(gram_inv, n_rows, context=""):
-    """Reject a fit whose first-stage residual has ~0 variance over its rows.
+class _Sample:
+    """A sample prepared for one specification, to fit as it is or resampled.
 
-    1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma.
+    Each ranked variable is sorted once, by ``comparison_counts``, into the
+    sample's ranks; a resample reads its tie runs off those ranks.
+    ``order`` lists the observations group by group (None when the fit is
+    one block), so every group's rows are contiguous without a further sort.
     """
-    if 1.0 / (gram_inv[0, 0] * n_rows) <= _DEGENERATE_VAR:
-        raise AssumptionViolationError(
-            "rank variation is fully explained by the covariates" + context
+
+    def __init__(self, d, spec, omega):
+        if spec not in SPECS:
+            raise InvalidInputError(f"unknown specification {spec!r}; expected one of {SPECS}")
+        omega = check_omega(omega)
+        if spec == "rank-level" and d.p == 0:
+            raise InvalidInputError("rank-level fit needs at least one regressor column")
+        if spec == "rank-rank-group" and d.group_index is None:
+            raise InvalidInputError("grouped fit needs group labels")
+        if spec != "rank-level" and d.x is None:
+            raise InvalidInputError(f"{spec} fit needs the ranked regressor x")
+        self.data, self.spec, self.omega = d, spec, omega
+        self.ranks_x = None if spec == "rank-level" else self._ranks(d.x)
+        self.ranks_y = None if spec == "level-rank" else self._ranks(d.y)
+        self.order = np.argsort(d.group_index, kind="stable") if spec == "rank-rank-group" else None
+        self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
+
+    def _ranks(self, values):
+        return ranks_from_counts(*comparison_counts(values), values.size, self.omega)
+
+    @functools.cached_property
+    def _runs(self):
+        """Per ranked variable, an integer id of each observation's tie run.
+
+        n * rank = below + 1 + omega * (run length - 1) lies in [below + 1,
+        at_or_below], so it rounds to an id that is equal within a tie run and
+        increases from run to run.  Derived on the first resample, not kept
+        from the counts: two more n-arrays held through every fit doubled its
+        page faults at n >= 30k.
+        """
+        n = self.data.n
+        return [None if r is None else np.rint(n * r).astype(np.intp)
+                for r in (self.ranks_x, self.ranks_y)]
+
+    def _resample_ranks(self, run, rows, mult):
+        """Ranks of ``rows`` within the resample, from run totals of ``mult``."""
+        if run is None:
+            return None
+        run = run[rows]
+        per_run = np.bincount(run, weights=mult, minlength=self.data.n + 1)
+        at_or_below = np.cumsum(per_run)[run]
+        return ranks_from_counts(at_or_below - per_run[run], at_or_below, self.data.n, self.omega)
+
+    def solve(self, m=None):
+        """Solve every fit block of the sample, or of its resample with multiplicities m.
+
+        Returns [Z, r] over the fitted rows, the input index of those rows
+        (None: all, in input order) and per block (lo, hi, coefficients,
+        (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  A resample ranks by run
+        totals of m and fits the rows with m > 0 scaled by sqrt(m), whose R
+        factor is that of the design with repeated rows, so the singular-design
+        rule is unchanged.  A group with fewer than 2 resampled rows raises
+        DegenerateInputError.
+        """
+        d = self.data
+        rows = self.order
+        if m is None:
+            columns = [self.ranks_x, d.w, d.y if self.ranks_y is None else self.ranks_y]
+        else:
+            rows = np.flatnonzero(m) if rows is None else rows[m[rows] > 0]
+            mult = m[rows]
+            run_x, run_y = self._runs
+            ry = self._resample_ranks(run_y, rows, mult)
+            columns = [self._resample_ranks(run_x, rows, mult), d.w[rows],
+                       d.y[rows] if ry is None else ry]
+        system = np.column_stack([c for c in columns if c is not None])
+        if m is not None:
+            system *= np.sqrt(mult)[:, None]
+        elif rows is not None:
+            system = system[rows]
+        if self.order is None:
+            counts, sizes = [system.shape[0]], [d.n]
+        elif m is None:
+            counts = sizes = np.bincount(d.group_index)
+        else:
+            groups = d.group_index[rows]
+            counts = np.bincount(groups, minlength=d.n_groups)
+            sizes = np.bincount(groups, weights=mult, minlength=d.n_groups)
+            if np.any(sizes < 2):
+                raise DegenerateInputError("a group has fewer than 2 rows in the resample")
+        blocks = []
+        hi = 0
+        for g, (count, size) in enumerate(zip(counts, sizes)):
+            lo, hi = hi, hi + count
+            try:
+                coef, gram_inv = _solve(system[lo:hi], self.names)
+                # 1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma
+                if self.ranks_x is not None and 1.0 / (gram_inv[0, 0] * size) <= _DEGENERATE_VAR:
+                    raise AssumptionViolationError(
+                        "rank variation is fully explained by the covariates")
+            except (SingularDesignError, AssumptionViolationError) as err:
+                if self.order is not None:
+                    err.args = (f"group {d.group_names[g]!r}: {err}",)
+                raise
+            blocks.append((lo, hi, coef, gram_inv))
+        return system, rows, blocks
+
+    def fit(self):
+        """The sample's own fit: :meth:`solve` with every multiplicity 1."""
+        d = self.data
+        system, rows, blocks = self.solve()
+        residuals = system[:, -1].copy()
+        for lo, hi, coef, _ in blocks:
+            residuals[lo:hi] -= system[lo:hi, :-1] @ coef
+        if rows is not None:
+            residuals[rows] = residuals.copy()
+        coef = np.array([block[2] for block in blocks])
+        a_inv = d.n * np.array([block[3] for block in blocks])
+        if self.order is None:
+            coef, a_inv = coef[0], a_inv[0]
+        if self.spec == "rank-level":
+            slope, beta = None, coef
+        elif self.order is None:
+            slope, beta = float(coef[0]), coef[1:]
+        else:
+            slope, beta = coef[:, 0], coef[:, 1:]
+        return FitResult(
+            spec=self.spec,
+            omega=self.omega,
+            data=d,
+            slope=slope,
+            beta=beta,
+            a_inv=a_inv,
+            ranks_x=self.ranks_x,
+            ranks_y=self.ranks_y,
+            residuals=residuals,
         )
-
-
-def _fit_ranked_regressor(d, omega, spec):
-    """OLS of rank(y) (rank-rank) or raw y (level-rank) on (rank(x), W)."""
-    omega = check_omega(omega)
-    if d.x is None:
-        raise InvalidInputError(f"{spec} fit needs the ranked regressor x")
-    rx = rank_transform(d.x, omega)
-    ry = rank_transform(d.y, omega) if spec == "rank-rank" else None
-    response = d.y if ry is None else ry
-    system = np.column_stack([rx, d.w, response])
-    Z = system[:, :-1]
-    theta, gram_inv = _solve(system, ["rank(x)"] + list(d.w_names))
-    _check_nu(gram_inv, d.n)
-    return FitResult(
-        spec=spec,
-        omega=omega,
-        data=d,
-        slope=float(theta[0]),
-        beta=theta[1:],
-        a_inv=d.n * gram_inv,
-        ranks_x=rx,
-        ranks_y=ry,
-        residuals=response - Z @ theta,
-    )
 
 
 def fit_rank_rank(d, omega=1.0):
     """Joint OLS of rank(y) on (rank(x), W)."""
-    return _fit_ranked_regressor(d, omega, "rank-rank")
+    return _Sample(d, "rank-rank", omega).fit()
 
 
 def fit_level_rank(d, omega=1.0):
     """OLS of raw y on (rank(x), W)."""
-    return _fit_ranked_regressor(d, omega, "level-rank")
+    return _Sample(d, "level-rank", omega).fit()
 
 
 def fit_rank_level(d, omega=1.0):
     """OLS of rank(y) on W alone."""
-    omega = check_omega(omega)
-    if d.p == 0:
-        raise InvalidInputError("rank-level fit needs at least one regressor column")
-    ry = rank_transform(d.y, omega)
-    beta, gram_inv = _solve(np.column_stack([d.w, ry]), d.w_names)
-    return FitResult(
-        spec="rank-level",
-        omega=omega,
-        data=d,
-        slope=None,
-        beta=beta,
-        a_inv=d.n * gram_inv,
-        ranks_x=None,
-        ranks_y=ry,
-        residuals=ry - d.w @ beta,
-    )
+    return _Sample(d, "rank-level", omega).fit()
 
 
 def fit_rank_rank_by_group(d, omega=1.0):
@@ -394,60 +491,12 @@ def fit_rank_rank_by_group(d, omega=1.0):
     rows are restricted to each group, so the group fits share the pooled
     rank scale and are statistically dependent through it.
     """
-    omega = check_omega(omega)
-    if d.group_index is None:
-        raise InvalidInputError("grouped fit needs group labels")
-    if d.x is None:
-        raise InvalidInputError("rank-rank fit needs the ranked regressor x")
-    rx = rank_transform(d.x, omega)
-    ry = rank_transform(d.y, omega)
-    n_g = d.n_groups
-    p = d.p
-    slope = np.zeros(n_g)
-    beta = np.zeros((n_g, p))
-    a_inv = np.zeros((n_g, 1 + p, 1 + p))
-    residuals = np.zeros(d.n)
-    names = ["rank(x)"] + list(d.w_names)
-    for g in range(n_g):
-        rows = d.group_index == g
-        label = d.group_names[g]
-        try:
-            system = np.column_stack([rx[rows], d.w[rows], ry[rows]])
-            Z = system[:, :-1]
-            theta, gram_inv = _solve(system, names)
-            _check_nu(gram_inv, Z.shape[0], context=f" in group {label!r}")
-        except (SingularDesignError, AssumptionViolationError) as err:
-            raise type(err)(f"group {label!r}: {err}") from err
-        slope[g] = theta[0]
-        beta[g] = theta[1:]
-        a_inv[g] = d.n * gram_inv
-        residuals[rows] = ry[rows] - Z @ theta
-    return FitResult(
-        spec="rank-rank-group",
-        omega=omega,
-        data=d,
-        slope=slope,
-        beta=beta,
-        a_inv=a_inv,
-        ranks_x=rx,
-        ranks_y=ry,
-        residuals=residuals,
-    )
-
-
-_FITTERS = {
-    "rank-rank": fit_rank_rank,
-    "rank-rank-group": fit_rank_rank_by_group,
-    "level-rank": fit_level_rank,
-    "rank-level": fit_rank_level,
-}
+    return _Sample(d, "rank-rank-group", omega).fit()
 
 
 def fit_spec(d, spec, omega=1.0):
-    """Dispatch to the fitter for one of the four specifications."""
-    if spec not in _FITTERS:
-        raise InvalidInputError(f"unknown specification {spec!r}; expected one of {SPECS}")
-    return _FITTERS[spec](d, omega)
+    """Fit one of the four specifications."""
+    return _Sample(d, spec, omega).fit()
 
 
 def expected_rank_at(intercept, slope, p):

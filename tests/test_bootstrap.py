@@ -131,6 +131,18 @@ class TestDistribution:
         with pytest.raises(BootstrapDiagnosticError):
             bootstrap_distribution(d, "rank-rank", 1.0, BootstrapPlan(reps=200, seed=1))
 
+    def test_degenerate_sample_fails_before_resampling(self, rng):
+        # a design singular on the whole sample is singular on every resample;
+        # it fails as such, not as redraws of every replicate
+        n = 30
+        z = rng.normal(size=n)
+        d = Dataset(y=rng.normal(size=n), x=rng.normal(size=n),
+                    w=np.column_stack([np.ones(n), z, z]))
+        with pytest.raises(SingularDesignError):
+            bootstrap_distribution(d, "rank-rank", 1.0, BootstrapPlan(reps=5, seed=0))
+        with pytest.raises(SingularDesignError):
+            replicate_statistic(d, "rank-rank", 1.0, 0, 0)
+
     def test_rank_level_returns_coefficient_matrix(self, rng):
         n = 60
         d = Dataset(

@@ -257,20 +257,20 @@ class TestCoverageExperiment:
         from rankreg import bootstrap_distribution, coverage_experiment, reflection
 
         fit_calls = []
-        fit_ranked = estimators._fit_ranked_regressor
+        sample_fit = estimators._Sample.fit
         seen = []
         replicates = copulas._replicates
 
-        def counting_fit(*args):
-            fit_calls.append(args)
-            return fit_ranked(*args)
+        def counting_fit(sample):
+            fit_calls.append(sample)
+            return sample_fit(sample)
 
-        def spy(fit, plan):
-            out = replicates(fit, plan)
-            seen.append((fit.data, plan, out[:, 0]))
+        def spy(sample, plan):
+            out = replicates(sample, plan)
+            seen.append((sample.data, plan, out[:, 0]))
             return out
 
-        monkeypatch.setattr(estimators, "_fit_ranked_regressor", counting_fit)
+        monkeypatch.setattr(estimators._Sample, "fit", counting_fit)
         monkeypatch.setattr(copulas, "_replicates", spy)
         coverage_experiment(reflection(0.3), n=60, reps=4, methods=("bootstrap",),
                             seed=5, bootstrap_plan=BootstrapPlan(reps=50, seed=0))

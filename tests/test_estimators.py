@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankreg import (
@@ -16,11 +16,13 @@ from rankreg import (
     fit_rank_level,
     fit_rank_rank,
     fit_rank_rank_by_group,
+    fit_spec,
+    influence_rows,
     ols,
     rank_transform,
     spearman,
 )
-from rankreg.estimators import _solve
+from rankreg.estimators import SPECS, _solve
 
 from conftest import make_tied_sample
 
@@ -140,6 +142,73 @@ class TestSolveAgainstPivotedQR:
         scaled = np.outer(length, length)
         assert np.max(np.abs(gram_inv - want[1]) * scaled) <= (
             1e-12 * np.max(np.abs(want[1]) * scaled))
+
+
+@st.composite
+def _tied_grouped_samples(draw):
+    """A small tied sample in 1-3 groups, a spec, omega and a row permutation."""
+    sizes = draw(st.lists(st.integers(8, 20), min_size=1, max_size=3))
+    n = sum(sizes)
+    support = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, support, n).astype(float)
+    y = rng.integers(0, support, n).astype(float)
+    w = np.column_stack([np.ones(n), np.round(rng.normal(size=n), 1)])
+    g = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    spec = draw(st.sampled_from(SPECS))
+    omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return Dataset(y=y, x=x, w=w, g=g), spec, omega, rng.permutation(n)
+
+
+def _assert_close(a, b):
+    """Equal to 1e-12 relative to the largest magnitude in b (at least 1)."""
+    assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+class TestFitAgainstDirectOls:
+    """Every spec against rank_transform and ols on each block's rows.
+
+    The oracle ranks each variable afresh and solves each block's design as
+    given; it shares no code with the fit's prepared sample beyond the solve.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_grouped_samples())
+    def test_blocks_match_ols_and_permute_with_rows(self, problem):
+        d, spec, omega, perm = problem
+        try:
+            fit = fit_spec(d, spec, omega)
+        except (SingularDesignError, AssumptionViolationError):
+            assume(False)
+        rx, ry = rank_transform(d.x, omega), rank_transform(d.y, omega)
+        if spec == "rank-level":
+            assert fit.ranks_x is None
+            design = d.w
+        else:
+            assert np.array_equal(fit.ranks_x, rx)
+            design = np.column_stack([rx, d.w])
+        if spec == "level-rank":
+            assert fit.ranks_y is None
+            response = d.y
+        else:
+            assert np.array_equal(fit.ranks_y, ry)
+            response = ry
+        if spec == "rank-rank-group":
+            blocks = [d.group_index == k for k in range(d.n_groups)]
+            coefs = np.column_stack([fit.slope, fit.beta])
+        else:
+            blocks = [np.ones(d.n, dtype=bool)]
+            coefs = [fit.estimates]
+        for rows, coef in zip(blocks, coefs):
+            want = ols(design[rows], response[rows])
+            _assert_close(coef, want)
+            _assert_close(fit.residuals[rows], response[rows] - design[rows] @ want)
+
+        moved = Dataset(y=d.y[perm], x=d.x[perm], w=d.w[perm], g=d.g[perm])
+        refit = fit_spec(moved, spec, omega)
+        _assert_close(refit.estimates, fit.estimates)
+        _assert_close(refit.residuals, fit.residuals[perm])
+        _assert_close(influence_rows(refit, moved).psi, influence_rows(fit, d).psi[perm])
 
 
 class TestRankRank:
@@ -298,8 +367,27 @@ class TestRankRankByGroup:
         # covariate constant within group "bad" duplicates its intercept
         z = np.where(g == "bad", 1.0, rng.normal(size=n))
         d = Dataset(y=y, x=x, w=np.column_stack([np.ones(n), z]), g=g)
-        with pytest.raises(SingularDesignError, match="bad"):
+        with pytest.raises(SingularDesignError, match="bad") as info:
             fit_rank_rank_by_group(d, 1.0)
+        # the group label keeps the column the ungrouped rule names
+        rows = g == "bad"
+        with pytest.raises(SingularDesignError) as plain:
+            ols(np.column_stack([rank_transform(x, 1.0), d.w])[rows], y[rows])
+        assert plain.value.column is not None
+        assert info.value.column == plain.value.column
+
+    def test_per_group_first_stage_names_group_once(self, rng):
+        n = 40
+        x = rng.normal(size=n)
+        g = np.repeat(["ok", "bad"], n // 2)
+        # within group "bad" the covariate is rank(x) up to 1e-8 noise
+        rx = rank_transform(x, 1.0)
+        z = np.where(g == "bad", rx + 1e-8 * rng.normal(size=n), rng.normal(size=n))
+        d = Dataset(y=rng.normal(size=n), x=x, w=np.column_stack([np.ones(n), z]), g=g)
+        with pytest.raises(AssumptionViolationError) as info:
+            fit_rank_rank_by_group(d, 1.0)
+        assert str(info.value) == (
+            "group 'bad': rank variation is fully explained by the covariates")
 
     def test_group_with_fewer_rows_than_regressors_is_singular(self, rng):
         # two rows cannot identify rank(x) and two covariates; the QR's R
