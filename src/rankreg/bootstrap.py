@@ -10,8 +10,8 @@ distinction.)
 A resample is read as the multiplicities ``m = bincount(idx)`` of the drawn
 indices (the multinomial-weights view of Efron's bootstrap) and fit by the
 same prepared sample as the point estimate, ``estimators._Sample.solve(m)``:
-x and y are sorted once per bootstrap call, and a resample's ranks are run
-totals of ``m``, the same numbers a fresh rank transform of it gives.
+x and y are sorted once per dataset, and a resample's ranks are run totals
+of ``m`` over their tie runs, as a fresh rank transform of it gives.
 
 Determinism: replicate b draws from its own counter-derived RNG stream
 ``SeedSequence(seed).spawn()[b]``, so the replicate vector depends only on
@@ -70,7 +70,7 @@ def replicate_statistic(d, spec, omega, seed, b, sample=None):
     rank-level.  Returns (value, rejections) where rejections counts redrawn
     degenerate resamples for this replicate.  ``sample`` is the prepared
     ``estimators._Sample`` of ``d``; a loop over replicates passes it so
-    that the sample is sorted once.
+    that the sample is prepared once.
     """
     if sample is None:
         sample = _Sample(d, spec, omega)

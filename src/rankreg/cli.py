@@ -49,7 +49,6 @@ from .inference import (
     omega_sweep,
     plugin_covariance,
 )
-from .ranks import tie_count
 
 SCHEMA_VERSION = 1
 
@@ -226,9 +225,7 @@ _FIT_CONFIG_KEYS = [
 
 def _tie_warnings(d, args, se_methods):
     warnings = []
-    ties_x = tie_count(d.x) if d.x is not None else 0
-    ties_y = tie_count(d.y)
-    has_ties = (ties_x + ties_y) > 0
+    has_ties = d.runs_y.tied > 0 or (d.x is not None and d.runs_x.tied > 0)
     if has_ties and ({"hom", "ew"} & set(se_methods)):
         warnings.append(
             "data contain ties and hom/ew standard errors were requested; these "
@@ -239,22 +236,20 @@ def _tie_warnings(d, args, se_methods):
             "data contain ties and omega was not specified: the estimand depends "
             "on how ties are ranked; consider --omega or the sweep command"
         )
-    return warnings, ties_x, ties_y
+    return warnings
 
 
-def _diagnostics(d, fit, info, ties_x, ties_y):
+def _diagnostics(d, fit, info):
     diag = {
         "n": d.n,
         "rows_dropped": info.get("rows_dropped", 0),
-        "tie_count_x": ties_x,
-        "tie_count_y": ties_y,
+        "tie_count_x": d.runs_x.tied if d.x is not None else 0,
+        "tie_count_y": d.runs_y.tied,
         "design_condition_number": float(np.linalg.cond(fit.regressors)),
     }
     if d.group_index is not None:
-        diag["group_sizes"] = {
-            str(name): int(np.sum(d.group_index == k))
-            for k, name in enumerate(d.group_names)
-        }
+        sizes = np.bincount(d.group_index).tolist()
+        diag["group_sizes"] = {str(name): size for name, size in zip(d.group_names, sizes)}
     return diag
 
 
@@ -304,7 +299,7 @@ def cmd_fit(args):
     for method in se_methods:
         if method not in ("plugin", "hom", "ew", "bootstrap"):
             raise InvalidInputError(f"unknown se method {method!r}")
-    warnings, ties_x, ties_y = _tie_warnings(d, args, se_methods)
+    warnings = _tie_warnings(d, args, se_methods)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     fit = fit_spec(d, args.spec, args.omega)
@@ -339,7 +334,7 @@ def cmd_fit(args):
         },
         "first_stage": fit.gamma,
         "se_methods": se_blocks,
-        "diagnostics": _diagnostics(d, fit, info, ties_x, ties_y),
+        "diagnostics": _diagnostics(d, fit, info),
         "warnings": warnings,
         "config": _config_echo(args, _FIT_CONFIG_KEYS),
     }

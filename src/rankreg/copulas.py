@@ -38,8 +38,8 @@ from .bootstrap import BootstrapPlan, _replicates, bootstrap_ci
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, _Sample
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
-from .kernels import comparison_weighted_sums
-from .ranks import rank_transform, spearman
+from .kernels import comparison_counts, comparison_weighted_sums, tie_runs
+from .ranks import ranks_from_counts, spearman
 
 __all__ = [
     "CopulaModel",
@@ -193,13 +193,14 @@ def variance_triple_mc(model, n_mc, seed):
     if n_mc < 10_000:
         raise InvalidInputError("variance_triple_mc needs n_mc >= 10000")
     x, y = model.sample(n_mc, seed)
-    u = rank_transform(x, 0.5)
-    v = rank_transform(y, 0.5)
+    # ranks keep the ties and the order of the draws, so u and v have their runs
+    runs_x, runs_y = tie_runs(x), tie_runs(y)
+    n = x.size
+    u, v = (ranks_from_counts(*comparison_counts(r), n, 0.5) for r in (runs_x, runs_y))
     # (1/n) sum_j 1{u_j <= u_i} v_j is the total of v minus the omega = 0
     # kernel sum sum_j 1{u_i < u_j} v_j
-    n = u.size
-    h = (u * v - (v.sum() - comparison_weighted_sums(u, v, 0.0)) / n
-         - (u.sum() - comparison_weighted_sums(v, u, 0.0)) / n)
+    h = (u * v - (v.sum() - comparison_weighted_sums(runs_x, v, 0.0)) / n
+         - (u.sum() - comparison_weighted_sums(runs_y, u, 0.0)) / n)
     sigma2 = 144.0 * float(np.var(h))
     du = u - u.mean()
     dv = v - v.mean()

@@ -9,15 +9,15 @@ rank-transformed:
 * ``level-rank``       raw y on rank(x) and W
 * ``rank-level``       rank(y) on W only
 
-All four take one path.  A prepared sample (``_Sample``) sorts each ranked
-variable once and orders the rows group by group; its ``solve(m)`` fits
-every block (the whole sample, or one group) of the resample with
-multiplicities m.  The sample's own fit is the case where every multiplicity
-is 1, and a bootstrap replicate is one draw of m.  Covariates are taken
-exactly as given; no intercept column is added here (the CLI adds one by
-default).  Each block makes one numpy QR factorisation of the design with
-the response appended, which gives both the coefficients and
-A^-1 = (Z'Z/n)^-1; a column-pivoted QR of its small R factor decides
+All four take one path.  A prepared sample (``_Sample``) ranks each ranked
+variable from the tie runs its ``Dataset`` keeps and orders the rows group
+by group; its ``solve(m)`` fits every block (the whole sample, or one group)
+of the resample with multiplicities m.  The sample's own fit is the case
+where every multiplicity is 1, and a bootstrap replicate is one draw of m.
+Covariates are taken exactly as given; no intercept column is added here
+(the CLI adds one by default).  Each block makes one numpy QR factorisation
+of the design with the response appended, which gives both the coefficients
+and A^-1 = (Z'Z/n)^-1; a column-pivoted QR of its small R factor decides
 whether the design is singular.  By the Frisch-Waugh-Lovell identity that
 one matrix holds every projection the asymptotic variance needs later: the
 first stage of rank(x) on W and, per covariate column, the projection of
@@ -37,7 +37,7 @@ from .errors import (
     InvalidInputError,
     SingularDesignError,
 )
-from .kernels import comparison_counts
+from . import kernels
 from .ranks import check_omega, ranks_from_counts
 
 __all__ = [
@@ -80,7 +80,8 @@ class Dataset:
     ``x`` may be omitted for the rank-level specification, where the
     covariate matrix absorbs every regressor.  Group labels may be arbitrary
     hashables; they are densified to 0..n_groups-1 with the original labels
-    kept for reporting.
+    kept for reporting.  The tie runs of x and y are found on first use and
+    kept: ties are a property of the data, not of omega or the specification.
     """
 
     y: np.ndarray
@@ -142,6 +143,16 @@ class Dataset:
     @property
     def n_groups(self):
         return 0 if self.group_index is None else len(self.group_names)
+
+    @functools.cached_property
+    def runs_x(self):
+        """:class:`kernels.TieRuns` of x, or None without x."""
+        return None if self.x is None else kernels.tie_runs(self.x)
+
+    @functools.cached_property
+    def runs_y(self):
+        """:class:`kernels.TieRuns` of y."""
+        return kernels.tie_runs(self.y)
 
 
 def _pivoted_diagonal(R):
@@ -335,8 +346,7 @@ class FitResult:
 class _Sample:
     """A sample prepared for one specification, to fit as it is or resampled.
 
-    Each ranked variable is sorted once, by ``comparison_counts``, into the
-    sample's ranks; a resample reads its tie runs off those ranks.
+    The ranks of each ranked variable come from the tie runs of the dataset.
     ``order`` lists the observations group by group (None when the fit is
     one block), so every group's rows are contiguous without a further sort.
     """
@@ -352,36 +362,25 @@ class _Sample:
         if spec != "rank-level" and d.x is None:
             raise InvalidInputError(f"{spec} fit needs the ranked regressor x")
         self.data, self.spec, self.omega = d, spec, omega
-        self.ranks_x = None if spec == "rank-level" else self._ranks(d.x)
-        self.ranks_y = None if spec == "level-rank" else self._ranks(d.y)
+        self.runs_x = None if spec == "rank-level" else d.runs_x
+        self.runs_y = None if spec == "level-rank" else d.runs_y
+        self.ranks_x = self._ranks(self.runs_x)
+        self.ranks_y = self._ranks(self.runs_y)
         self.order = np.argsort(d.group_index, kind="stable") if spec == "rank-rank-group" else None
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
 
-    def _ranks(self, values):
-        return ranks_from_counts(*comparison_counts(values), values.size, self.omega)
-
-    @functools.cached_property
-    def _runs(self):
-        """Per ranked variable, an integer id of each observation's tie run.
-
-        n * rank = below + 1 + omega * (run length - 1) lies in [below + 1,
-        at_or_below], so it rounds to an id that is equal within a tie run and
-        increases from run to run.  Derived on the first resample, not kept
-        from the counts: two more n-arrays held through every fit doubled its
-        page faults at n >= 30k.
-        """
-        n = self.data.n
-        return [None if r is None else np.rint(n * r).astype(np.intp)
-                for r in (self.ranks_x, self.ranks_y)]
-
-    def _resample_ranks(self, run, rows, mult):
-        """Ranks of ``rows`` within the resample, from run totals of ``mult``."""
-        if run is None:
+    def _ranks(self, runs, rows=None, mult=None):
+        """Ranks of the sample, or of ``rows`` in the resample from run totals of ``mult``."""
+        if runs is None:
             return None
-        run = run[rows]
-        per_run = np.bincount(run, weights=mult, minlength=self.data.n + 1)
-        at_or_below = np.cumsum(per_run)[run]
-        return ranks_from_counts(at_or_below - per_run[run], at_or_below, self.data.n, self.omega)
+        if mult is None:
+            below, at_or_below = kernels.comparison_counts(runs)
+        else:
+            run = runs.run[rows]
+            per_run = np.bincount(run, weights=mult, minlength=runs.sizes.size)
+            at_or_below = np.cumsum(per_run)[run]
+            below = at_or_below - per_run[run]
+        return ranks_from_counts(below, at_or_below, self.data.n, self.omega)
 
     def solve(self, m=None):
         """Solve every fit block of the sample, or of its resample with multiplicities m.
@@ -401,9 +400,8 @@ class _Sample:
         else:
             rows = np.flatnonzero(m) if rows is None else rows[m[rows] > 0]
             mult = m[rows]
-            run_x, run_y = self._runs
-            ry = self._resample_ranks(run_y, rows, mult)
-            columns = [self._resample_ranks(run_x, rows, mult), d.w[rows],
+            ry = self._ranks(self.runs_y, rows, mult)
+            columns = [self._ranks(self.runs_x, rows, mult), d.w[rows],
                        d.y[rows] if ry is None else ry]
         system = np.column_stack([c for c in columns if c is not None])
         if m is not None:

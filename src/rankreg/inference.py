@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidInputError
-from .estimators import SPECS, fit_spec
+from .estimators import _DEGENERATE_VAR, SPECS, fit_spec
 from .kernels import comparison_weighted_sums
 from .ranks import check_omega
 
@@ -55,8 +55,6 @@ __all__ = [
     "omega_sweep",
     "SweepResult",
 ]
-
-_DEGENERATE_VAR = 1e-12
 
 
 def normal_quantile(p):
@@ -141,16 +139,18 @@ def _resolve_data(fit, data):
 
 
 def _blocks(fit, d):
-    """(rows or None, slope, beta, A^-1, psi columns) for each fit block.
+    """(rows, slope, beta, A^-1, psi columns) for each fit block.
 
-    The grouped fit has one block per group; its columns are ordered
-    coefficient-major then group, so group g owns every n_groups-th column.
+    The rows index the block's observations.  The grouped fit has one block
+    per group; its columns are ordered coefficient-major then group, so
+    group g owns every n_groups-th column.
     """
     if fit.spec != "rank-rank-group":
-        return [(None, fit.slope, fit.beta, fit.a_inv, slice(None))]
+        return [(slice(None), fit.slope, fit.beta, fit.a_inv, slice(None))]
     n_g = d.n_groups
     return [
-        (d.group_index == g, fit.slope[g], fit.beta[g], fit.a_inv[g], slice(g, None, n_g))
+        (np.flatnonzero(d.group_index == g), fit.slope[g], fit.beta[g], fit.a_inv[g],
+         slice(g, None, n_g))
         for g in range(n_g)
     ]
 
@@ -158,26 +158,25 @@ def _blocks(fit, d):
 def _block_psi(fit, d, Z, rows, rho, beta, a_cols):
     """Influence columns of one fit block for the columns ``a_cols`` of A^-1.
 
-    ``Z`` is the fit's whole design.  Rows outside the block are zeroed in Z
-    and eps, so the kernel sums run over the block's members while every
-    observation receives their terms (pooled ranks tie the groups together).
+    ``Z`` is the fit's whole design.  The kernel sums run over the block's
+    members while every observation receives their terms (pooled ranks tie
+    the groups together).
     """
     n = d.n
-    eps = fit.residuals
-    if rows is not None:
-        Z = Z * rows[:, None]
-        eps = np.where(rows, eps, 0.0)
-    C = Z @ a_cols
-    w_beta = d.w @ beta
+    eps, y, w = fit.residuals[rows], d.y[rows], d.w[rows]
+    C = Z[rows] @ a_cols
+    w_beta = w @ beta
     if fit.spec == "level-rank":
-        kernel = (d.y - w_beta) @ C
+        kernel = (y - w_beta) @ C
     else:
-        kernel = comparison_weighted_sums(d.y, C, fit.omega) - w_beta @ C
+        kernel = comparison_weighted_sums(d.runs_y, C, fit.omega, rows) - w_beta @ C
     if fit.spec != "rank-level":
-        t_x = comparison_weighted_sums(d.x, np.column_stack([C, eps]), fit.omega)
-        t_x_eps = t_x[:, -1] - eps @ fit.ranks_x
+        t_x = comparison_weighted_sums(d.runs_x, np.column_stack([C, eps]), fit.omega, rows)
+        t_x_eps = t_x[:, -1] - eps @ fit.ranks_x[rows]
         kernel = kernel - rho * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
-    return eps[:, None] * C + kernel / n
+    psi = kernel / n
+    psi[rows] += eps[:, None] * C
+    return psi
 
 
 def _influence(fit, d, only_slope=False):
@@ -273,9 +272,7 @@ def _naive_covariance(fit, d, alpha, kind):
     variance = np.zeros((q, q))
     design = fit.regressors
     for rows, _, _, a_inv, cols in _blocks(fit, d):
-        Z, resid = design, fit.residuals
-        if rows is not None:
-            Z, resid = Z[rows], resid[rows]
+        Z, resid = design[rows], fit.residuals[rows]
         if kind == "hom":
             block = a_inv * float(np.mean(resid**2))
         else:
@@ -340,23 +337,17 @@ def omega_sweep(d, spec, grid, alpha=0.05):
 
     With ties in the data the estimand itself moves with omega, so the sweep
     is the honest way to present results; on tie-free data every row is
-    identical.  Also reports the grid-average of each coefficient.
+    identical.  Also reports the grid-average of each coefficient.  Every
+    omega re-ranks from the tie runs the dataset keeps, so x and y are
+    sorted once for the whole grid.
     """
     grid = [check_omega(om) for om in grid]
     if not grid:
         raise InvalidInputError("omega grid is empty")
     rows = []
     for om in grid:
-        fit = fit_spec(d, spec, om)
-        report = plugin_covariance(fit, d, alpha=alpha)
-        rows.append(
-            SweepRow(
-                omega=om,
-                names=report.names,
-                estimates=report.estimates,
-                se=report.se,
-                ci=report.ci,
-            )
-        )
+        report = plugin_covariance(fit_spec(d, spec, om), d, alpha=alpha)
+        rows.append(SweepRow(omega=om, names=report.names, estimates=report.estimates,
+                             se=report.se, ci=report.ci))
     average = np.mean([row.estimates for row in rows], axis=0)
     return SweepResult(rows=rows, average=average, names=rows[0].names)

@@ -1,30 +1,32 @@
-"""Hot numeric kernels: tie counting and comparison-kernel weighted sums.
+"""Hot numeric kernels on one primitive: the tie runs of a variable.
 
 Everything downstream (rank transforms, plugin variances, the copula lab's
-conditional expectations) compares a variable with itself, and reduces to
-one primitive: the stable sort of the variable and the tie runs in it.  On
-top of that primitive sit two functions over a sample of size n:
+conditional expectations) compares a variable with itself, so it depends on
+the variable only through its tie runs.  ``tie_runs(values)`` finds them by
+the package's one stable sort of a ranked variable, in O(n log n); the two
+functions over the runs of a sample of size n then cost O(n + R) for R runs:
 
-* ``comparison_counts(values)`` -- for every element, how many sample values
-  are strictly below it and how many are at or below it.  These are the
-  start and the end of the element's tie run in the sorted order.
-* ``comparison_weighted_sums(values, weights, omega)`` -- for every element
+* ``comparison_counts(runs)`` -- for every element, how many sample values
+  are strictly below it and how many are at or below it: cumulative run sizes.
+* ``comparison_weighted_sums(runs, weights, omega)`` -- for every element
   ``i`` the sum ``sum_j K(values_i, values_j) * weights_j`` with the
-  tie-weighted step kernel ``K(a, b) = omega*1{a<=b} + (1-omega)*1{a<b}``.
-  That is ``omega`` times the weight from the element's run start onwards
-  plus ``1 - omega`` times the weight beyond its run end, read from suffix
-  sums at the run boundaries.  ``weights`` may be (n,) or (n, k); a matrix
-  is sorted once and gives exactly the k single-column results.
+  tie-weighted step kernel ``K(a, b) = omega*1{a<=b} + (1-omega)*1{a<b}``:
+  per column a ``bincount`` of the weights per run, a suffix sum over the
+  runs and a gather.  A (n, k) weight matrix gives exactly the k
+  single-column results.
 
-Both run in O(n log n), one sort per call.  The literal O(n^2) pairwise
-evaluation lives in the tests and in :mod:`rankreg.bruteforce`, which are the
-correctness oracles for this sorted path.
+The literal O(n^2) pairwise evaluation lives in the tests and in
+:mod:`rankreg.bruteforce`, which are the correctness oracles for this path.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "TieRuns",
     "backend_name",
+    "tie_runs",
     "comparison_counts",
     "comparison_weighted_sums",
 ]
@@ -35,38 +37,49 @@ def backend_name():
     return "numpy"
 
 
-def _tie_runs(values):
-    """Stable sort order of ``values`` and the [start, end) of each tie run in it."""
+class TieRuns(NamedTuple):
+    """Dense run id of each element (0..R-1 in value order) and each run's size."""
+
+    run: np.ndarray
+    sizes: np.ndarray
+
+    @property
+    def tied(self):
+        """Number of elements that share their value with at least one other."""
+        return int(self.sizes[self.sizes > 1].sum())
+
+
+def tie_runs(values):
+    """Tie runs of ``values`` from one stable sort."""
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], ordered.size)
-    return order, starts, ends
+    run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    run = np.empty(values.size, dtype=np.intp)
+    run[order] = np.cumsum(run_start) - 1
+    return TieRuns(run, np.diff(np.append(np.flatnonzero(run_start), values.size)))
 
 
-def comparison_counts(values):
+def comparison_counts(runs):
     """Per-element counts (#{j: v_j < v_i}, #{j: v_j <= v_i}) as int64 arrays."""
-    order, starts, ends = _tie_runs(values)
-    lengths = ends - starts
-    below = np.empty(values.size, dtype=np.int64)
-    at_or_below = np.empty(values.size, dtype=np.int64)
-    below[order] = np.repeat(starts, lengths)
-    at_or_below[order] = np.repeat(ends, lengths)
-    return below, at_or_below
+    ends = np.cumsum(runs.sizes)
+    at_or_below = ends[runs.run]
+    return at_or_below - runs.sizes[runs.run], at_or_below
 
 
-def comparison_weighted_sums(values, weights, omega):
+def comparison_weighted_sums(runs, weights, omega, rows=slice(None)):
     """t_i = sum_j K(values_i, values_j) * weights_j with the tie-weighted kernel K.
 
-    ``weights`` is (n,) or (n, k); the result has the same shape.
+    ``weights`` is (n,) or (n, k) and the result has the same shape.  Given
+    an index ``rows``, ``weights`` has one row per indexed element, every
+    other element weighs zero, and the result still covers the whole sample.
     """
     omega = float(omega)
-    order, starts, ends = _tie_runs(values)
-    w_sorted = weights[order]
-    # suffix[k] = sum of w_sorted[k:], accumulated right to left
-    suffix = np.zeros((w_sorted.shape[0] + 1,) + w_sorted.shape[1:])
-    suffix[:-1] = np.cumsum(w_sorted[::-1], axis=0)[::-1]
-    per_run = omega * suffix[starts] + (1.0 - omega) * suffix[ends]
-    out = np.empty(w_sorted.shape)
-    out[order] = np.repeat(per_run, ends - starts, axis=0)
-    return out
+    run = runs.run[rows]
+    n_runs = runs.sizes.size
+    columns = weights.reshape(weights.shape[0], -1).T
+    # suffix[r] = total weight of runs r, r+1, ..., R-1; suffix[R] = 0
+    suffix = np.zeros((n_runs + 1, columns.shape[0]))
+    for k, column in enumerate(columns):
+        suffix[:-1, k] = np.cumsum(np.bincount(run, column, n_runs)[::-1])[::-1]
+    per_run = omega * suffix[:-1] + (1.0 - omega) * suffix[1:]
+    return per_run[runs.run].reshape((runs.run.size,) + weights.shape[1:])

@@ -82,13 +82,13 @@ def comparison_kernel(a, b, omega=1.0):
 def rank_transform(sample, omega=1.0):
     """Tie-weighted ranks in (0, 1], one per observation.
 
-    Computed from sorted tie counts in O(n log n).  Tied raw values receive
+    Computed from the tie runs in O(n log n).  Tied raw values receive
     identical ranks; values are compared with exact equality (no epsilon
     tolerance, since a fuzzy tie would silently change the estimand).
     """
     omega = check_omega(omega)
     arr = _as_sample(sample)
-    below, at_or_below = kernels.comparison_counts(arr)
+    below, at_or_below = kernels.comparison_counts(kernels.tie_runs(arr))
     return ranks_from_counts(below, at_or_below, arr.size, omega)
 
 
@@ -104,9 +104,7 @@ def ranks_from_counts(below, at_or_below, n, omega):
 
 def tie_count(values):
     """Number of observations that share their value with at least one other."""
-    arr = _as_sample(values, "values")
-    _, counts = np.unique(arr, return_counts=True)
-    return int(np.sum(counts[counts > 1]))
+    return kernels.tie_runs(_as_sample(values, "values")).tied
 
 
 def _pearson(a, b):

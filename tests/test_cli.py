@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rankreg
+from rankreg import kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -261,6 +262,38 @@ class TestSimulationCommands:
         payload = json.loads(out.read_text())
         assert payload["parameter"] == pytest.approx(0.5, abs=0.02)
         assert payload["achieved_rank_corr"] == pytest.approx(0.75, abs=0.01)
+
+
+class TestOneSortPerVariable:
+    """A command sorts each ranked variable once, in ``kernels.tie_runs``."""
+
+    @pytest.fixture
+    def sorted_values(self, monkeypatch):
+        calls = []
+        original = kernels.tie_runs
+
+        def counting(values):
+            calls.append(values.copy())
+            return original(values)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rankreg") and getattr(module, "tie_runs", None) is original:
+                monkeypatch.setattr(module, "tie_runs", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--se", "plugin,hom,ew", "--theta-p", "0.25", "--w-cols", "z"],
+        ["fit", "--spec", "rank-rank-group", "--group-col", "region", "--omega", "0.5"],
+        ["fit", "--se", "plugin,bootstrap", "--bootstrap-reps", "60", "--seed", "4"],
+        ["sweep", "--grid", "0,0.25,0.5,0.75,1", "--w-cols", "z"],
+    ], ids=["fit-plugin-hom-ew-theta", "fit-grouped", "fit-bootstrap", "sweep-5"])
+    def test_one_tie_runs_call_per_ranked_variable(self, sample_csv, tmp_path,
+                                                   sorted_values, argv):
+        out = tmp_path / "report.json"
+        assert main([argv[0], sample_csv, *argv[1:], "--out", str(out)]) == EXIT_OK
+        columns, _ = ingest_csv(sample_csv, "y", "x")
+        assert sorted(v.tobytes() for v in sorted_values) == sorted(
+            [columns["x"].tobytes(), columns["y"].tobytes()])
 
 
 class TestDeterminism:

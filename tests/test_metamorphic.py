@@ -1,0 +1,119 @@
+"""Metamorphic tests on tied data: relations that a wrong tie run breaks.
+
+Every kernel reads a ranked variable only through its tie runs, so a run id
+that is off by one, a run split in two or two runs merged changes the
+ranks and the kernel sums.  Each test here relates two computations whose
+answers must agree exactly, or to rounding where the summation order
+differs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rankreg import (
+    Dataset,
+    RankRegressionError,
+    fit_spec,
+    influence_rows,
+    plugin_covariance,
+    rank_transform,
+)
+from rankreg.bruteforce import influence_rows_pairwise
+from rankreg.estimators import SPECS, _Sample
+
+from conftest import make_tied_sample
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([16, 64, 256]), st.integers(2, 8),
+       st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**32 - 1))
+def test_rank_of_negated_sample_reflects(n, support, omega, seed):
+    # rank_w(x) = 1 + 1/n - rank_{1-w}(-x).  With n a power of two and omega a
+    # multiple of 1/4 every term is a short dyadic fraction, so both sides are
+    # exact and must agree bit for bit.
+    x = np.random.default_rng(seed).integers(0, support, n).astype(float)
+    left = rank_transform(x, omega)
+    right = 1.0 + 1.0 / n - rank_transform(-x, 1.0 - omega)
+    assert np.array_equal(left, right)
+
+
+def _tied_dataset(rng, n, groups=None):
+    x = make_tied_sample(rng, n)
+    y = make_tied_sample(rng, n)
+    w = np.column_stack([np.ones(n), np.round(rng.normal(size=n), 1)])
+    return Dataset(y=y, x=x, w=w, g=groups)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+def test_increasing_transforms_leave_fit_and_plugin_bitwise(rng, spec, omega):
+    # a strictly increasing map keeps every tie run, so the ranks, the design
+    # and every kernel sum are the same numbers; a raw (unranked) y is kept
+    d = _tied_dataset(rng, 90, groups=np.arange(90) % 3)
+    moved = Dataset(y=d.y if spec == "level-rank" else np.arctan(d.y - 5.0),
+                    x=np.exp(d.x / 3.0) + d.x**3, w=d.w, g=d.g)
+    base = plugin_covariance(fit_spec(d, spec, omega), d)
+    other = plugin_covariance(fit_spec(moved, spec, omega), moved)
+    assert np.array_equal(other.estimates, base.estimates)
+    assert np.array_equal(other.variance, base.variance)
+    assert np.array_equal(other.se, base.se)
+
+
+@st.composite
+def _resampled(draw):
+    """A small tied sample in 1-3 groups, a spec, omega and multiplicities.
+
+    The multiplicities are a bootstrap draw's, which sum to n: a resample's
+    ranks are scaled by the sample's n.
+    """
+    sizes = draw(st.lists(st.integers(8, 16), min_size=1, max_size=3))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = draw(st.integers(2, 6))
+    x = rng.integers(0, support, n).astype(float)
+    y = rng.integers(0, support, n).astype(float)
+    w = np.column_stack([np.ones(n), np.round(rng.normal(size=n), 1)])
+    g = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    m = np.bincount(rng.integers(0, n, n), minlength=n)
+    spec = draw(st.sampled_from(SPECS))
+    omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return Dataset(y=y, x=x, w=w, g=g), spec, omega, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_resampled())
+def test_multiplicities_equal_repeated_rows(problem):
+    d, spec, omega, m = problem
+    try:
+        repeated = Dataset(y=np.repeat(d.y, m), x=np.repeat(d.x, m),
+                           w=np.repeat(d.w, m, axis=0),
+                           g=np.repeat(d.g, m) if spec == "rank-rank-group" else None)
+        want = fit_spec(repeated, spec, omega)
+        _, _, blocks = _Sample(d, spec, omega).solve(m)
+    except RankRegressionError:
+        assume(False)
+    got = np.array([coef for _, _, coef, _ in blocks])
+    if spec == "rank-rank-group":
+        want = np.column_stack([want.slope, want.beta])
+    else:
+        want = want.estimates[None, :]
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+def test_many_two_row_groups_match_double_sum(rng, omega):
+    # G = n/2: each group is exactly identified, and the pooled kernel sums
+    # of its two rows reach every observation
+    n = 60
+    x = make_tied_sample(rng, n, support=5)
+    pairs = x.reshape(-1, 2)
+    pairs[pairs[:, 0] == pairs[:, 1], 1] += 1.0  # distinct x within each group
+    d = Dataset(y=make_tied_sample(rng, n), x=x, w=np.ones((n, 1)),
+                g=np.repeat(np.arange(n // 2), 2))
+    fit = fit_spec(d, "rank-rank-group", omega)
+    assert d.n_groups == n // 2
+    fast = influence_rows(fit, d).psi
+    slow = influence_rows_pairwise(fit, d).psi
+    assert np.max(np.abs(fast - slow)) < 1e-10 * max(1.0, np.max(np.abs(slow)))
