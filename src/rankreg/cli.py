@@ -75,22 +75,108 @@ def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
                drop_missing=False):
     """Read a header CSV into columns, rejecting or dropping bad rows.
 
-    Returns (columns dict, info dict).  In strict mode (default) any row with
-    a missing or non-numeric required field aborts with the 1-based line
-    number; with ``drop_missing`` such rows are dropped and counted.
+    Returns (columns dict, info dict).  The accepted grammar: UTF-8 text, with
+    or without a byte-order mark, whose lines end in LF, CRLF or CR, split
+    into fields by csv's default dialect (comma separated, '"' quotes).  The
+    first record is the header; its names are stripped of surrounding
+    whitespace, and a name that repeats means its last column.  Records that
+    are empty or hold only whitespace and commas are skipped; every other
+    record has exactly as many fields as the header.  Each required field,
+    stripped, must be a number that ``float()`` reads as finite, and a group
+    label, stripped, must not be a missing token (empty, na, nan, n/a, null,
+    none or ".", in any case).  In strict mode (default) the first record
+    that breaks these rules aborts with its 1-based line number; with
+    ``drop_missing`` a record with a missing or non-numeric required field
+    is dropped and counted instead.
+
+    The file is read once, so a pipe or FIFO works.  A file of two or more
+    columns with no quote character is parsed by numpy in one call when
+    every record is clean; on any doubt the row-by-row reader reads the same
+    bytes.  That reader is the only source of error messages and line
+    numbers and the only one that drops records.
     """
     needed = [y_col] + ([x_col] if x_col else []) + list(w_cols)
     needed = list(dict.fromkeys(needed))  # duplicated names read once; the
     # design keeps every requested column, so duplicates still surface as a
     # singular design downstream
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        parsed = _read_arrays(raw, needed, group_col)
+    except Exception:  # doubt of any kind: the row reader decides and explains
+        parsed = None
+    return parsed or _read_rows(path, raw, needed, group_col, drop_missing)
+
+
+def _header_index(header):
+    """Column of each stripped header name; a repeated name keeps its last column."""
+    return {name.strip(): k for k, name in enumerate(header)}
+
+
+def _read_arrays(raw, needed, group_col):
+    """The accept path: the columns of a file the row reader takes whole, else None.
+
+    With no quote character in the file a csv record is a line split on
+    commas, so the row reader's rules apply to whole arrays: every line has
+    the header's comma count, and ``np.loadtxt`` parses the numeric columns
+    as float() does, stripping the same whitespace.  Missing tokens,
+    underscores and non-ASCII digits fail that parse; nan, inf and overflow
+    parse to non-finite values, which are refused here.  Like csv, loadtxt
+    also ends a line at a lone CR, so it must find one row per LF-ended line.
+    """
+    if b'"' in raw:
+        return None
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    header = next(csv.reader([raw[:ends[0] + 1].decode("utf-8-sig")]))
+    index = _header_index(header)
+    if any(name not in index for name in needed + ([group_col] if group_col else [])):
+        return None
+    rows, width = ends.size - 1, len(header)
+    commas = np.flatnonzero(data == ord(","))
+    bounds = np.concatenate(([-1], ends))
+    # with two or more fields a blank line has too few commas; one-field
+    # files, where it has not, are left to the row reader
+    if (rows < 1 or width < 2
+            or np.any(np.diff(np.searchsorted(commas, bounds)) != width - 1)
+            or np.diff(bounds).max() > csv.field_size_limit()):
+        return None
+    if group_col:
+        # field k of a data line lies between its k-th and (k+1)-th
+        # separators, counting the line's own ends
+        k, seps = index[group_col], commas.reshape(-1, width - 1)
+        lo = seps[1:, k - 1].copy() if k else ends[:-1]
+        hi = seps[1:, k].copy() if k < width - 1 else ends[1:]
+        del seps
+    del commas, bounds  # not held while loadtxt runs
+    # a handle, not a path: numpy would fetch a URL or decompress a .gz name;
+    # the wrapper decodes the shared bytes in chunks
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
+    table = np.loadtxt(text, delimiter=",", comments=None, skiprows=1,
+                       usecols=[index[name] for name in needed], ndmin=2)
+    if table.shape[0] != rows or not np.all(np.isfinite(table)):
+        return None
+    columns = dict(zip(needed, table.T.copy()))  # each column contiguous
+    if group_col:  # only the labels are decoded
+        labels = [raw[a + 1:b].decode().strip() for a, b in zip(lo.tolist(), hi.tolist())]
+        if any(label.lower() in _MISSING_TOKENS for label in labels):
+            return None
+        columns[group_col] = np.array(labels)
+    return columns, {"rows_used": rows, "rows_dropped": 0}
+
+
+def _read_rows(path, raw, needed, group_col, drop_missing):
+    """The row reader: one csv record of ``raw`` at a time, with the line of the first fault."""
     # utf-8-sig drops the byte-order mark that Excel and other tools write
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file") from None
-        index = {name.strip(): k for k, name in enumerate(header)}
+        index = _header_index(header)
         for name in needed + ([group_col] if group_col else []):
             if name not in index:
                 raise InvalidInputError(
@@ -134,9 +220,9 @@ def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
                 values[name].append(parsed[name])
             if group_col:
                 groups.append(gtoken)
-        if not values[y_col]:
+        if not values[needed[0]]:
             raise InvalidInputError(f"{path}: no usable data rows")
-    info = {"rows_used": len(values[y_col]), "rows_dropped": len(dropped)}
+    info = {"rows_used": len(values[needed[0]]), "rows_dropped": len(dropped)}
     columns = {name: np.array(vals) for name, vals in values.items()}
     if group_col:
         columns[group_col] = np.array(groups)

@@ -370,27 +370,34 @@ class _Sample:
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
 
     def _ranks(self, runs, rows=None, mult=None):
-        """Ranks of the sample, or of ``rows`` in the resample from run totals of ``mult``."""
+        """Ranks of the sample, or of ``rows`` in the resample from run totals of ``mult``.
+
+        A resample's ranks are scaled by its own size, the total of ``mult``.
+        """
         if runs is None:
             return None
         if mult is None:
             below, at_or_below = kernels.comparison_counts(runs)
+            size = self.data.n
         else:
             run = runs.run[rows]
             per_run = np.bincount(run, weights=mult, minlength=runs.sizes.size)
             at_or_below = np.cumsum(per_run)[run]
             below = at_or_below - per_run[run]
-        return ranks_from_counts(below, at_or_below, self.data.n, self.omega)
+            size = mult.sum()
+        return ranks_from_counts(below, at_or_below, size, self.omega)
 
     def solve(self, m=None):
         """Solve every fit block of the sample, or of its resample with multiplicities m.
 
         Returns [Z, r] over the fitted rows, the input index of those rows
         (None: all, in input order) and per block (lo, hi, coefficients,
-        (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  A resample ranks by run
-        totals of m and fits the rows with m > 0 scaled by sqrt(m), whose R
-        factor is that of the design with repeated rows, so the singular-design
-        rule is unchanged.  A group with fewer than 2 resampled rows raises
+        (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  A resample of any total
+        size m.sum() ranks by run totals of m and fits the rows with m > 0
+        scaled by sqrt(m), whose R factor is that of the design with repeated
+        rows, so it equals the fit of the rows repeated m times and the
+        singular-design rule is unchanged.  A singular block whose x is all
+        tied names rank(x).  A group with fewer than 2 resampled rows raises
         DegenerateInputError.
         """
         d = self.data
@@ -409,7 +416,7 @@ class _Sample:
         elif rows is not None:
             system = system[rows]
         if self.order is None:
-            counts, sizes = [system.shape[0]], [d.n]
+            counts, sizes = [system.shape[0]], [d.n if m is None else mult.sum()]
         elif m is None:
             counts = sizes = np.bincount(d.group_index)
         else:
@@ -429,9 +436,15 @@ class _Sample:
                     raise AssumptionViolationError(
                         "rank variation is fully explained by the covariates")
             except (SingularDesignError, AssumptionViolationError) as err:
+                # an all-tied x makes rank(x) a constant column, which the
+                # pivot may keep in place of the intercept it duplicates
+                block = slice(lo, hi) if rows is None else rows[lo:hi]
+                if (isinstance(err, SingularDesignError) and self.runs_x is not None
+                        and np.ptp(self.runs_x.run[block]) == 0):
+                    err = SingularDesignError("design is numerically singular at rank(x)", column=0)
                 if self.order is not None:
                     err.args = (f"group {d.group_names[g]!r}: {err}",)
-                raise
+                raise err
             blocks.append((lo, hi, coef, gram_inv))
         return system, rows, blocks
 

@@ -3,14 +3,18 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rankreg
-from rankreg import kernels
+from rankreg import cli, kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -107,6 +111,244 @@ class TestIngest:
         assert set(columns["region"]) == {"BY", "SN"}
 
 
+def _national_text(rng, n, newline="\n"):
+    """A perfbench-shaped file: incomes rounded to $100, small integer and
+    one-decimal covariates, and a state label."""
+    child = np.round(rng.lognormal(10.5, 0.8, n), -2) * (rng.random(n) > 0.04)
+    parent = np.round(rng.lognormal(10.8, 0.7, n), -2)
+    age = rng.integers(25, 60, n)
+    female = rng.integers(0, 2, n)
+    hours = np.round(rng.normal(40, 8, n), 1)
+    state = rng.integers(1, 9, n)
+    lines = ["y,x,age,female,hours,state"] + [
+        f"{child[i]:.0f},{parent[i]:.0f},{age[i]},{female[i]},{hours[i]:.1f},S{state[i]:02d}"
+        for i in range(n)
+    ]
+    return newline.join(lines) + newline
+
+
+class TestAcceptPath:
+    """Clean files never reach the row reader, and give its exact columns."""
+
+    @pytest.fixture
+    def row_reader_calls(self, monkeypatch):
+        calls = []
+        original = cli._read_rows
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_read_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("drop_missing", [False, True])
+    @pytest.mark.parametrize("kind", ["numeric", "grouped", "bom", "crlf"])
+    def test_clean_file_skips_row_reader(self, tmp_path, rng, row_reader_calls,
+                                         kind, drop_missing):
+        n = 300
+        path = tmp_path / "clean.csv"
+        text = _national_text(rng, n, "\r\n" if kind == "crlf" else "\n")
+        path.write_bytes(text.encode("utf-8-sig" if kind == "bom" else "utf-8"))
+        group = "state" if kind == "grouped" else None
+        w_cols = ["age", "female", "hours"]
+        columns, info = ingest_csv(str(path), "y", "x", w_cols, group, drop_missing)
+        assert row_reader_calls == []
+        assert info == {"rows_used": n, "rows_dropped": 0}
+        want, _ = cli._read_rows(str(path), path.read_bytes(), ["y", "x", *w_cols], group,
+                                 drop_missing)
+        assert list(columns) == list(want)
+        for name, column in want.items():
+            assert columns[name].dtype == column.dtype
+            assert columns[name].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("pattern, quoted", [
+        (r",(S\d+)$", r',"\1"'),  # the labels: csv unquotes "S01" to S01
+        (r"([^,\n]+)", r'"\1"'),  # every field, the header too
+    ], ids=["labels", "all"])
+    def test_quoted_fields_go_through_row_reader(self, tmp_path, rng, row_reader_calls,
+                                                 pattern, quoted):
+        text = _national_text(rng, 50)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        path = tmp_path / "quoted.csv"
+        path.write_text(re.sub(pattern, quoted, text, flags=re.M), encoding="utf-8")
+        args = ("y", "x", ["age", "hours"], "state")
+        want, _ = ingest_csv(str(plain), *args)
+        assert row_reader_calls == []
+        got, _ = ingest_csv(str(path), *args)
+        assert len(row_reader_calls) == 1
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("quoted", [False, True], ids=["accept", "row-reader"])
+    def test_pipe_is_read_once(self, tmp_path, rng, quoted):
+        # `rankreg fit <(zcat f.gz)`: a pipe yields its bytes to one read only
+        text = _national_text(rng, 200)
+        if quoted:
+            text = re.sub(r",(S\d+)$", r',"\1"', text, flags=re.M)
+        path = tmp_path / "plain.csv"
+        path.write_text(text, encoding="utf-8")
+        args = ("y", "x", ["age", "hours"], "state")
+        want, want_info = ingest_csv(str(path), *args)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())  # 200 lines fit the pipe's buffer
+            os.close(write_end)
+            got, info = ingest_csv(f"/dev/fd/{read_end}", *args)
+        finally:
+            os.close(read_end)
+        assert info == want_info
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_only_empty_lines_warn_nothing(self, tmp_path):
+        # loadtxt warns when empty lines leave it no data; the row reader's
+        # error is the only report
+        path = tmp_path / "empty.csv"
+        path.write_text("y\n\n\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError, match="no usable data rows"):
+                ingest_csv(str(path), "y")
+        assert caught == []
+
+    def test_lone_cr_ends_a_record(self, tmp_path):
+        # csv ends a record at a lone CR; so does loadtxt, which then finds
+        # more rows than there are LF-ended lines
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"y,x,z\n1,2,3\n4\r5,6,7\n")
+        with pytest.raises(InvalidInputError, match="line 3: expected 3 fields, got 1"):
+            ingest_csv(str(path), "y")
+
+    def test_field_size_limit_is_the_row_readers(self, tmp_path):
+        # csv refuses a field longer than its limit, even in an unused column
+        path = tmp_path / "long.csv"
+        path.write_text("y,x,note\n1,2,abcdefghijkl\n3,4,ok\n", encoding="utf-8")
+        limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                ingest_csv(str(path), "y", "x")
+        finally:
+            csv.field_size_limit(limit)
+
+
+# tokens the accept path must parse exactly as float() after strip(), and
+# tokens that must send the file to the row reader (or be refused by both)
+_CLEAN_TOKENS = ["0", "1", "-2", "3.5", "1e3", "-0", ".5", "7.", "+8", "2.5e-3",
+                 " 4 ", "\xa05\xa0", "\t6", "\x0c7", "\x1c9\x1f", "0.1000000000000000055511"]
+_NONFINITE_TOKENS = ["nan", "NaN", "-inf", "Infinity", "1e500", "-1e500"]
+_DIRTY_TOKENS = _NONFINITE_TOKENS + [
+    "", " ", "NA", "na", "N/A", ".", "null", "None", "1_000", "\u0663", "\uff11", "abc",
+    "1,5", '"1"', '"1,5"', '" 2 "', '""']
+_CLEAN_LABELS = ["A", "b", " c ", "A ", "\xa0b", "S01", "\u0661"]
+_DIRTY_LABELS = ["NA", "", " ", "none", ".", "Null", '"A"', '"x,y"']
+_SHAPES = ["row", "short", "long", "blank", "commas", "spaces"]
+
+
+def _draw_line(draw, names, shape, dirty_rate=0):
+    """One data line of ``shape``; each cell is flawed with chance 1/dirty_rate."""
+    if shape == "blank":
+        return ""
+    if shape == "commas":
+        return "," * draw(st.integers(1, len(names)))
+    if shape == "spaces":
+        return draw(st.sampled_from([" ", "\t", " , ,"]))
+    width = len(names) + {"row": 0, "short": -1, "long": 1}[shape]
+    cells = []
+    for name in (names + ["z"])[:width]:
+        dirty = dirty_rate and draw(st.integers(1, dirty_rate)) == 1
+        if name.strip() == "g":
+            cells.append(draw(st.sampled_from(_DIRTY_LABELS if dirty else _CLEAN_LABELS)))
+        else:
+            cells.append(draw(st.sampled_from(_DIRTY_TOKENS if dirty else _CLEAN_TOKENS)))
+    return ",".join(cells)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes over columns y, x, w, g and z, and the ingest arguments.
+
+    A third of the files are clean, a third have exactly one flaw in a line
+    or a used cell (the cases the accept path must detect) and a third have
+    flaws anywhere.
+    """
+    if draw(st.integers(0, 5)) == 0:  # one field per line: a blank line has no commas
+        names, x_col, w_cols, group_col = ["y"], None, [], None
+    else:
+        names = list(draw(st.permutations(["y", "x", "w", "g", "z"])))
+        x_col = draw(st.sampled_from(["x", None]))
+        w_cols = draw(st.sampled_from([[], ["w"], ["w", "z"], ["x"]]))
+        group_col = draw(st.sampled_from([None, "g"]))
+    if draw(st.booleans()):  # a repeated or padded name; the last one wins
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(["x", " y", "w "])))
+    mode = draw(st.sampled_from(["clean", "one flaw", "any"]))
+    if mode == "any" and len(names) > 1 and draw(st.integers(0, 4)) == 0:
+        names.remove(draw(st.sampled_from(names)))
+    if mode == "any":
+        lines = [_draw_line(draw, names, draw(st.sampled_from(_SHAPES)), dirty_rate=4)
+                 for _ in range(draw(st.integers(0, 6)))]
+    else:
+        lines = [_draw_line(draw, names, "row") for _ in range(draw(st.integers(1, 6)))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    if mode == "one flaw":
+        flaw = draw(st.sampled_from(_SHAPES[1:] + ["token", "nonfinite", "label", "quote", "cr"]))
+        row = draw(st.integers(0, len(lines) - 1))
+        used = [k for k, name in enumerate(names)
+                if name.strip() in {"y", x_col, group_col, *w_cols}]
+        at = draw(st.sampled_from(used))
+        if flaw == "label" and group_col:
+            at = names.index("g")
+        cells = lines[row].split(",")
+        if flaw == "cr":  # a lone CR anywhere in one line
+            cut = draw(st.integers(0, len(lines[row])))
+            cells = (lines[row][:cut] + "\r" + lines[row][cut:]).split(",")
+        elif flaw in _SHAPES:
+            lines[row] = _draw_line(draw, names, flaw)
+        elif flaw == "quote":  # a clean value, quoted
+            cells[at] = f'"{cells[at]}"'
+        elif names[at].strip() == "g":
+            cells[at] = draw(st.sampled_from(_DIRTY_LABELS))
+        else:
+            cells[at] = draw(st.sampled_from(
+                _NONFINITE_TOKENS if flaw == "nonfinite" else _DIRTY_TOKENS))
+        if flaw not in _SHAPES:
+            lines[row] = ",".join(cells)
+    elif mode == "any":
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([",".join(names)] + lines) + (newline if draw(st.booleans()) else "")
+    raw = text.encode("utf-8-sig" if draw(st.booleans()) else "utf-8")
+    return raw, x_col, w_cols, group_col
+
+
+def _outcome(read):
+    try:
+        columns, info = read()
+    except Exception as err:  # the exception itself is the outcome compared
+        return type(err), str(err)
+    return [(name, col.dtype.str, col.tobytes()) for name, col in columns.items()], info
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_files(), st.booleans())
+def test_ingest_matches_row_reader(tmp_path, problem, drop_missing):
+    # differential oracle: whichever reader ingest_csv uses, the result is the
+    # row reader's, down to the bytes of every column or the error message
+    raw, x_col, w_cols, group_col = problem
+    path = tmp_path / "case.csv"
+    path.write_bytes(raw)
+    needed = list(dict.fromkeys(["y"] + ([x_col] if x_col else []) + w_cols))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(lambda: ingest_csv(str(path), "y", x_col, w_cols, group_col,
+                                          drop_missing))
+    assert [str(w.message) for w in caught] == []  # a user sees no warning either
+    want = _outcome(lambda: cli._read_rows(str(path), raw, needed, group_col, drop_missing))
+    assert got == want
+
+
 class TestFitCommand:
     def test_three_se_blocks_and_theta_p(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -200,6 +442,54 @@ class TestFitCommand:
         block = payload["se_methods"]["bootstrap"]
         assert block["method"] == "bootstrap"
         assert len(block["ci"]) == 1
+
+
+class TestEdgeExitCodes:
+    """Boundary designs, through ``main``, with the exit codes the CLI documents."""
+
+    def _fit(self, tmp_path, header, rows, *flags):
+        path = _write_csv(tmp_path / "edge.csv", header, rows)
+        return main(["fit", path, *flags, "--out", str(tmp_path / "out.json")])
+
+    @pytest.mark.parametrize("omega", ["0", "0.5", "1"])
+    def test_all_tied_x_is_singular(self, tmp_path, rng, capsys, omega):
+        # rank(x) is a constant column; at omega = 1 it equals the intercept
+        rows = [[rng.normal(), 3.0] for _ in range(30)]
+        assert self._fit(tmp_path, ["y", "x"], rows, "--omega", omega) == EXIT_ASSUMPTION
+        assert "design is numerically singular at rank(x)" in capsys.readouterr().err
+
+    def test_all_tied_x_in_one_group_is_named(self, tmp_path, rng, capsys):
+        rows = [[rng.normal(), 3.0 if g == "b" else rng.normal(), g]
+                for g in ["a", "b"] * 15]
+        assert self._fit(tmp_path, ["y", "x", "g"], rows, "--spec", "rank-rank-group",
+                         "--group-col", "g", "--omega", "1") == EXIT_ASSUMPTION
+        assert "group 'b': design is numerically singular at rank(x)" in capsys.readouterr().err
+
+    def test_all_tied_y_fits(self, tmp_path, rng):
+        rows = [[2.0, rng.normal()] for _ in range(30)]
+        assert self._fit(tmp_path, ["y", "x"], rows) == EXIT_OK
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert abs(payload["coefficients"]["estimates"][0]) < 1e-12  # rank(y) is constant
+
+    def test_n_equal_to_p_plus_2_fits(self, tmp_path, rng):
+        # p = 2 covariates (const, z) and the ranked regressor, 4 rows
+        rows = rng.normal(size=(4, 3)).tolist()
+        assert self._fit(tmp_path, ["y", "x", "z"], rows, "--w-cols", "z") == EXIT_OK
+
+    def test_n_equal_to_p_plus_1_is_refused(self, tmp_path, rng, capsys):
+        rows = rng.normal(size=(3, 3)).tolist()
+        assert self._fit(tmp_path, ["y", "x", "z"], rows, "--w-cols", "z") == EXIT_IO
+        assert "need n >= p + 2 observations (n=3, p=2)" in capsys.readouterr().err
+
+    def test_covariate_collinear_with_rank_x_up_to_noise(self, tmp_path, rng, capsys):
+        # cond(Z) near 1e8 passes the 1e-12 singularity rule; the first stage
+        # leaves rank(x) a residual variance near 1e-16 and fails there
+        n = 40
+        x = rng.permutation(n) + 1.0
+        z = x / n + 1e-8 * rng.normal(size=n)
+        rows = np.column_stack([rng.normal(size=n), x, z]).tolist()
+        assert self._fit(tmp_path, ["y", "x", "z"], rows, "--w-cols", "z") == EXIT_ASSUMPTION
+        assert "rank variation is fully explained by the covariates" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -13,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankreg import (
+    AssumptionViolationError,
     Dataset,
+    InvalidInputError,
     RankRegressionError,
     fit_spec,
     influence_rows,
@@ -61,13 +63,33 @@ def test_increasing_transforms_leave_fit_and_plugin_bitwise(rng, spec, omega):
     assert np.array_equal(other.se, base.se)
 
 
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+def test_affine_reparametrisation_of_w_keeps_slope_and_se(rng, spec, omega):
+    # W -> W A, with A's first column e_0 so the intercept column stays.  The
+    # slope on rank(x) depends on W only through its column span.  Row 1 of A
+    # is e_1 (w1 enters no other column), so for rank-level, whose
+    # coefficients move by A^-1, the one on w1 stays too.
+    n = 120
+    w = np.column_stack([np.ones(n), make_tied_sample(rng, n, support=4),
+                         np.round(rng.normal(size=n), 1)])
+    d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n), w=w, g=np.arange(n) % 3)
+    a = np.array([[1.0, 3.0, -2.0],
+                  [0.0, 1.0, 0.0],
+                  [0.0, 0.5, 2.5]])
+    moved = Dataset(y=d.y, x=d.x, w=w @ a, g=d.g)
+    base = plugin_covariance(fit_spec(d, spec, omega), d)
+    other = plugin_covariance(fit_spec(moved, spec, omega), moved)
+    keep = [k for k, name in enumerate(base.names) if name.startswith("rank(x)")]
+    keep = keep or [base.names.index("w1")]
+    slope, slope_moved = base.estimates[keep], other.estimates[keep]
+    assert np.max(np.abs(slope_moved - slope)) <= 1e-10 * np.max(np.abs(slope))
+    assert np.max(np.abs(other.se[keep] / base.se[keep] - 1.0)) <= 1e-10
+
+
 @st.composite
 def _resampled(draw):
-    """A small tied sample in 1-3 groups, a spec, omega and multiplicities.
-
-    The multiplicities are a bootstrap draw's, which sum to n: a resample's
-    ranks are scaled by the sample's n.
-    """
+    """A small tied sample in 1-3 groups, a spec, omega and multiplicities."""
     sizes = draw(st.lists(st.integers(8, 16), min_size=1, max_size=3))
     n = sum(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -76,30 +98,68 @@ def _resampled(draw):
     y = rng.integers(0, support, n).astype(float)
     w = np.column_stack([np.ones(n), np.round(rng.normal(size=n), 1)])
     g = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-    m = np.bincount(rng.integers(0, n, n), minlength=n)
+    m = rng.integers(0, 4, n)
     spec = draw(st.sampled_from(SPECS))
     omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
     return Dataset(y=y, x=x, w=w, g=g), spec, omega, m
+
+
+def _outcome(call):
+    """The call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except RankRegressionError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 @settings(max_examples=150, deadline=None)
 @given(_resampled())
 def test_multiplicities_equal_repeated_rows(problem):
     d, spec, omega, m = problem
+    grouped = spec == "rank-rank-group"
+    # a group left with fewer than 2 rows: solve(m) refuses the draw, while
+    # the repeated rows lose the group or fail the dataset's own checks
+    assume(not grouped or np.all(np.bincount(d.group_index, weights=m) >= 2))
     try:
         repeated = Dataset(y=np.repeat(d.y, m), x=np.repeat(d.x, m),
                            w=np.repeat(d.w, m, axis=0),
-                           g=np.repeat(d.g, m) if spec == "rank-rank-group" else None)
-        want = fit_spec(repeated, spec, omega)
-        _, _, blocks = _Sample(d, spec, omega).solve(m)
-    except RankRegressionError:
+                           g=np.repeat(d.g, m) if grouped else None)
+    except InvalidInputError:
         assume(False)
-    got = np.array([coef for _, _, coef, _ in blocks])
+    want = _outcome(lambda: fit_spec(repeated, spec, omega))
+    got = _outcome(lambda: _Sample(d, spec, omega).solve(m))
+    if isinstance(want, str) or isinstance(got, str):  # both refuse, for one reason
+        assert got == want
+        return
+    got = np.array([coef for _, _, coef, _ in got[2]])
     if spec == "rank-rank-group":
         want = np.column_stack([want.slope, want.beta])
     else:
         want = want.estimates[None, :]
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("times", [1, 2, 3])
+def test_resample_judges_rank_variation_by_its_own_size(rng, times):
+    # z is rank(x) plus noise orthogonal to [1, rank(x)], scaled so that the
+    # residual variance of rank(x) on [1, z] is 0.7e-12, under the 1e-12
+    # floor.  Repeating every row multiplies the residual sum of squares and
+    # the resample's size alike, so the resample is refused like the sample;
+    # scaled by the sample's n instead, it would pass for times >= 2.
+    n = 40
+    x = rng.permutation(n) + 1.0
+    r = rank_transform(x, 1.0)
+    basis = np.column_stack([np.ones(n), r])
+    e = rng.normal(size=n)
+    e -= basis @ np.linalg.lstsq(basis, e, rcond=None)[0]
+    centred = r - r.mean()
+    a, target = centred @ centred, 0.7e-12 * n  # ||residual||^2 = A E / (A + E)
+    e *= np.sqrt(target * a / (a - target) / (e @ e))
+    d = Dataset(y=rng.normal(size=n), x=x, w=np.column_stack([np.ones(n), r + e]))
+    with pytest.raises(AssumptionViolationError, match="fully explained"):
+        fit_spec(d, "rank-rank", 1.0)
+    with pytest.raises(AssumptionViolationError, match="fully explained"):
+        _Sample(d, "rank-rank", 1.0).solve(np.full(n, times))
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
