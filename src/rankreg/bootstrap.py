@@ -9,30 +9,34 @@ distinction.)
 
 A resample is read as the multiplicities ``m = bincount(idx)`` of the drawn
 indices (the multinomial-weights view of Efron's bootstrap) and fit by the
-same prepared sample as the point estimate, ``estimators._Sample.solve(m)``:
-x and y are sorted once per dataset, and a resample's ranks are run totals
-of ``m`` over their tie runs, as a fresh rank transform of it gives.
+same prepared sample as the point estimate, ``estimators._Sample``: x and y
+are sorted once per dataset, and a resample's ranks are run totals of ``m``
+over their tie runs, as a fresh rank transform of it gives.
+
+Replicates are solved in chunks: as many resamples as fit ``_CHUNK_BYTES``
+of stacked [Z, r] (every row weighted by sqrt(m), so rows drawn zero times
+add nothing) go through one ``_Sample.solve_stack`` call, which makes one
+stacked QR per fit block and one batched singular-value pass.  The rejection
+rule stays exact: a resample whose R factor has condition number below 1e10
+cannot trip the 1e-12 pivoted-QR rule, so only the others take the
+column-pivoted QR, one at a time.  Memory stays bounded by the chunk, not
+by B.
 
 Determinism: replicate b draws from its own counter-derived RNG stream
 ``SeedSequence(seed).spawn()[b]``, so the replicate vector depends only on
-(seed, reps, n) and not on execution order.  Replicates run one after the
-other in this thread.  Resamples whose design is degenerate (e.g. a
-covariate column collapsing to a constant multiple of another, or a group
-with fewer than 2 rows) are redrawn from the same stream and counted; more
-than 10% rejections raises a diagnostic error.
+(seed, reps, n) and not on execution order or chunking; each replicate's
+arithmetic is its own, so its value does not depend on the chunk it lands
+in.  Resamples whose design is degenerate (e.g. a covariate column
+collapsing to a constant multiple of another, or a group with fewer than 2
+rows) are redrawn from the same stream and counted; more than 10%
+rejections raises a diagnostic error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    BootstrapDiagnosticError,
-    DegenerateInputError,
-    InvalidInputError,
-    SingularDesignError,
-)
+from .errors import BootstrapDiagnosticError, InvalidInputError
 from .estimators import _Sample
 from .inference import InferenceReport, normal_quantile
 
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 _MAX_ATTEMPTS_PER_REPLICATE = 100
+# bytes of stacked [Z, r] per chunk of replicates
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -69,45 +75,63 @@ def replicate_statistic(d, spec, omega, seed, b, sample=None):
     The statistic is the slope (one per group for grouped fits), or beta for
     rank-level.  Returns (value, rejections) where rejections counts redrawn
     degenerate resamples for this replicate.  ``sample`` is the prepared
-    ``estimators._Sample`` of ``d``; a loop over replicates passes it so
-    that the sample is prepared once.
+    ``estimators._Sample`` of ``d``.  This is the stack of one of the
+    replicates that :func:`bootstrap_distribution` solves in chunks.
     """
     if sample is None:
         sample = _Sample(d, spec, omega)
         sample.solve()  # a degenerate sample fails here, not as redraws
-    # identical to SeedSequence(seed).spawn(...)[b] but O(1) in b
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+    values, rejections = _chunk(sample, seed, [b])
+    return values[0], rejections
+
+
+def _chunk(sample, seed, replicates):
+    """Statistics (len(replicates), k) of the listed replicates and their redraw count.
+
+    Replicate b draws from its own stream ``SeedSequence(seed, spawn_key=(b,))``
+    (identical to ``SeedSequence(seed).spawn(...)[b]`` but O(1) in b); the
+    draws of the chunk are solved as one stack, and each refused draw is
+    redrawn from its own stream in the next, smaller stack.
+    """
+    n = sample.data.n
+    streams = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+               for b in replicates]
+    width = None if sample.spec == "rank-level" else 1
+    values = [None] * len(replicates)
+    pending = list(range(len(replicates)))
     rejections = 0
     for _ in range(_MAX_ATTEMPTS_PER_REPLICATE):
-        m = np.bincount(rng.integers(0, d.n, size=d.n), minlength=d.n)
-        try:
-            _, _, blocks = sample.solve(m)
-        except (SingularDesignError, AssumptionViolationError, DegenerateInputError):
-            rejections += 1
-            continue
-        width = None if sample.spec == "rank-level" else 1
-        return np.concatenate([coef[:width] for _, _, coef, _ in blocks]), rejections
+        m = np.array([np.bincount(streams[i].integers(0, n, size=n), minlength=n)
+                      for i in pending], dtype=np.float64)
+        _, coef, _, errors = sample.solve_stack(m)
+        stats = coef[:, :, :width].reshape(len(pending), -1)
+        for i, stat, err in zip(pending, stats, errors):
+            if err is None:
+                values[i] = stat
+        pending = [i for i, err in zip(pending, errors) if err is not None]
+        rejections += len(pending)
+        if not pending:
+            return np.array(values), rejections
     raise BootstrapDiagnosticError(
-        f"replicate {b}: {_MAX_ATTEMPTS_PER_REPLICATE} consecutive degenerate resamples"
+        f"replicate {replicates[pending[0]]}: {_MAX_ATTEMPTS_PER_REPLICATE} "
+        "consecutive degenerate resamples"
     )
 
 
 def _replicates(sample, plan):
-    """(B, k) statistic replicates of a prepared sample."""
-    values = []
-    total_rejections = 0
-    for b in range(plan.reps):
-        value, rejections = replicate_statistic(
-            sample.data, sample.spec, sample.omega, plan.seed, b, sample
-        )
-        values.append(value)
+    """(B, k) statistic replicates of a prepared sample, solved in chunks."""
+    size = max(1, _CHUNK_BYTES // sample.system.nbytes)
+    values, total_rejections = [], 0
+    for lo in range(0, plan.reps, size):
+        chunk, rejections = _chunk(sample, plan.seed, range(lo, min(lo + size, plan.reps)))
+        values.append(chunk)
         total_rejections += rejections
     if total_rejections > 0.1 * plan.reps:
         raise BootstrapDiagnosticError(
             f"{total_rejections} degenerate resamples out of {plan.reps} replicates "
             "(>10%); the design is too fragile to bootstrap"
         )
-    return np.array(values)
+    return np.concatenate(values)
 
 
 def bootstrap_distribution(d, spec, omega, plan):

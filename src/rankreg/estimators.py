@@ -11,20 +11,23 @@ rank-transformed:
 
 All four take one path.  A prepared sample (``_Sample``) ranks each ranked
 variable from the tie runs its ``Dataset`` keeps and orders the rows group
-by group; its ``solve(m)`` fits every block (the whole sample, or one group)
-of the resample with multiplicities m.  The sample's own fit is the case
-where every multiplicity is 1, and a bootstrap replicate is one draw of m.
-Covariates are taken exactly as given; no intercept column is added here
-(the CLI adds one by default).  Each block makes one numpy QR factorisation
-of the design with the response appended, which gives both the coefficients
-and A^-1 = (Z'Z/n)^-1; a column-pivoted QR of its small R factor decides
-whether the design is singular.  By the Frisch-Waugh-Lovell identity that
-one matrix holds every projection the asymptotic variance needs later: the
-first stage of rank(x) on W and, per covariate column, the projection of
-that column on the remaining regressors.
+by group; its ``solve_stack(m)`` fits every block (the whole sample, or one
+group) of each resample in a stack of multiplicities m.  The sample's own
+fit is the stack of one where every multiplicity is 1, and a chunk of
+bootstrap replicates is a stack of draws of m.  Covariates are taken
+exactly as given; no intercept column is added here (the CLI adds one by
+default).  Each block makes one numpy QR factorisation of the design with
+the response appended, which gives both the coefficients and
+A^-1 = (Z'Z/n)^-1; a batched singular-value pass over the small R factors
+clears the well-conditioned ones, and a column-pivoted QR of each other R
+factor decides whether its design is singular.  By the Frisch-Waugh-Lovell
+identity that one matrix holds every projection the asymptotic variance
+needs later: the first stage of rank(x) on W and, per covariate column, the
+projection of that column on the remaining regressors.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -57,6 +60,8 @@ SPECS = ("rank-rank", "rank-rank-group", "level-rank", "rank-level")
 
 # reciprocal-condition threshold on the R factor of the pivoted QR
 _RCOND_MIN = 1e-12
+# reciprocal condition of R above which that threshold cannot be reached
+_SKIP_RCOND = 1e-10
 # pivot norms this close, relative to the column's length, are a tie; the
 # rounding between duplicate columns' norms is ~1e-16 of it up to n = 1e6
 _TIE = 1e-13
@@ -194,35 +199,87 @@ def _pivoted_diagonal(R):
     return diag, order
 
 
-def _solve(system, column_names=None):
-    """Least-squares coefficients of r on Z plus (Z'Z)^-1, from one QR.
+def _singular(R, column_names=None):
+    """The rejection rule on one R factor: None, or the error naming the column.
 
-    ``system`` is [Z, r], the design with the response as its last column;
-    callers build it in one piece so that Z is not copied again here.  The
-    R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
-    The coefficients and (Z'Z)^-1 = R^-1 R^-T both come from that R, with
-    accuracy that follows cond(Z) rather than the cond(Z)^2 of inverting
-    Z'Z.  Singularity is judged on a column-pivoted QR of R: since
-    Z P = Q (R P), its diagonal is that of Z's own pivoted QR.
+    The design is singular when the diagonal of a column-pivoted QR of R
+    decays below ``_RCOND_MIN`` of its first entry; since Z P = Q (R P), that
+    diagonal is the one of Z's own pivoted QR.
     """
-    q = system.shape[1] - 1
-    if q == 0:
-        return np.zeros(0), np.zeros((0, 0))
+    diag, order = _pivoted_diagonal(R)
+    if diag[0] != 0.0 and diag[-1] >= _RCOND_MIN * diag[0]:
+        return None
+    cut = _RCOND_MIN * max(diag[0], 1e-300)
+    bad = order[next((k for k, v in enumerate(diag) if v < cut), 0)]
+    name = column_names[bad] if column_names else f"column {bad}"
+    return SingularDesignError(f"design is numerically singular at {name}", column=bad)
+
+
+def _r_factors(system):
+    """R factors of a stack (k, rows, q+1) of [Z, r], each (q+1, q+1).
+
+    The R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
+    A system with fewer rows than columns gets zero rows below its R.
+    """
     R = np.linalg.qr(system, mode="r")
-    # fewer rows than columns: R has fewer rows, the diagonal past them is zero
-    diag, order = _pivoted_diagonal(R[:q, :q])
-    if diag[0] == 0.0 or diag[-1] < _RCOND_MIN * diag[0]:
-        cut = _RCOND_MIN * max(diag[0], 1e-300)
-        bad = order[next((k for k, v in enumerate(diag) if v < cut), 0)]
-        name = column_names[bad] if column_names else f"column {bad}"
-        raise SingularDesignError(f"design is numerically singular at {name}", column=bad)
+    short = system.shape[-1] - R.shape[-2]
+    if short:
+        R = np.concatenate([R, np.zeros(R.shape[:-2] + (short, R.shape[-1]))], axis=-2)
+    return R
+
+
+def _solve_factors(R, column_names=None):
+    """Least-squares coefficients and (Z'Z)^-1 of a stack of systems from their R factors.
+
+    ``R`` is (k, q+1, q+1), the R factors of k systems [Z, r].  Returns the
+    coefficients (k, q), (Z'Z)^-1 = R^-1 R^-T (k, q, q) and a list of k
+    entries, None or the :class:`SingularDesignError` that refuses the
+    system; a refused system's coefficients are NaN.  Accuracy follows
+    cond(Z) rather than the cond(Z)^2 of inverting Z'Z.
+
+    The rejection rule is exact at the cost of one batched singular-value
+    pass: the diagonal of the triangular factor of any column permutation of
+    R lies between R's extreme singular values, so a system whose R has a
+    reciprocal condition above ``_SKIP_RCOND`` cannot fall under
+    ``_RCOND_MIN``, with a hundredfold margin for rounding.  Only the others
+    take the column-pivoted QR of ``_singular``, one at a time.
+    """
+    k, q = R.shape[0], R.shape[-1] - 1
+    Rz = R[:, :q, :q]
+    # plain floats: a stack is a handful of small blocks, where each numpy
+    # call costs more than its arithmetic
+    errors = [None if s[-1] > _SKIP_RCOND * s[0] else _singular(Rz[i], column_names)
+              for i, s in enumerate(np.linalg.svd(Rz, compute_uv=False).tolist())]
+    refused = [i for i, err in enumerate(errors) if err is not None]
+    if refused:  # solved as the identity, then set to NaN
+        Rz = Rz.copy()
+        Rz[refused] = np.eye(q)
     # one solve against [Q'r, I] gives the coefficients and R^-1; the LU
-    # factors of an upper-triangular R are I and R, so this is back substitution
-    rhs = np.eye(q, q + 1, 1)
-    rhs[:, 0] = R[:q, q]
-    sol = np.linalg.solve(R[:q, :q], rhs)
-    r_inv = sol[:, 1:]
-    return sol[:, 0], r_inv @ r_inv.T
+    # factors of an upper-triangular R are I and R: back substitution
+    rhs = np.empty((k, q, q + 1))
+    rhs[:] = np.eye(q, q + 1, 1)
+    rhs[:, :, 0] = R[:, :q, q]
+    sol = np.linalg.solve(Rz, rhs)
+    r_inv = sol[:, :, 1:]
+    coef, gram_inv = sol[:, :, 0], r_inv @ r_inv.transpose(0, 2, 1)
+    if refused:
+        coef[refused] = gram_inv[refused] = np.nan
+    return coef, gram_inv, errors
+
+
+def _solve(system, column_names=None):
+    """Least-squares coefficients of r on Z plus (Z'Z)^-1 for one system [Z, r].
+
+    ``system`` is the design with the response as its last column; callers
+    build it in one piece so that Z is not copied again here.  The stack of
+    one of :func:`_solve_factors`; raises its :class:`SingularDesignError`.
+    """
+    if system.shape[1] == 1:
+        return np.zeros(0), np.zeros((0, 0))
+    coef, gram_inv, errors = _solve_factors(_r_factors(system[None]), column_names)
+    if errors[0] is not None:
+        raise errors[0]
+    return coef[0], gram_inv[0]
 
 
 def ols(design, response, column_names=None):
@@ -348,7 +405,9 @@ class _Sample:
 
     The ranks of each ranked variable come from the tie runs of the dataset.
     ``order`` lists the observations group by group (None when the fit is
-    one block), so every group's rows are contiguous without a further sort.
+    one block), so every group's rows are contiguous without a further sort;
+    ``bounds`` holds each fit block's [lo, hi) in that row order, and
+    ``system`` the sample's own [Z, r] in it.
     """
 
     def __init__(self, d, spec, omega):
@@ -368,85 +427,129 @@ class _Sample:
         self.ranks_y = self._ranks(self.runs_y)
         self.order = np.argsort(d.group_index, kind="stable") if spec == "rank-rank-group" else None
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
+        counts = [d.n] if self.order is None else np.bincount(d.group_index).tolist()
+        ends = list(itertools.accumulate(counts))
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        columns = [self.ranks_x, d.w, d.y if self.ranks_y is None else self.ranks_y]
+        self.system = np.column_stack([c for c in columns if c is not None])
+        if self.order is not None:
+            self.system = self.system[self.order]
 
-    def _ranks(self, runs, rows=None, mult=None):
-        """Ranks of the sample, or of ``rows`` in the resample from run totals of ``mult``.
+    def _ranks(self, runs, mult=None):
+        """Ranks of the sample, or of each resample in the stack ``mult`` (c, n).
 
-        A resample's ranks are scaled by its own size, the total of ``mult``.
+        A resample's ranks are run totals of its multiplicities, scaled by
+        its own size, the total of its row of ``mult``; they come in the row
+        order of ``mult``, which is the order of :attr:`system`.
         """
         if runs is None:
             return None
         if mult is None:
             below, at_or_below = kernels.comparison_counts(runs)
-            size = self.data.n
+            return ranks_from_counts(below, at_or_below, self.data.n, self.omega)
+        n_runs = runs.sizes.size
+        run = runs.run if self.order is None else runs.run[self.order]
+        # one bincount over the whole stack: resample i owns runs i*R..i*R+R-1
+        ids = run + n_runs * np.arange(mult.shape[0])[:, None]
+        per_run = np.bincount(ids.ravel(), weights=mult.ravel(), minlength=mult.shape[0] * n_runs)
+        at_or_below = np.cumsum(per_run.reshape(-1, n_runs), axis=1)
+        # ranks_from_counts is elementwise: rank each run, then give every
+        # row the rank of its run
+        ranks = ranks_from_counts(at_or_below - per_run.reshape(-1, n_runs), at_or_below,
+                                  mult.sum(axis=1, keepdims=True), self.omega)
+        return ranks.ravel()[ids]
+
+    @functools.cached_property
+    def _columns(self):
+        """:attr:`system` by columns, (q+1, n): the base of every resample's [Z, r]."""
+        return np.ascontiguousarray(self.system.T)
+
+    def solve_stack(self, m=None):
+        """Solve every fit block of the sample, or of each resample in a stack of multiplicities.
+
+        ``m`` is None for the sample itself, else (c, n) multiplicities of
+        the rows, one resample per row of ``m``.  Returns [Z, r] of shape
+        (c, n, q+1) in the row order of :attr:`system`, the coefficients
+        (c, G, q) and (Z'Z)^-1 (c, G, q, q) of the G fit blocks, and per
+        resample None or the error that refuses it (its values are NaN).
+
+        A resample of any total size ranks by run totals of its multiplicities
+        and weights every row by sqrt(m): rows with m = 0 add nothing to the R
+        factor, which is that of the design with each row repeated m times, so
+        it equals the fit of the repeated rows and the singular-design rule is
+        unchanged.  Each block is one stacked QR over the resamples; the
+        coefficients, the singular-value pass and the first-stage check are
+        batched over every block of every resample.  A refused block names
+        rank(x) when x is all tied in it; a resample with a group of fewer
+        than 2 rows is refused with DegenerateInputError.
+        """
+        if m is None:
+            system = self.system[None]
+            sizes = np.array([[hi - lo for lo, hi in self.bounds]])
         else:
-            run = runs.run[rows]
-            per_run = np.bincount(run, weights=mult, minlength=runs.sizes.size)
-            at_or_below = np.cumsum(per_run)[run]
-            below = at_or_below - per_run[run]
-            size = mult.sum()
-        return ranks_from_counts(below, at_or_below, size, self.omega)
+            m = np.asarray(m if self.order is None else m[:, self.order], dtype=np.float64)
+            # built by columns, so each resample's [Z, r] is in LAPACK's order
+            columns = np.empty((m.shape[0],) + self._columns.shape)
+            columns[:] = self._columns
+            if self.runs_x is not None:
+                columns[:, 0] = self._ranks(self.runs_x, m)
+            if self.runs_y is not None:
+                columns[:, -1] = self._ranks(self.runs_y, m)
+            columns *= np.sqrt(m)[:, None, :]
+            system = columns.transpose(0, 2, 1)
+            sizes = np.add.reduceat(m, [lo for lo, _ in self.bounds], axis=1)
+        c, n_blocks = sizes.shape
+        R = np.empty((c, n_blocks) + (system.shape[-1],) * 2)
+        for g, (lo, hi) in enumerate(self.bounds):
+            R[:, g] = _r_factors(system[:, lo:hi])
+        coef, gram_inv, singular = _solve_factors(R.reshape((c * n_blocks,) + R.shape[2:]), self.names)
+        coef = coef.reshape(c, n_blocks, -1)
+        gram_inv = gram_inv.reshape((c, n_blocks) + gram_inv.shape[1:])
+        refused = [err is not None for err in singular]
+        if self.ranks_x is not None:
+            # 1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma;
+            # (Z'Z)^-1[0, 0] >= 1 / |rank(x)|^2 > 0, and NaN when refused
+            first = (gram_inv[:, :, 0, 0] * sizes).ravel().tolist()
+            refused = [bad or 1.0 / v <= _DEGENERATE_VAR for bad, v in zip(refused, first)]
+        errors = [None] * c
+        if m is not None:  # a Dataset has no group of fewer than 2 rows
+            for i in np.flatnonzero((sizes < 2).any(axis=1)).tolist():
+                errors[i] = DegenerateInputError("a group has fewer than 2 rows in the resample")
+        for k in [k for k, bad in enumerate(refused) if bad]:
+            i, g = divmod(k, n_blocks)
+            if errors[i] is None:
+                errors[i] = self._refusal(singular[k], None if m is None else m[i], g)
+        return system, coef, gram_inv, errors
+
+    def _refusal(self, err, m, g):
+        """The error refusing block g of the sample, or of the resample with multiplicities m."""
+        err = err or AssumptionViolationError("rank variation is fully explained by the covariates")
+        lo, hi = self.bounds[g]
+        # an all-tied x makes rank(x) a constant column, which the pivot may
+        # keep in place of the intercept it duplicates
+        if isinstance(err, SingularDesignError) and self.runs_x is not None:
+            run = self.runs_x.run if self.order is None else self.runs_x.run[self.order]
+            run = run[lo:hi] if m is None else run[lo:hi][m[lo:hi] > 0]
+            if np.ptp(run) == 0:
+                err = SingularDesignError("design is numerically singular at rank(x)", column=0)
+        if self.order is not None:
+            err.args = (f"group {self.data.group_names[g]!r}: {err}",)
+        return err
 
     def solve(self, m=None):
-        """Solve every fit block of the sample, or of its resample with multiplicities m.
+        """Solve the sample, or its resample with multiplicities m: the stack of one.
 
-        Returns [Z, r] over the fitted rows, the input index of those rows
-        (None: all, in input order) and per block (lo, hi, coefficients,
-        (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  A resample of any total
-        size m.sum() ranks by run totals of m and fits the rows with m > 0
-        scaled by sqrt(m), whose R factor is that of the design with repeated
-        rows, so it equals the fit of the rows repeated m times and the
-        singular-design rule is unchanged.  A singular block whose x is all
-        tied names rank(x).  A group with fewer than 2 resampled rows raises
-        DegenerateInputError.
+        Returns [Z, r] over every row in the order of :attr:`system`, that
+        order's input index (None: input order) and per block (lo, hi,
+        coefficients, (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  Raises the
+        error that refuses the sample or the resample (see
+        :meth:`solve_stack`).
         """
-        d = self.data
-        rows = self.order
-        if m is None:
-            columns = [self.ranks_x, d.w, d.y if self.ranks_y is None else self.ranks_y]
-        else:
-            rows = np.flatnonzero(m) if rows is None else rows[m[rows] > 0]
-            mult = m[rows]
-            ry = self._ranks(self.runs_y, rows, mult)
-            columns = [self._ranks(self.runs_x, rows, mult), d.w[rows],
-                       d.y[rows] if ry is None else ry]
-        system = np.column_stack([c for c in columns if c is not None])
-        if m is not None:
-            system *= np.sqrt(mult)[:, None]
-        elif rows is not None:
-            system = system[rows]
-        if self.order is None:
-            counts, sizes = [system.shape[0]], [d.n if m is None else mult.sum()]
-        elif m is None:
-            counts = sizes = np.bincount(d.group_index)
-        else:
-            groups = d.group_index[rows]
-            counts = np.bincount(groups, minlength=d.n_groups)
-            sizes = np.bincount(groups, weights=mult, minlength=d.n_groups)
-            if np.any(sizes < 2):
-                raise DegenerateInputError("a group has fewer than 2 rows in the resample")
-        blocks = []
-        hi = 0
-        for g, (count, size) in enumerate(zip(counts, sizes)):
-            lo, hi = hi, hi + count
-            try:
-                coef, gram_inv = _solve(system[lo:hi], self.names)
-                # 1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma
-                if self.ranks_x is not None and 1.0 / (gram_inv[0, 0] * size) <= _DEGENERATE_VAR:
-                    raise AssumptionViolationError(
-                        "rank variation is fully explained by the covariates")
-            except (SingularDesignError, AssumptionViolationError) as err:
-                # an all-tied x makes rank(x) a constant column, which the
-                # pivot may keep in place of the intercept it duplicates
-                block = slice(lo, hi) if rows is None else rows[lo:hi]
-                if (isinstance(err, SingularDesignError) and self.runs_x is not None
-                        and np.ptp(self.runs_x.run[block]) == 0):
-                    err = SingularDesignError("design is numerically singular at rank(x)", column=0)
-                if self.order is not None:
-                    err.args = (f"group {d.group_names[g]!r}: {err}",)
-                raise err
-            blocks.append((lo, hi, coef, gram_inv))
-        return system, rows, blocks
+        system, coef, gram_inv, errors = self.solve_stack(None if m is None else m[None])
+        if errors[0] is not None:
+            raise errors[0]
+        blocks = [(lo, hi, coef[0, g], gram_inv[0, g]) for g, (lo, hi) in enumerate(self.bounds)]
+        return system[0], self.order, blocks
 
     def fit(self):
         """The sample's own fit: :meth:`solve` with every multiplicity 1."""

@@ -1,5 +1,7 @@
 """Bootstrap resampling: determinism, interval construction, rank recomputation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from rankreg import (
     plugin_slope_variance,
     rank_transform,
 )
-from rankreg.bootstrap import replicate_statistic
+import rankreg.estimators as estimators
+from rankreg.bootstrap import _CHUNK_BYTES, _replicates, replicate_statistic
+from rankreg.estimators import _Sample
 
 from conftest import make_tied_sample
 
@@ -221,6 +225,107 @@ class TestLiteralOracle:
         for b in reversed(range(24)):
             reversed_order[b] = replicate_statistic(d, spec, 0.5, 8, b)[0]
         assert np.array_equal(full.reshape(24, -1), reversed_order)
+
+
+class TestStackedReplicates:
+    """Chunked replicates: the condition-number skip, chunk bounds and memory."""
+
+    @staticmethod
+    def _scaled(rng, scale, n=40):
+        x = make_tied_sample(rng, n)
+        return Dataset(y=x + make_tied_sample(rng, n), x=x,
+                       w=np.column_stack([np.ones(n), scale * rng.normal(size=n)]))
+
+    def test_covariate_scaled_past_the_skip_bound_is_judged_exactly(self, rng, monkeypatch):
+        # a covariate scaled by 1e11 gives every draw a design with condition
+        # number 3e11-5e11, inside (1e10, 1e12): the batched pass cannot clear
+        # it, so the pivoted-QR rule judges each draw, and accepts it (its
+        # diagonal ratio is at least 2.3e-12)
+        d = self._scaled(rng, 1e11)
+        wants = [_literal_replicate(d, "rank-rank", 0.5, 2, b) for b in range(60)]
+        judged = []
+        singular = estimators._singular
+
+        def spy(R, column_names=None):
+            judged.append(np.linalg.cond(R))
+            return singular(R, column_names)
+
+        monkeypatch.setattr(estimators, "_singular", spy)
+        sample = _Sample(d, "rank-rank", 0.5)
+        sample.solve()
+        for b, (want, want_rejections) in enumerate(wants):
+            value, rejections = replicate_statistic(d, "rank-rank", 0.5, 2, b, sample)
+            assert rejections == want_rejections == 0
+            assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
+        assert len(judged) == 61
+        assert 1e10 < min(judged) and max(judged) < 1e12
+
+    def test_covariate_scaled_beyond_the_rule_is_refused(self, rng):
+        # scaled by 1e14 the pivoted diagonal ratio is about 3e-15, under the
+        # 1e-12 rule: the sample is refused, and so is every draw, as the
+        # literal refit refuses each of the same 100 resamples
+        d = self._scaled(rng, 1e14)
+        with pytest.raises(SingularDesignError):
+            bootstrap_distribution(d, "rank-rank", 0.5, BootstrapPlan(reps=5, seed=2))
+        with pytest.raises(BootstrapDiagnosticError, match="100 consecutive"):
+            replicate_statistic(d, "rank-rank", 0.5, 2, 0, _Sample(d, "rank-rank", 0.5))
+        r = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(0,)))
+        for _ in range(100):
+            with pytest.raises(SingularDesignError):
+                fit_spec(_resample(d, r.integers(0, d.n, size=d.n)), "rank-rank", 0.5)
+
+    @pytest.mark.parametrize("grouped, seed", [(False, 1), (True, 10)],
+                             ids=["singular-draw", "dropped-group"])
+    def test_chunks_equal_replicates_one_at_a_time(self, rng, grouped, seed):
+        # n = 2,000 fits 8-10 replicates in a chunk, so 60 replicates span 6-8
+        # chunks; the seeds give redraws inside chunks: a level covariate
+        # whose 4 rare rows a draw misses, or a 5-row group (distinct x) that
+        # a draw leaves with fewer than 2 rows, with one distinct x, or drops
+        n, reps = 2000, 60
+        x, y = make_tied_sample(rng, n), make_tied_sample(rng, n)
+        if grouped:
+            small = [7, 300, 900, 1400, 1999]
+            g = np.where(np.isin(np.arange(n), small), "B", "A")
+            x[small] = [0.0, 2.0, 4.0, 6.0, 8.0]
+            d = Dataset(y=y, x=x, w=np.ones((n, 1)), g=g)
+        else:
+            level = np.ones(n)
+            level[[10, 500, 1200, 1900]] = 3.0
+            d = Dataset(y=y, x=x, w=np.column_stack([np.ones(n), level]))
+        spec = "rank-rank-group" if grouped else "rank-rank"
+        size = _CHUNK_BYTES // _Sample(d, spec, 0.5).system.nbytes
+        assert 3 * size < reps
+        full = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=reps, seed=seed))
+        one_at_a_time = np.empty_like(full.reshape(reps, -1))
+        redrawn = []
+        for b in reversed(range(reps)):
+            one_at_a_time[b], rejections = replicate_statistic(d, spec, 0.5, seed, b)
+            redrawn += [b] * rejections
+        assert np.array_equal(full.reshape(reps, -1), one_at_a_time)
+        assert any(0 < b % size < size - 1 for b in redrawn)
+        if grouped:
+            dropped = 0
+            for b in set(redrawn):
+                r = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+                for _ in range(redrawn.count(b)):
+                    dropped += "B" not in g[r.integers(0, n, size=n)]
+            assert dropped > 0
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 64 replicates at n = 20,000: their (B, n) draws alone are 10 MB,
+        # while a chunk holds one replicate's 0.48 MB [Z, r]
+        rng = np.random.default_rng(0)
+        n = 20_000
+        d = Dataset(y=rng.normal(size=n), x=rng.normal(size=n), w=np.ones((n, 1)))
+        sample = _Sample(d, "rank-rank", 1.0)
+        sample.solve()
+        tracemalloc.start()
+        try:
+            _replicates(sample, BootstrapPlan(reps=64, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * _CHUNK_BYTES
 
 
 class TestFrozenRankRegression:

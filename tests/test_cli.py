@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rankreg
 from rankreg import cli, kernels
@@ -349,6 +350,37 @@ def test_ingest_matches_row_reader(tmp_path, problem, drop_missing):
     assert got == want
 
 
+def _numpy_tolist(value):
+    """json's ``default`` for numpy arrays and scalars: the oracle's conversion."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+)
+_json_documents = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_documents)
+def test_json_text_matches_json_dumps(document):
+    # the report writer against json itself: nested containers, empty ones,
+    # non-ASCII text, NaN and infinities, numpy scalars and 0-2-d arrays
+    want = json.dumps(document, indent=2, sort_keys=True, default=_numpy_tolist)
+    assert cli._json_text(document) == want
+
+
 class TestFitCommand:
     def test_three_se_blocks_and_theta_p(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -421,6 +453,21 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "group 'bad'" in err
         assert "np.str_" not in err
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["unused-column", "group-label"])
+    def test_latin1_file_is_io_error(self, tmp_path, capsys, grouped):
+        # a spreadsheet export in Latin-1, where an accented letter is one
+        # byte that UTF-8 cannot decode: in a column the fit never reads, or
+        # in a group label
+        name, place = ("Jose", "Córdoba") if grouped else ("José", "Cordoba")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(f"y,x,name,region\n1,3,Ana,Lima\n2,1,{name},{place}\n"
+                         f"3,2,Eva,Lima\n4,4,Luis,{place}\n".encode("latin-1"))
+        grouping = ["--spec", "rank-rank-group", "--group-col", "region"] if grouped else []
+        assert main(["fit", str(path), *grouping, "--out", str(tmp_path / "out.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path}: line 3: byte 0x" in err and "is not UTF-8" in err
 
     def test_strict_missing_value_is_io_error(self, tmp_path, capsys):
         path = _write_csv(tmp_path / "bad.csv", ["y", "x"], [[1, 2], ["NA", 3], [2, 2]])
