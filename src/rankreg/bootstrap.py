@@ -9,9 +9,10 @@ distinction.)
 
 A resample is read as the multiplicities ``m = bincount(idx)`` of the drawn
 indices (the multinomial-weights view of Efron's bootstrap) and fit by the
-same prepared sample as the point estimate, ``estimators._Sample``: x and y
-are sorted once per dataset, and a resample's ranks are run totals of ``m``
-over their tie runs, as a fresh rank transform of it gives.
+same prepared sample as the point estimate, the ``estimators._Sample`` that
+the fit keeps: x and y are sorted once per dataset, and a resample's ranks
+are run totals of ``m`` over their tie runs, as a fresh rank transform of it
+gives.
 
 Replicates are solved in chunks: as many resamples as fit ``_CHUNK_BYTES``
 of stacked [Z, r] (every row weighted by sqrt(m), so rows drawn zero times
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
-from .estimators import _Sample
+from .estimators import fit_spec
 from .inference import InferenceReport, normal_quantile
 
 __all__ = [
@@ -67,22 +68,6 @@ class BootstrapPlan:
             raise InvalidInputError(f"unknown ci_kind {self.ci_kind!r}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in (0, 1)")
-
-
-def replicate_statistic(d, spec, omega, seed, b, sample=None):
-    """Statistic of replicate b; pure function of (data, spec, omega, seed, b).
-
-    The statistic is the slope (one per group for grouped fits), or beta for
-    rank-level.  Returns (value, rejections) where rejections counts redrawn
-    degenerate resamples for this replicate.  ``sample`` is the prepared
-    ``estimators._Sample`` of ``d``.  This is the stack of one of the
-    replicates that :func:`bootstrap_distribution` solves in chunks.
-    """
-    if sample is None:
-        sample = _Sample(d, spec, omega)
-        sample.solve()  # a degenerate sample fails here, not as redraws
-    values, rejections = _chunk(sample, seed, [b])
-    return values[0], rejections
 
 
 def _chunk(sample, seed, replicates):
@@ -141,9 +126,8 @@ def bootstrap_distribution(d, spec, omega, plan):
     Replicate b depends only on (d, spec, omega, plan.seed, b): each lives in
     its own RNG stream and lands in the result by index.
     """
-    sample = _Sample(d, spec, omega)
-    sample.solve()  # a degenerate sample fails here, not as redraws
-    out = _replicates(sample, plan)
+    # a degenerate sample fails in its own fit, not as redraws
+    out = _replicates(fit_spec(d, spec, omega).sample, plan)
     return out[:, 0] if out.shape[1] == 1 else out
 
 
@@ -181,21 +165,20 @@ def bootstrap_ci(replicates, point, plan):
     return float(point - half), float(point + half)
 
 
-def bootstrap_report(d, spec, omega, plan):
-    """InferenceReport for the target statistic with bootstrap SEs and CIs.
+def bootstrap_report(fit, plan):
+    """InferenceReport for the target statistic of a fit with bootstrap SEs and CIs.
 
-    The statistic is the leading k coefficients of the fit: k = p for
-    rank-level, one slope per group for grouped fits, the slope otherwise.
+    The replicates resample the fit's own prepared sample.  The statistic is
+    the leading k coefficients of the fit: k = p for rank-level, one slope
+    per group for grouped fits, the slope otherwise.
     """
-    sample = _Sample(d, spec, omega)
-    fit = sample.fit()
-    reps2d = _replicates(sample, plan)
+    reps2d = _replicates(fit.sample, plan)
     k = reps2d.shape[1]
     point = fit.estimates[:k]
-    se = reps2d.std(axis=0, ddof=1)
+    se = np.atleast_1d(bootstrap_se(reps2d))
     ci = np.array([bootstrap_ci(reps2d[:, j], point[j], plan) for j in range(k)])
     # variance on the sqrt(n) scale to stay comparable with analytic reports
-    variance = np.diag((se**2) * d.n)
+    variance = np.diag((se**2) * fit.n)
     return InferenceReport(
         method="bootstrap",
         names=fit.coef_names[:k],
@@ -204,5 +187,5 @@ def bootstrap_report(d, spec, omega, plan):
         se=se,
         ci=ci,
         alpha=plan.alpha,
-        n=d.n,
+        n=fit.n,
     )

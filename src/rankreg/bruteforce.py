@@ -38,14 +38,19 @@ def rank_transform_pairwise(sample, omega=1.0):
     return out
 
 
-def _xi1_columns(fit, d, gamma, tau, delta):
-    rx, W = fit.ranks_x, d.w
-    p = W.shape[1]
-    cols = [rx - W @ gamma]
-    for l in range(p):
-        others = np.delete(np.arange(p), l)
-        cols.append(W[:, l] - tau[l] * rx - W[:, others] @ delta[l])
-    return cols
+def _projections(Z, rows=slice(None)):
+    """Per column l of Z, the least-squares coefficients of Z_l on the other columns.
+
+    Solved by ``np.linalg.lstsq`` over the block's rows, independently of
+    the fit's own A^-1.
+    """
+    return [np.linalg.lstsq(np.delete(Z[rows], l, axis=1), Z[rows, l], rcond=None)[0]
+            for l in range(Z.shape[1])]
+
+
+def _residual(Z, l, coef):
+    """Column l of Z minus its projection ``coef`` on the other columns, on every row."""
+    return Z[:, l] - np.delete(Z, l, axis=1) @ coef
 
 
 def _ranked_regressor_pairwise(fit, d):
@@ -56,8 +61,9 @@ def _ranked_regressor_pairwise(fit, d):
     rho = fit.slope
     eps = fit.residuals
     w_beta = W @ fit.beta
-    w_gamma = W @ fit.gamma
-    xi1 = _xi1_columns(fit, d, fit.gamma, fit.tau, fit.delta)
+    Z = np.column_stack([fit.ranks_x, W])
+    coefs = _projections(Z)
+    xi1 = [_residual(Z, l, c) for l, c in enumerate(coefs)]
     ranked_outcome = fit.spec == "rank-rank"
     names = ["rank(x)"] + list(d.w_names)
     psi = np.empty((n, 1 + p))
@@ -65,6 +71,8 @@ def _ranked_regressor_pairwise(fit, d):
     for i in range(n):
         kx = _kernel_row(d.x[i], d.x, omega)
         ky = _kernel_row(d.y[i], d.y, omega) if ranked_outcome else None
+        # the design with rank(x) replaced by the kernel row of observation i
+        Zk = np.column_stack([kx, W])
         for l in range(1 + p):
             c = xi1[l]
             h1 = eps[i] * c[i]
@@ -72,13 +80,7 @@ def _ranked_regressor_pairwise(fit, d):
                 h2 = float(np.sum((ky - rho * kx - w_beta) * c)) / n
             else:
                 h2 = float(np.sum((d.y - rho * kx - w_beta) * c)) / n
-            if l == 0:
-                h3 = float(np.sum(eps * (kx - w_gamma))) / n
-            else:
-                j = l - 1
-                others = np.delete(np.arange(p), j)
-                xi3 = W[:, j] - fit.tau[j] * kx - W[:, others] @ fit.delta[j]
-                h3 = float(np.sum(eps * xi3)) / n
+            h3 = float(np.sum(eps * _residual(Zk, l, coefs[l]))) / n
             psi[i, l] = (h1 + h2 + h3) / scales[l]
     return InfluenceRows(psi=psi, names=names, scales=scales)
 
@@ -93,30 +95,27 @@ def _grouped_pairwise(fit, d):
     q = (1 + p) * n_g
     psi = np.empty((n, q))
     scales = np.empty(q)
+    Z = np.column_stack([fit.ranks_x, W])
     for g in range(n_g):
-        mask = (d.group_index == g).astype(np.float64)
+        rows = d.group_index == g
+        mask = rows.astype(np.float64)
         rho_g = fit.slope[g]
         beta_g = fit.beta[g]
         eps_g = (fit.ranks_y - rho_g * fit.ranks_x - W @ beta_g) * mask
         w_beta = W @ beta_g
-        w_gamma = W @ fit.gamma[g]
-        xi1 = _xi1_columns(fit, d, fit.gamma[g], fit.tau[g], fit.delta[g])
+        coefs = _projections(Z, rows)
+        xi1 = [_residual(Z, l, c) for l, c in enumerate(coefs)]
         for l in range(1 + p):
             scales[l * n_g + g] = float(np.mean(mask * xi1[l] ** 2))
         for i in range(n):
             kx = _kernel_row(d.x[i], d.x, omega)
             ky = _kernel_row(d.y[i], d.y, omega)
+            Zk = np.column_stack([kx, W])
             for l in range(1 + p):
                 c = xi1[l]
                 h1 = eps_g[i] * c[i]
                 h2 = float(np.sum(mask * (ky - rho_g * kx - w_beta) * c)) / n
-                if l == 0:
-                    h3 = float(np.sum(eps_g * (kx - w_gamma))) / n
-                else:
-                    j = l - 1
-                    others = np.delete(np.arange(p), j)
-                    xi3 = W[:, j] - fit.tau[g][j] * kx - W[:, others] @ fit.delta[g][j]
-                    h3 = float(np.sum(eps_g * xi3)) / n
+                h3 = float(np.sum(eps_g * _residual(Zk, l, coefs[l]))) / n
                 psi[i, l * n_g + g] = (h1 + h2 + h3) / scales[l * n_g + g]
     return InfluenceRows(psi=psi, names=names, scales=scales)
 
@@ -130,9 +129,8 @@ def _rank_level_pairwise(fit, d):
     w_beta = W @ fit.beta
     psi = np.empty((n, p))
     scales = np.empty(p)
-    for l in range(p):
-        others = np.delete(np.arange(p), l)
-        nu_l = W[:, l] - W[:, others] @ fit.delta[l]
+    for l, coef in enumerate(_projections(W)):
+        nu_l = _residual(W, l, coef)
         scales[l] = float(np.mean(nu_l * nu_l))
         for i in range(n):
             ky = _kernel_row(d.y[i], d.y, omega)

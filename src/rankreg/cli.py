@@ -370,7 +370,7 @@ def _diagnostics(d, fit, info):
         "rows_dropped": info.get("rows_dropped", 0),
         "tie_count_x": d.runs_x.tied if d.x is not None else 0,
         "tie_count_y": d.runs_y.tied,
-        "design_condition_number": float(np.linalg.cond(fit.regressors)),
+        "design_condition_number": float(np.linalg.cond(fit.sample.system[:, :-1])),
     }
     if d.group_index is not None:
         sizes = np.bincount(d.group_index).tolist()
@@ -382,6 +382,8 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
     """Delta-method expected outcome rank at regressor rank p: intercept + slope*p."""
     if fit.spec not in ("rank-rank", "rank-rank-group"):
         raise InvalidInputError("--theta-p applies to rank-rank specifications")
+    if not (0.0 <= p_value <= 1.0):  # ranks lie in (0, 1]
+        raise InvalidInputError(f"rank position p must lie in [0, 1], got {p_value}")
     names = plugin_report.names
     q = len(names)
     blocks = []
@@ -443,9 +445,7 @@ def cmd_fit(args):
                 reps=args.bootstrap_reps, seed=args.seed,
                 ci_kind=args.ci_kind, alpha=args.alpha,
             )
-            se_blocks[method] = _report_block(
-                bootstrap_report(d, args.spec, args.omega, plan)
-            )
+            se_blocks[method] = _report_block(bootstrap_report(fit, plan))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bootstrap import BootstrapPlan, _replicates, bootstrap_ci
 from .errors import CalibrationError, InvalidInputError
-from .estimators import Dataset, _Sample
+from .estimators import Dataset, fit_spec
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
 from .kernels import comparison_counts, comparison_weighted_sums, tie_runs
 from .ranks import ranks_from_counts, spearman
@@ -300,6 +300,8 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     here have continuous marginals).  Reports coverage, its Monte Carlo
     standard error, and the mean interval width.
     """
+    if reps < 1:
+        raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
     methods = tuple(methods)
     for m in methods:
         if m not in ("plugin", "hom", "ew", "bootstrap"):
@@ -312,8 +314,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
         x, y = model.sample(n, rng)
         d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
-        sample = _Sample(d, "rank-rank", omega)
-        fit = sample.fit()
+        fit = fit_spec(d, "rank-rank", omega)
         covered = np.zeros(len(methods))
         widths = np.zeros(len(methods))
         for k, m in enumerate(methods):
@@ -333,7 +334,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
                     ci_kind=bootstrap_plan.ci_kind,
                     alpha=alpha,
                 )
-                boots = _replicates(sample, plan)[:, 0]
+                boots = _replicates(fit.sample, plan)[:, 0]
                 lo_, hi_ = bootstrap_ci(boots, fit.slope, plan)
             covered[k] = 1.0 if lo_ <= truth <= hi_ else 0.0
             widths[k] = hi_ - lo_

@@ -325,11 +325,10 @@ class FitResult:
     residual of Z_l on the other regressors over its second moment, which is
     everything the inference step needs.
 
-    ``gamma``, ``tau`` and ``delta`` are read-only views of ``a_inv`` (per
-    group for grouped fits): ``gamma`` is the first-stage projection of
-    rank(x) on W, and per covariate column l, ``tau[l]``/``delta[l]`` project
-    W_l on (rank(x), W_-l).  For rank-level fits ``gamma`` and ``tau`` are
-    None and ``delta[l]`` projects W_l on the remaining columns alone.
+    ``gamma`` is a read-only view of ``a_inv`` (per group for grouped fits):
+    the first-stage projection of rank(x) on W, None for rank-level fits.
+    ``sample`` is the prepared sample the fit solved; inference and the
+    bootstrap read its design and group blocks rather than rebuild them.
     """
 
     spec: str
@@ -341,41 +340,17 @@ class FitResult:
     ranks_x: np.ndarray | None
     ranks_y: np.ndarray | None
     residuals: np.ndarray
+    sample: "_Sample" = field(repr=False)
 
     @property
     def n(self):
         return self.data.n
 
     @property
-    def regressors(self):
-        """The design Z: [rank(x), W], or W alone for rank-level fits."""
-        if self.spec == "rank-level":
-            return self.data.w
-        return np.column_stack([self.ranks_x, self.data.w])
-
-    @property
     def gamma(self):
         if self.spec == "rank-level":
             return None
         return _projection_coefficients(self.a_inv)[..., 1:, 0]
-
-    @property
-    def tau(self):
-        if self.spec == "rank-level":
-            return None
-        return _projection_coefficients(self.a_inv)[..., 0, 1:]
-
-    @property
-    def delta(self):
-        coef = _projection_coefficients(self.a_inv)
-        k = 0 if self.spec == "rank-level" else 1
-
-        def block(c):
-            return [np.delete(c[k:, k + l], l) for l in range(c.shape[0] - k)]
-
-        if self.spec == "rank-rank-group":
-            return [block(c) for c in coef]
-        return block(coef)
 
     @property
     def coef_names(self):
@@ -407,7 +382,8 @@ class _Sample:
     ``order`` lists the observations group by group (None when the fit is
     one block), so every group's rows are contiguous without a further sort;
     ``bounds`` holds each fit block's [lo, hi) in that row order, and
-    ``system`` the sample's own [Z, r] in it.
+    ``system`` the sample's own [Z, r] in it.  The fit keeps its sample, so
+    a command prepares one: the variances and the bootstrap read it.
     """
 
     def __init__(self, d, spec, omega):
@@ -536,34 +512,20 @@ class _Sample:
             err.args = (f"group {self.data.group_names[g]!r}: {err}",)
         return err
 
-    def solve(self, m=None):
-        """Solve the sample, or its resample with multiplicities m: the stack of one.
-
-        Returns [Z, r] over every row in the order of :attr:`system`, that
-        order's input index (None: input order) and per block (lo, hi,
-        coefficients, (Z'Z)^-1) with [lo, hi) its rows of [Z, r].  Raises the
-        error that refuses the sample or the resample (see
-        :meth:`solve_stack`).
-        """
-        system, coef, gram_inv, errors = self.solve_stack(None if m is None else m[None])
+    def fit(self):
+        """The sample's own fit: :meth:`solve_stack` with every multiplicity 1."""
+        d = self.data
+        system, coef, gram_inv, errors = self.solve_stack()
         if errors[0] is not None:
             raise errors[0]
-        blocks = [(lo, hi, coef[0, g], gram_inv[0, g]) for g, (lo, hi) in enumerate(self.bounds)]
-        return system[0], self.order, blocks
-
-    def fit(self):
-        """The sample's own fit: :meth:`solve` with every multiplicity 1."""
-        d = self.data
-        system, rows, blocks = self.solve()
+        system, coef, a_inv = system[0], coef[0], d.n * gram_inv[0]
         residuals = system[:, -1].copy()
-        for lo, hi, coef, _ in blocks:
-            residuals[lo:hi] -= system[lo:hi, :-1] @ coef
-        if rows is not None:
-            residuals[rows] = residuals.copy()
-        coef = np.array([block[2] for block in blocks])
-        a_inv = d.n * np.array([block[3] for block in blocks])
+        for (lo, hi), c in zip(self.bounds, coef):
+            residuals[lo:hi] -= system[lo:hi, :-1] @ c
         if self.order is None:
             coef, a_inv = coef[0], a_inv[0]
+        else:  # back to input order
+            residuals[self.order] = residuals.copy()
         if self.spec == "rank-level":
             slope, beta = None, coef
         elif self.order is None:
@@ -580,6 +542,7 @@ class _Sample:
             ranks_x=self.ranks_x,
             ranks_y=self.ranks_y,
             residuals=residuals,
+            sample=self,
         )
 
 

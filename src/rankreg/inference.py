@@ -138,54 +138,55 @@ def _resolve_data(fit, data):
     return d
 
 
-def _blocks(fit, d):
-    """(rows, slope, beta, A^-1, psi columns) for each fit block.
+def _blocks(fit):
+    """(rows, [Z, r], slope, beta, A^-1, psi columns) for each fit block.
 
-    The rows index the block's observations.  The grouped fit has one block
-    per group; its columns are ordered coefficient-major then group, so
-    group g owns every n_groups-th column.
+    The rows index the block's observations and [Z, r] is their slice of
+    the fit's prepared sample.  The grouped fit has one block per group; its
+    columns are ordered coefficient-major then group, so group g owns every
+    n_groups-th column.
     """
-    if fit.spec != "rank-rank-group":
-        return [(slice(None), fit.slope, fit.beta, fit.a_inv, slice(None))]
-    n_g = d.n_groups
-    return [
-        (np.flatnonzero(d.group_index == g), fit.slope[g], fit.beta[g], fit.a_inv[g],
-         slice(g, None, n_g))
-        for g in range(n_g)
-    ]
+    s = fit.sample
+    if s.order is None:
+        return [(slice(None), s.system, fit.slope, fit.beta, fit.a_inv, slice(None))]
+    n_g = len(s.bounds)
+    return [(s.order[lo:hi], s.system[lo:hi], fit.slope[g], fit.beta[g], fit.a_inv[g],
+             slice(g, None, n_g))
+            for g, (lo, hi) in enumerate(s.bounds)]
 
 
-def _block_psi(fit, d, Z, rows, rho, beta, a_cols):
+def _block_psi(fit, rows, system, rho, beta, a_cols):
     """Influence columns of one fit block for the columns ``a_cols`` of A^-1.
 
-    ``Z`` is the fit's whole design.  The kernel sums run over the block's
-    members while every observation receives their terms (pooled ranks tie
-    the groups together).
+    ``system`` is the block's [Z, r]: Z is [rank(x), W] when x is ranked,
+    else W, and r is rank(y) when y is ranked, else y.  The kernel sums run
+    over the block's members while every observation receives their terms
+    (pooled ranks tie the groups together).
     """
-    n = d.n
-    eps, y, w = fit.residuals[rows], d.y[rows], d.w[rows]
-    C = Z[rows] @ a_cols
-    w_beta = w @ beta
-    if fit.spec == "level-rank":
-        kernel = (y - w_beta) @ C
+    s = fit.sample
+    Z, r = system[:, :-1], system[:, -1]
+    eps = fit.residuals[rows]
+    C = Z @ a_cols
+    w_beta = (Z if s.runs_x is None else Z[:, 1:]) @ beta
+    if s.runs_y is None:
+        kernel = (r - w_beta) @ C
     else:
-        kernel = comparison_weighted_sums(d.runs_y, C, fit.omega, rows) - w_beta @ C
-    if fit.spec != "rank-level":
-        t_x = comparison_weighted_sums(d.runs_x, np.column_stack([C, eps]), fit.omega, rows)
-        t_x_eps = t_x[:, -1] - eps @ fit.ranks_x[rows]
+        kernel = comparison_weighted_sums(s.runs_y, C, s.omega, rows) - w_beta @ C
+    if s.runs_x is not None:
+        t_x = comparison_weighted_sums(s.runs_x, np.column_stack([C, eps]), s.omega, rows)
+        t_x_eps = t_x[:, -1] - eps @ Z[:, 0]
         kernel = kernel - rho * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
-    psi = kernel / n
+    psi = kernel / fit.n
     psi[rows] += eps[:, None] * C
     return psi
 
 
-def _influence(fit, d, only_slope=False):
+def _influence(fit, only_slope=False):
     """Influence rows of every coefficient, or of the slope alone."""
     names = fit.coef_names[:1] if only_slope else fit.coef_names
-    psi = np.empty((d.n, len(names)))
+    psi = np.empty((fit.n, len(names)))
     scales = np.empty(len(names))
-    Z = fit.regressors
-    for rows, rho, beta, a_inv, cols in _blocks(fit, d):
+    for rows, system, rho, beta, a_inv, cols in _blocks(fit):
         a_cols = a_inv[:, :1] if only_slope else a_inv
         block_scales = 1.0 / np.diagonal(a_inv)[: a_cols.shape[1]]
         for name, scale in zip(names[cols], block_scales):
@@ -193,21 +194,22 @@ def _influence(fit, d, only_slope=False):
                 raise AssumptionViolationError(
                     f"projection residual for {name} is degenerate; its variance is ~0"
                 )
-        psi[:, cols] = _block_psi(fit, d, Z, rows, rho, beta, a_cols)
+        psi[:, cols] = _block_psi(fit, rows, system, rho, beta, a_cols)
         scales[cols] = block_scales
     return InfluenceRows(psi=psi, names=names, scales=scales)
 
 
 def influence_rows(fit, data=None):
     """Per-observation influence values for every coefficient of a fit."""
-    d = _resolve_data(fit, data)
+    _resolve_data(fit, data)
     if fit.spec not in SPECS:
         raise InvalidInputError(f"unknown specification {fit.spec!r}")
-    return _influence(fit, d)
+    return _influence(fit)
 
 
-def _report_from_variance(fit, variance, names, estimates, alpha, n, method,
-                          influence=None):
+def _report_from_variance(variance, names, estimates, alpha, n, method, influence=None):
+    if not (0.0 < alpha < 1.0):  # alpha in [1, 2) would invert every interval
+        raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     variance = np.atleast_2d(np.asarray(variance, dtype=np.float64))
     variance = 0.5 * (variance + variance.T)  # absorb round-off asymmetry
     diag = np.clip(np.diag(variance), 0.0, None)
@@ -234,7 +236,7 @@ def plugin_covariance(fit, data=None, alpha=0.05):
     rows = influence_rows(fit, d)
     sigma = rows.psi.T @ rows.psi / d.n
     return _report_from_variance(
-        fit, sigma, rows.names, fit.estimates, alpha, d.n, "plugin", influence=rows
+        sigma, rows.names, fit.estimates, alpha, d.n, "plugin", influence=rows
     )
 
 
@@ -250,10 +252,10 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
         )
-    rows = _influence(fit, d, only_slope=True)
+    rows = _influence(fit, only_slope=True)
     sigma2 = float(np.mean(rows.psi[:, 0] ** 2))
     return _report_from_variance(
-        fit, [[sigma2]], rows.names, [fit.slope], alpha, d.n, "plugin", influence=rows
+        [[sigma2]], rows.names, [fit.slope], alpha, d.n, "plugin", influence=rows
     )
 
 
@@ -270,9 +272,8 @@ def _naive_covariance(fit, d, alpha, kind):
     """
     q = len(fit.coef_names)
     variance = np.zeros((q, q))
-    design = fit.regressors
-    for rows, _, _, a_inv, cols in _blocks(fit, d):
-        Z, resid = design[rows], fit.residuals[rows]
+    for rows, system, _, _, a_inv, cols in _blocks(fit):
+        Z, resid = system[:, :-1], fit.residuals[rows]
         if kind == "hom":
             block = a_inv * float(np.mean(resid**2))
         else:
@@ -281,7 +282,7 @@ def _naive_covariance(fit, d, alpha, kind):
         idx = np.arange(q)[cols]
         variance[np.ix_(idx, idx)] = block
     return _report_from_variance(
-        fit, variance, fit.coef_names, fit.estimates, alpha, d.n, kind
+        variance, fit.coef_names, fit.estimates, alpha, d.n, kind
     )
 
 
@@ -309,7 +310,7 @@ def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,
     avar = float(weights @ variance @ weights)
     if avar < 0.0:
         avar = 0.0
-    return _report_from_variance(None, [[avar]], [name], [point], alpha, n, "plugin")
+    return _report_from_variance([[avar]], [name], [point], alpha, n, "plugin")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from rankreg import (
     rank_transform,
 )
 import rankreg.estimators as estimators
-from rankreg.bootstrap import _CHUNK_BYTES, _replicates, replicate_statistic
+from rankreg.bootstrap import _CHUNK_BYTES, _chunk, _replicates
 from rankreg.estimators import _Sample
 
 from conftest import make_tied_sample
@@ -97,10 +97,11 @@ class TestDistribution:
         d = _dataset(rng)
         plan = BootstrapPlan(reps=30, seed=9)
         reference = bootstrap_distribution(d, "rank-rank", 1.0, plan)
+        sample = _Sample(d, "rank-rank", 1.0)
         shuffled = np.empty(plan.reps)
         for b in reversed(range(plan.reps)):
-            value, _ = replicate_statistic(d, "rank-rank", 1.0, plan.seed, b)
-            shuffled[b] = value[0]
+            values, _ = _chunk(sample, plan.seed, [b])
+            shuffled[b] = values[0, 0]
         assert np.array_equal(reference, shuffled)
 
     def test_se_close_to_plugin_under_smooth_dgp(self):
@@ -145,7 +146,7 @@ class TestDistribution:
         with pytest.raises(SingularDesignError):
             bootstrap_distribution(d, "rank-rank", 1.0, BootstrapPlan(reps=5, seed=0))
         with pytest.raises(SingularDesignError):
-            replicate_statistic(d, "rank-rank", 1.0, 0, 0)
+            _Sample(d, "rank-rank", 1.0).fit()
 
     def test_rank_level_returns_coefficient_matrix(self, rng):
         n = 60
@@ -184,9 +185,10 @@ class TestLiteralOracle:
         level[[4, 17, 33]] = 3.0
         d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
                     w=np.column_stack([np.ones(n), level]))
+        sample = _Sample(d, "rank-rank", 0.5)
         total = 0
         for b in range(80):
-            value, rejections = replicate_statistic(d, "rank-rank", 0.5, 2, b)
+            (value,), rejections = _chunk(sample, 2, [b])
             want, want_rejections = _literal_replicate(d, "rank-rank", 0.5, 2, b)
             assert rejections == want_rejections
             assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
@@ -204,9 +206,10 @@ class TestLiteralOracle:
         n = len(labels)
         d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
                     w=np.ones((n, 1)), g=np.array(labels))
+        sample = _Sample(d, "rank-rank-group", 1.0)
         missed = 0
         for b in range(40):
-            value, rejections = replicate_statistic(d, "rank-rank-group", 1.0, 1, b)
+            (value,), rejections = _chunk(sample, 1, [b])
             want, want_rejections = _literal_replicate(d, "rank-rank-group", 1.0, 1, b)
             assert value.shape == (d.n_groups,)
             assert rejections == want_rejections
@@ -221,9 +224,10 @@ class TestLiteralOracle:
         full = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=24, seed=8))
         prefix = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=10, seed=8))
         assert np.array_equal(full[:10], prefix)
+        sample = _Sample(d, spec, 0.5)
         reversed_order = np.empty_like(full.reshape(24, -1))
         for b in reversed(range(24)):
-            reversed_order[b] = replicate_statistic(d, spec, 0.5, 8, b)[0]
+            reversed_order[b] = _chunk(sample, 8, [b])[0][0]
         assert np.array_equal(full.reshape(24, -1), reversed_order)
 
 
@@ -252,9 +256,9 @@ class TestStackedReplicates:
 
         monkeypatch.setattr(estimators, "_singular", spy)
         sample = _Sample(d, "rank-rank", 0.5)
-        sample.solve()
+        sample.fit()
         for b, (want, want_rejections) in enumerate(wants):
-            value, rejections = replicate_statistic(d, "rank-rank", 0.5, 2, b, sample)
+            (value,), rejections = _chunk(sample, 2, [b])
             assert rejections == want_rejections == 0
             assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
         assert len(judged) == 61
@@ -268,7 +272,7 @@ class TestStackedReplicates:
         with pytest.raises(SingularDesignError):
             bootstrap_distribution(d, "rank-rank", 0.5, BootstrapPlan(reps=5, seed=2))
         with pytest.raises(BootstrapDiagnosticError, match="100 consecutive"):
-            replicate_statistic(d, "rank-rank", 0.5, 2, 0, _Sample(d, "rank-rank", 0.5))
+            _chunk(_Sample(d, "rank-rank", 0.5), 2, [0])
         r = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(0,)))
         for _ in range(100):
             with pytest.raises(SingularDesignError):
@@ -293,13 +297,14 @@ class TestStackedReplicates:
             level[[10, 500, 1200, 1900]] = 3.0
             d = Dataset(y=y, x=x, w=np.column_stack([np.ones(n), level]))
         spec = "rank-rank-group" if grouped else "rank-rank"
-        size = _CHUNK_BYTES // _Sample(d, spec, 0.5).system.nbytes
+        sample = _Sample(d, spec, 0.5)
+        size = _CHUNK_BYTES // sample.system.nbytes
         assert 3 * size < reps
         full = bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=reps, seed=seed))
         one_at_a_time = np.empty_like(full.reshape(reps, -1))
         redrawn = []
         for b in reversed(range(reps)):
-            one_at_a_time[b], rejections = replicate_statistic(d, spec, 0.5, seed, b)
+            (one_at_a_time[b],), rejections = _chunk(sample, seed, [b])
             redrawn += [b] * rejections
         assert np.array_equal(full.reshape(reps, -1), one_at_a_time)
         assert any(0 < b % size < size - 1 for b in redrawn)
@@ -318,7 +323,7 @@ class TestStackedReplicates:
         n = 20_000
         d = Dataset(y=rng.normal(size=n), x=rng.normal(size=n), w=np.ones((n, 1)))
         sample = _Sample(d, "rank-rank", 1.0)
-        sample.solve()
+        sample.fit()
         tracemalloc.start()
         try:
             _replicates(sample, BootstrapPlan(reps=64, seed=0))
@@ -392,7 +397,7 @@ class TestReport:
     def test_report_shape_and_interval(self, rng):
         d = _dataset(rng, n=60)
         plan = BootstrapPlan(reps=99, seed=2)
-        report = bootstrap_report(d, "rank-rank", 1.0, plan)
+        report = bootstrap_report(fit_rank_rank(d, 1.0), plan)
         assert report.method == "bootstrap"
         assert report.names == ["rank(x)"]
         assert report.ci.shape == (1, 2)

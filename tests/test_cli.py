@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rankreg
-from rankreg import cli, kernels
+from rankreg import cli, estimators, kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -528,6 +528,46 @@ class TestEdgeExitCodes:
         assert self._fit(tmp_path, ["y", "x", "z"], rows, "--w-cols", "z") == EXIT_IO
         assert "need n >= p + 2 observations (n=3, p=2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "sweep", "coverage"])
+    def test_alpha_outside_unit_interval_is_refused(self, sample_csv, tmp_path, capsys,
+                                                    command):
+        # alpha = 1.5 used to exit 0 with every interval inverted
+        argv = {"fit": ["fit", sample_csv, "--se", "plugin,hom,ew"],
+                "sweep": ["sweep", sample_csv, "--grid", "0.5,1"],
+                "coverage": ["coverage", "--family", "reflection", "--param", "0.5",
+                             "--n", "50", "--reps", "2"]}[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--alpha", "1.5", "--out", str(out)]) == EXIT_IO
+        assert "alpha must lie in the open interval (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["2", "-0.1", "nan"])
+    def test_theta_p_outside_unit_interval_is_refused(self, sample_csv, tmp_path, capsys, p):
+        # ranks lie in (0, 1]; --theta-p 2 used to report theta(2) with a CI
+        out = tmp_path / "out.json"
+        assert main(["fit", sample_csv, "--theta-p", p, "--out", str(out)]) == EXIT_IO
+        assert "rank position p must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_coverage_without_reps_is_refused(self, tmp_path, capsys, reps):
+        # 0 reps ended in a ZeroDivisionError traceback, -1 in a ValueError one
+        out = tmp_path / "coverage.csv"
+        assert main(["coverage", "--family", "independence", "--n", "50", "--reps", reps,
+                     "--out", str(out)]) == EXIT_IO
+        assert f"coverage needs at least one rep, got {reps}" in capsys.readouterr().err
+
+    def test_one_bootstrap_replicate_is_one_error_line(self, sample_csv, tmp_path):
+        # the SE of a single replicate used to print two numpy RuntimeWarnings
+        # before the error line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rankreg.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-m", "rankreg.cli", "fit", sample_csv, "--se", "bootstrap",
+             "--bootstrap-reps", "1", "--out", str(tmp_path / "out.json")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert run.returncode == EXIT_IO
+        assert run.stderr == "error: need at least two replicates for a bootstrap SE\n"
+
     def test_covariate_collinear_with_rank_x_up_to_noise(self, tmp_path, rng, capsys):
         # cond(Z) near 1e8 passes the 1e-12 singularity rule; the first stage
         # leaves rank(x) a residual variance near 1e-16 and fails there
@@ -631,6 +671,28 @@ class TestOneSortPerVariable:
         columns, _ = ingest_csv(sample_csv, "y", "x")
         assert sorted(v.tobytes() for v in sorted_values) == sorted(
             [columns["x"].tobytes(), columns["y"].tobytes()])
+
+
+class TestOneSamplePerCommand:
+    """A fit command prepares one ``estimators._Sample``, which every SE method reads."""
+
+    @pytest.mark.parametrize("grouping", [
+        [], ["--spec", "rank-rank-group", "--group-col", "region"],
+    ], ids=["plain", "grouped"])
+    def test_every_se_method_reads_the_fit_sample(self, sample_csv, tmp_path, monkeypatch,
+                                                  grouping):
+        prepared = []
+        init = estimators._Sample.__init__
+
+        def counting(sample, *args):
+            prepared.append(sample)
+            init(sample, *args)
+
+        monkeypatch.setattr(estimators._Sample, "__init__", counting)
+        assert main(["fit", sample_csv, *grouping, "--se", "plugin,hom,ew,bootstrap",
+                     "--bootstrap-reps", "60", "--theta-p", "0.5",
+                     "--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert len(prepared) == 1
 
 
 class TestDeterminism:

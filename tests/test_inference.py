@@ -389,6 +389,19 @@ class TestConfidenceInterval:
         with pytest.raises(InvalidInputError):
             confidence_interval(0.0, 1.0, 100, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5])
+    def test_reports_refuse_alpha_outside_unit_interval(self, rng, alpha):
+        # alpha in [1, 2) passed normal_quantile and inverted every interval
+        d = _intercept_dataset(rng.normal(size=40), rng.normal(size=40))
+        fit = fit_rank_rank(d, 1.0)
+        for report in (plugin_covariance, plugin_slope_variance, hom_covariance, ew_covariance):
+            with pytest.raises(InvalidInputError, match="alpha must lie in"):
+                report(fit, d, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="alpha must lie in"):
+            linear_combo_inference(np.eye(2), [1.0, 0.0], [0.1, 0.2], n=40, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="alpha must lie in"):
+            omega_sweep(d, "rank-rank", [0.5], alpha=alpha)
+
     def test_zero_sigma_degenerates(self):
         assert confidence_interval(0.3, 0.0, 50) == (0.3, 0.3)
 

@@ -117,7 +117,7 @@ def _outcome(call):
 def test_multiplicities_equal_repeated_rows(problem):
     d, spec, omega, m = problem
     grouped = spec == "rank-rank-group"
-    # a group left with fewer than 2 rows: solve(m) refuses the draw, while
+    # a group left with fewer than 2 rows: solve_stack refuses the draw, while
     # the repeated rows lose the group or fail the dataset's own checks
     assume(not grouped or np.all(np.bincount(d.group_index, weights=m) >= 2))
     try:
@@ -127,11 +127,11 @@ def test_multiplicities_equal_repeated_rows(problem):
     except InvalidInputError:
         assume(False)
     want = _outcome(lambda: fit_spec(repeated, spec, omega))
-    got = _outcome(lambda: _Sample(d, spec, omega).solve(m))
+    _, coef, _, errors = _Sample(d, spec, omega).solve_stack(m[None])
+    got = coef[0] if errors[0] is None else f"{type(errors[0]).__name__}: {errors[0]}"
     if isinstance(want, str) or isinstance(got, str):  # both refuse, for one reason
         assert got == want
         return
-    got = np.array([coef for _, _, coef, _ in got[2]])
     if spec == "rank-rank-group":
         want = np.column_stack([want.slope, want.beta])
     else:
@@ -158,8 +158,8 @@ def test_resample_judges_rank_variation_by_its_own_size(rng, times):
     d = Dataset(y=rng.normal(size=n), x=x, w=np.column_stack([np.ones(n), r + e]))
     with pytest.raises(AssumptionViolationError, match="fully explained"):
         fit_spec(d, "rank-rank", 1.0)
-    with pytest.raises(AssumptionViolationError, match="fully explained"):
-        _Sample(d, "rank-rank", 1.0).solve(np.full(n, times))
+    (err,) = _Sample(d, "rank-rank", 1.0).solve_stack(np.full((1, n), times))[3]
+    assert isinstance(err, AssumptionViolationError) and "fully explained" in str(err)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
