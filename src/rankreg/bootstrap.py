@@ -131,13 +131,20 @@ def bootstrap_distribution(d, spec, omega, plan):
     return out[:, 0] if out.shape[1] == 1 else out
 
 
+def _check_count(reps, ci_kind="normal"):
+    """Refuse fewer replicates than an SE needs, or an interval of ``ci_kind``."""
+    if reps < 2:
+        raise InvalidInputError("need at least two replicates for a bootstrap SE")
+    if ci_kind == "percentile" and reps < 50:
+        raise InvalidInputError("percentile interval needs at least 50 replicates")
+
+
 def bootstrap_se(replicates):
     """Standard error(s) of the estimate: sample SD of the replicates."""
     reps = np.asarray(replicates, dtype=np.float64)
     if reps.ndim == 1:
         reps = reps[:, None]
-    if reps.shape[0] < 2:
-        raise InvalidInputError("need at least two replicates for a bootstrap SE")
+    _check_count(reps.shape[0])
     se = reps.std(axis=0, ddof=1)
     return float(se[0]) if se.size == 1 else se
 
@@ -153,9 +160,8 @@ def _type1_quantile(sorted_reps, q):
 def bootstrap_ci(replicates, point, plan):
     """Percentile or normal-with-bootstrap-SE interval for a scalar statistic."""
     reps = np.asarray(replicates, dtype=np.float64).reshape(-1)
+    _check_count(reps.size, plan.ci_kind)
     if plan.ci_kind == "percentile":
-        if reps.size < 50:
-            raise InvalidInputError("percentile interval needs at least 50 replicates")
         s = np.sort(reps)
         return (
             _type1_quantile(s, plan.alpha / 2.0),
@@ -170,8 +176,10 @@ def bootstrap_report(fit, plan):
 
     The replicates resample the fit's own prepared sample.  The statistic is
     the leading k coefficients of the fit: k = p for rank-level, one slope
-    per group for grouped fits, the slope otherwise.
+    per group for grouped fits, the slope otherwise.  A plan too small for
+    the SE or the interval is refused before any replicate is drawn.
     """
+    _check_count(plan.reps, plan.ci_kind)
     reps2d = _replicates(fit.sample, plan)
     k = reps2d.shape[1]
     point = fit.estimates[:k]

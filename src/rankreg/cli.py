@@ -548,12 +548,25 @@ def cmd_coverage(args):
     return EXIT_OK
 
 
-def cmd_curve(args):
+def _curve_grid(args):
+    """--grid, else --grid-points even steps from --grid-start to --grid-stop (0 to 1).
+
+    Reflection's parameter lies in the open (0, 1), so a default end of its
+    range is left out of the grid.
+    """
     if args.grid:
-        grid = args.grid
-    else:
-        grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points).tolist()
-    rows = variance_curve(args.family, grid, n_mc=args.n_mc, seed=args.seed)
+        return args.grid
+    if args.grid_points < 1:
+        raise InvalidInputError(f"--grid-points must be at least 1, got {args.grid_points}")
+    cut = [args.family == "reflection" and end is None for end in (args.grid_start, args.grid_stop)]
+    start = 0.0 if args.grid_start is None else args.grid_start
+    stop = 1.0 if args.grid_stop is None else args.grid_stop
+    grid = np.linspace(start, stop, args.grid_points + sum(cut))
+    return grid[cut[0]:grid.size - cut[1]].tolist()
+
+
+def cmd_curve(args):
+    rows = variance_curve(args.family, _curve_grid(args), n_mc=args.n_mc, seed=args.seed)
     fields = [
         "schema_version", "family", "param", "rho",
         "sigma2", "sigma2_hom", "sigma2_ew", "n_mc", "seed",
@@ -676,8 +689,8 @@ def build_parser():
     curve.add_argument("--family", required=True, choices=FAMILIES)
     curve.add_argument("--grid", type=_comma_floats, default=None,
                        help="explicit comma-separated parameter grid")
-    curve.add_argument("--grid-start", dest="grid_start", type=float, default=0.0)
-    curve.add_argument("--grid-stop", dest="grid_stop", type=float, default=1.0)
+    curve.add_argument("--grid-start", dest="grid_start", type=float, default=None)
+    curve.add_argument("--grid-stop", dest="grid_stop", type=float, default=None)
     curve.add_argument("--grid-points", dest="grid_points", type=int, default=41)
     curve.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
     curve.add_argument("--seed", type=int, default=0)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, _replicates, bootstrap_ci
+from .bootstrap import BootstrapPlan, _check_count, _replicates, bootstrap_ci
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
@@ -206,7 +206,7 @@ def variance_triple_mc(model, n_mc, seed):
     dv = v - v.mean()
     m20 = float(np.mean(du * du))
     m02 = float(np.mean(dv * dv))
-    rho = float(np.mean(du * dv)) / np.sqrt(m20 * m02)
+    rho = float(np.mean(du * dv) / np.sqrt(m20 * m02))
     m22 = float(np.mean(du**2 * dv**2))
     m31 = float(np.mean(du**3 * dv))
     hom = 1.0 - rho * rho
@@ -306,8 +306,10 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     for m in methods:
         if m not in ("plugin", "hom", "ew", "bootstrap"):
             raise InvalidInputError(f"unknown se method {m!r}")
-    if "bootstrap" in methods and bootstrap_plan is None:
-        bootstrap_plan = BootstrapPlan(reps=299, seed=seed, alpha=alpha)
+    if "bootstrap" in methods:
+        if bootstrap_plan is None:
+            bootstrap_plan = BootstrapPlan(reps=299, seed=seed, alpha=alpha)
+        _check_count(bootstrap_plan.reps, bootstrap_plan.ci_kind)
     truth = true_rank_correlation(model)
 
     def one_rep(rep):

@@ -23,7 +23,9 @@ clears the well-conditioned ones, and a column-pivoted QR of each other R
 factor decides whether its design is singular.  By the Frisch-Waugh-Lovell
 identity that one matrix holds every projection the asymptotic variance
 needs later: the first stage of rank(x) on W and, per covariate column, the
-projection of that column on the remaining regressors.
+projection of that column on the remaining regressors.  A fit keeps the
+block form, (G, q) coefficients and (G, q, q) A^-1 with G = 1 unless it is
+grouped, and reads every reported quantity off it.
 """
 
 import functools
@@ -302,31 +304,21 @@ def ols(design, response, column_names=None):
     return _solve(system, column_names)[0]
 
 
-def _projection_coefficients(a_inv):
-    """Column l: minus the coefficients of regressor l projected on the others.
-
-    Frisch-Waugh-Lovell: column l of A^-1 is proportional to the unit vector
-    e_l minus those coefficients, with 1/A^-1[l, l] the projection residual's
-    second moment.  Works on one block (q, q) or a stack (G, q, q).
-    """
-    return -a_inv / np.diagonal(a_inv, axis1=-2, axis2=-1)[..., None, :]
-
-
 @dataclass
 class FitResult:
-    """Fitted coefficients, residuals, ranks, and the inverse design moment.
+    """A fit as :meth:`_Sample.solve_stack` solves it, with its residuals and ranks.
 
-    ``slope`` is the coefficient on the ranked regressor (a per-group vector
-    for grouped fits, None for rank-level).  ``a_inv`` is A^-1 with
-    A = Z'Z/n for the regressors Z = [rank(x), W] (Z = W for rank-level),
-    read off the R factor of the fit's own QR.  Grouped fits keep one block
-    per group, shape (n_groups, 1+p, 1+p), with Z restricted to the group's
-    rows and n the pooled count.  Column l of Z A^-1 is the projection
-    residual of Z_l on the other regressors over its second moment, which is
-    everything the inference step needs.
+    A fit has G blocks, one per group for the grouped fit, else one over the
+    whole sample.  ``coef`` (G, q) holds each block's coefficients on
+    Z = [rank(x), W] (Z = W for rank-level) and ``a_inv`` (G, q, q) its A^-1
+    with A = Z'Z/n over the block's rows and n the pooled count.  Column l
+    of Z A^-1 is the projection residual of Z_l on the other regressors over
+    its second moment, which is everything the inference step needs.
 
-    ``gamma`` is a read-only view of ``a_inv`` (per group for grouped fits):
-    the first-stage projection of rank(x) on W, None for rank-level fits.
+    ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
+    on W, by Frisch-Waugh-Lovell) are read off the blocks, per group for a
+    grouped fit; ``slope`` and ``gamma`` are None for rank-level.
+    ``estimates`` and ``coef_names`` run coefficient-major, then group.
     ``sample`` is the prepared sample the fit solved; inference and the
     bootstrap read its design and group blocks rather than rebuild them.
     """
@@ -334,8 +326,7 @@ class FitResult:
     spec: str
     omega: float
     data: Dataset
-    slope: float | np.ndarray | None
-    beta: np.ndarray
+    coef: np.ndarray
     a_inv: np.ndarray
     ranks_x: np.ndarray | None
     ranks_y: np.ndarray | None
@@ -346,33 +337,38 @@ class FitResult:
     def n(self):
         return self.data.n
 
+    def _per_block(self, values):
+        """``values`` (G, ...) per group for a grouped fit, else its one block."""
+        return values[0] if self.sample.order is None else values
+
+    @property
+    def slope(self):
+        if self.ranks_x is None:
+            return None
+        slope = self.coef[:, 0]
+        return float(slope[0]) if self.sample.order is None else slope
+
+    @property
+    def beta(self):
+        return self._per_block(self.coef[:, 0 if self.ranks_x is None else 1:])
+
     @property
     def gamma(self):
-        if self.spec == "rank-level":
+        if self.ranks_x is None:
             return None
-        return _projection_coefficients(self.a_inv)[..., 1:, 0]
+        # column 0 of A^-1 is proportional to e_0 minus the first-stage coefficients
+        return self._per_block(-self.a_inv[:, 1:, 0] / self.a_inv[:, :1, 0])
 
     @property
     def coef_names(self):
-        names = []
-        base = ["rank(x)"] if self.spec in ("rank-rank", "level-rank") else []
-        if self.spec == "rank-rank-group":
-            for label in self.data.group_names:
-                names.append(f"rank(x)@{label}")
-            for w in self.data.w_names:
-                for label in self.data.group_names:
-                    names.append(f"{w}@{label}")
-            return names
-        return base + list(self.data.w_names)
+        if self.sample.order is None:
+            return list(self.sample.names)
+        return [f"{name}@{label}" for name in self.sample.names for label in self.data.group_names]
 
     @property
     def estimates(self):
         """Coefficients aligned with :attr:`coef_names`."""
-        if self.spec == "rank-rank-group":
-            return np.concatenate([np.asarray(self.slope), np.asarray(self.beta).T.ravel()])
-        if self.spec == "rank-level":
-            return np.asarray(self.beta)
-        return np.concatenate([[self.slope], np.asarray(self.beta)])
+        return self.coef.T.flatten()
 
 
 class _Sample:
@@ -514,36 +510,18 @@ class _Sample:
 
     def fit(self):
         """The sample's own fit: :meth:`solve_stack` with every multiplicity 1."""
-        d = self.data
         system, coef, gram_inv, errors = self.solve_stack()
         if errors[0] is not None:
             raise errors[0]
-        system, coef, a_inv = system[0], coef[0], d.n * gram_inv[0]
+        system, coef = system[0], coef[0]
         residuals = system[:, -1].copy()
         for (lo, hi), c in zip(self.bounds, coef):
             residuals[lo:hi] -= system[lo:hi, :-1] @ c
-        if self.order is None:
-            coef, a_inv = coef[0], a_inv[0]
-        else:  # back to input order
+        if self.order is not None:  # back to input order
             residuals[self.order] = residuals.copy()
-        if self.spec == "rank-level":
-            slope, beta = None, coef
-        elif self.order is None:
-            slope, beta = float(coef[0]), coef[1:]
-        else:
-            slope, beta = coef[:, 0], coef[:, 1:]
-        return FitResult(
-            spec=self.spec,
-            omega=self.omega,
-            data=d,
-            slope=slope,
-            beta=beta,
-            a_inv=a_inv,
-            ranks_x=self.ranks_x,
-            ranks_y=self.ranks_y,
-            residuals=residuals,
-            sample=self,
-        )
+        return FitResult(spec=self.spec, omega=self.omega, data=self.data, coef=coef,
+                         a_inv=self.data.n * gram_inv[0], ranks_x=self.ranks_x,
+                         ranks_y=self.ranks_y, residuals=residuals, sample=self)
 
 
 def fit_rank_rank(d, omega=1.0):

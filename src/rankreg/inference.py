@@ -19,12 +19,13 @@ are one matrix expression,
 where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
 :mod:`rankreg.ranks` down each column.  The other specifications are
 special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
-rank-level has Z = W and drops every x term, and the grouped fit evaluates
-the expression once per group with Z and eps zeroed outside the group's rows
-and the pooled n.  The plugin covariance is the empirical second moment of
-the influence rows.  The classical homoskedastic and Eicker-White
-estimators (which drop the kernel terms) are provided for comparison; they
-are inconsistent for ranked data and can come out too large or too small.
+rank-level has Z = W and drops every x term.  The expression is evaluated
+once per fit block (one per group for a grouped fit, else the whole sample)
+with Z and eps zeroed outside the block's rows and the pooled n.  The plugin
+covariance is the empirical second moment of the influence rows.  The
+classical homoskedastic and Eicker-White estimators (which drop the kernel
+terms) are provided for comparison; they are inconsistent for ranked data
+and can come out too large or too small.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
 errors are sqrt(diag(variance)/n).  Grouped fits keep the pooled n as the
@@ -36,8 +37,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import AssumptionViolationError, InvalidInputError
-from .estimators import _DEGENERATE_VAR, SPECS, fit_spec
+from .errors import InvalidInputError
+from .estimators import SPECS, fit_spec
 from .kernels import comparison_weighted_sums
 from .ranks import check_omega
 
@@ -139,35 +140,32 @@ def _resolve_data(fit, data):
 
 
 def _blocks(fit):
-    """(rows, [Z, r], slope, beta, A^-1, psi columns) for each fit block.
+    """(rows, [Z, r], coefficients, A^-1, psi columns) for each fit block.
 
     The rows index the block's observations and [Z, r] is their slice of
-    the fit's prepared sample.  The grouped fit has one block per group; its
-    columns are ordered coefficient-major then group, so group g owns every
-    n_groups-th column.
+    the fit's prepared sample.  The columns are ordered coefficient-major
+    then block, so block g of G owns every G-th column.
     """
     s = fit.sample
-    if s.order is None:
-        return [(slice(None), s.system, fit.slope, fit.beta, fit.a_inv, slice(None))]
-    n_g = len(s.bounds)
-    return [(s.order[lo:hi], s.system[lo:hi], fit.slope[g], fit.beta[g], fit.a_inv[g],
-             slice(g, None, n_g))
+    return [(slice(lo, hi) if s.order is None else s.order[lo:hi], s.system[lo:hi],
+             fit.coef[g], fit.a_inv[g], slice(g, None, len(s.bounds)))
             for g, (lo, hi) in enumerate(s.bounds)]
 
 
-def _block_psi(fit, rows, system, rho, beta, a_cols):
+def _block_psi(fit, rows, system, coef, a_cols):
     """Influence columns of one fit block for the columns ``a_cols`` of A^-1.
 
-    ``system`` is the block's [Z, r]: Z is [rank(x), W] when x is ranked,
-    else W, and r is rank(y) when y is ranked, else y.  The kernel sums run
-    over the block's members while every observation receives their terms
-    (pooled ranks tie the groups together).
+    ``system`` is the block's [Z, r] and ``coef`` its coefficients: Z is
+    [rank(x), W] when x is ranked, else W, and r is rank(y) when y is ranked,
+    else y.  The kernel sums run over the block's members while every
+    observation receives their terms (pooled ranks tie the groups together).
     """
     s = fit.sample
     Z, r = system[:, :-1], system[:, -1]
     eps = fit.residuals[rows]
     C = Z @ a_cols
-    w_beta = (Z if s.runs_x is None else Z[:, 1:]) @ beta
+    k = 0 if s.runs_x is None else 1
+    w_beta = Z[:, k:] @ coef[k:]
     if s.runs_y is None:
         kernel = (r - w_beta) @ C
     else:
@@ -175,7 +173,7 @@ def _block_psi(fit, rows, system, rho, beta, a_cols):
     if s.runs_x is not None:
         t_x = comparison_weighted_sums(s.runs_x, np.column_stack([C, eps]), s.omega, rows)
         t_x_eps = t_x[:, -1] - eps @ Z[:, 0]
-        kernel = kernel - rho * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
+        kernel = kernel - coef[0] * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
     psi = kernel / fit.n
     psi[rows] += eps[:, None] * C
     return psi
@@ -185,17 +183,10 @@ def _influence(fit, only_slope=False):
     """Influence rows of every coefficient, or of the slope alone."""
     names = fit.coef_names[:1] if only_slope else fit.coef_names
     psi = np.empty((fit.n, len(names)))
-    scales = np.empty(len(names))
-    for rows, system, rho, beta, a_inv, cols in _blocks(fit):
+    for rows, system, coef, a_inv, cols in _blocks(fit):
         a_cols = a_inv[:, :1] if only_slope else a_inv
-        block_scales = 1.0 / np.diagonal(a_inv)[: a_cols.shape[1]]
-        for name, scale in zip(names[cols], block_scales):
-            if scale <= _DEGENERATE_VAR:
-                raise AssumptionViolationError(
-                    f"projection residual for {name} is degenerate; its variance is ~0"
-                )
-        psi[:, cols] = _block_psi(fit, rows, system, rho, beta, a_cols)
-        scales[cols] = block_scales
+        psi[:, cols] = _block_psi(fit, rows, system, coef, a_cols)
+    scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()[: len(names)]
     return InfluenceRows(psi=psi, names=names, scales=scales)
 
 
@@ -272,7 +263,7 @@ def _naive_covariance(fit, d, alpha, kind):
     """
     q = len(fit.coef_names)
     variance = np.zeros((q, q))
-    for rows, system, _, _, a_inv, cols in _blocks(fit):
+    for rows, system, _, a_inv, cols in _blocks(fit):
         Z, resid = system[:, :-1], fit.residuals[rows]
         if kind == "hom":
             block = a_inv * float(np.mean(resid**2))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rankreg
-from rankreg import cli, estimators, kernels
+from rankreg import bootstrap, cli, copulas, estimators, kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -568,6 +568,23 @@ class TestEdgeExitCodes:
         assert run.returncode == EXIT_IO
         assert run.stderr == "error: need at least two replicates for a bootstrap SE\n"
 
+    @pytest.mark.parametrize("command", ["fit", "coverage"])
+    def test_small_bootstrap_plan_is_refused_before_any_draw(
+            self, sample_csv, tmp_path, capsys, monkeypatch, command):
+        # a percentile interval needs 50 replicates; 10 used to be solved first
+        solved = []
+        for module in (bootstrap, copulas):
+            monkeypatch.setattr(module, "_replicates", lambda *a: solved.append(a))
+        if command == "fit":
+            argv = ["fit", sample_csv, "--se", "plugin,bootstrap"]
+        else:
+            argv = ["coverage", "--family", "reflection", "--param", "0.5", "--n", "100",
+                    "--reps", "3", "--methods", "plugin,bootstrap"]
+        assert main([*argv, "--bootstrap-reps", "10",
+                     "--out", str(tmp_path / "out")]) == EXIT_IO
+        assert "percentile interval needs at least 50 replicates" in capsys.readouterr().err
+        assert solved == []
+
     def test_covariate_collinear_with_rank_x_up_to_noise(self, tmp_path, rng, capsys):
         # cond(Z) near 1e8 passes the 1e-12 singularity rule; the first stage
         # leaves rank(x) a residual variance near 1e-16 and fails there
@@ -628,6 +645,32 @@ class TestSimulationCommands:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[1]["sigma2"]) == pytest.approx(0.5625, abs=0.05)
+        # every numeric cell is a plain number, not a numpy repr
+        for row in rows:
+            for key, cell in row.items():
+                if key != "family":
+                    float(cell)
+
+    @pytest.mark.parametrize("family, params", [
+        ("reflection", ["0.25", "0.5", "0.75"]),  # its open interval's ends are left out
+        ("gaussian", ["0.0", "0.5", "1.0"]),
+    ])
+    def test_curve_default_grid(self, tmp_path, family, params):
+        # reflection's default grid used to run from 0 to 1 and exit 1 at 0
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--family", family, "--grid-points", "3",
+                     "--n-mc", "10000", "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            assert [row["param"] for row in csv.DictReader(fh)] == params
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_curve_without_grid_points_is_refused(self, tmp_path, capsys, points):
+        # 0 wrote a header-only CSV, -1 ended in a numpy ValueError traceback
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--family", "gaussian", "--grid-points", points,
+                     "--n-mc", "10000", "--out", str(out)]) == EXIT_IO
+        assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibrate_json(self, tmp_path):
         out = tmp_path / "cal.json"

@@ -19,6 +19,7 @@ from rankreg import (
     fit_spec,
     influence_rows,
     ols,
+    plugin_covariance,
     rank_transform,
     spearman,
 )
@@ -296,6 +297,11 @@ class TestRankRankByGroup:
         assert grouped.slope[0] == pytest.approx(plain.slope, abs=1e-12)
         assert grouped.beta[0] == pytest.approx(plain.beta, abs=1e-12)
         assert grouped.gamma[0] == pytest.approx(plain.gamma, abs=1e-12)
+        # the plain fit is the grouped fit with one block, bit for bit
+        for name in ("coef", "a_inv", "residuals"):
+            assert np.array_equal(getattr(grouped, name), getattr(plain, name))
+        assert np.array_equal(plugin_covariance(grouped).variance,
+                              plugin_covariance(plain).variance)
 
     def test_duplicated_group_rows_give_equal_slopes(self, rng):
         n = 25

@@ -68,23 +68,26 @@ def test_increasing_transforms_leave_fit_and_plugin_bitwise(rng, spec, omega):
 def test_affine_reparametrisation_of_w_keeps_slope_and_se(rng, spec, omega):
     # W -> W A, with A's first column e_0 so the intercept column stays.  The
     # slope on rank(x) depends on W only through its column span.  Row 1 of A
-    # is e_1 (w1 enters no other column), so for rank-level, whose
-    # coefficients move by A^-1, the one on w1 stays too.
+    # is A[1, 1] e_1 (w1 enters no other column), so for rank-level, whose
+    # coefficients move by A^-1, the one on w1 and its SE scale by 1 / A[1, 1].
     n = 120
     w = np.column_stack([np.ones(n), make_tied_sample(rng, n, support=4),
                          np.round(rng.normal(size=n), 1)])
     d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n), w=w, g=np.arange(n) % 3)
-    a = np.array([[1.0, 3.0, -2.0],
-                  [0.0, 1.0, 0.0],
-                  [0.0, 0.5, 2.5]])
-    moved = Dataset(y=d.y, x=d.x, w=w @ a, g=d.g)
     base = plugin_covariance(fit_spec(d, spec, omega), d)
-    other = plugin_covariance(fit_spec(moved, spec, omega), moved)
     keep = [k for k, name in enumerate(base.names) if name.startswith("rank(x)")]
     keep = keep or [base.names.index("w1")]
-    slope, slope_moved = base.estimates[keep], other.estimates[keep]
-    assert np.max(np.abs(slope_moved - slope)) <= 1e-10 * np.max(np.abs(slope))
-    assert np.max(np.abs(other.se[keep] / base.se[keep] - 1.0)) <= 1e-10
+    slope = base.estimates[keep]
+    # the second matrix measures w1 in units 1e7 times larger, so its
+    # projection residual's second moment falls by 1e-14
+    for a in (np.array([[1.0, 3.0, -2.0], [0.0, 1.0, 0.0], [0.0, 0.5, 2.5]]),
+              np.diag([1.0, 1e-7, 1.0])):
+        moved = Dataset(y=d.y, x=d.x, w=w @ a, g=d.g)
+        other = plugin_covariance(fit_spec(moved, spec, omega), moved)
+        scale = a[1, 1] if spec == "rank-level" else 1.0
+        slope_moved = other.estimates[keep] * scale
+        assert np.max(np.abs(slope_moved - slope)) <= 1e-10 * np.max(np.abs(slope))
+        assert np.max(np.abs(other.se[keep] * scale / base.se[keep] - 1.0)) <= 1e-10
 
 
 @st.composite
