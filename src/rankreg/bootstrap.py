@@ -8,11 +8,10 @@ the bootstrap is supposed to reproduce.  (A regression test guards this
 distinction.)
 
 A resample is read as the multiplicities ``m = bincount(idx)`` of the drawn
-indices (the multinomial-weights view of Efron's bootstrap) and fit by the
-same prepared sample as the point estimate, the ``estimators._Sample`` that
-the fit keeps: x and y are sorted once per dataset, and a resample's ranks
-are run totals of ``m`` over their tie runs, as a fresh rank transform of it
-gives.
+indices (the multinomial-weights view of Efron's bootstrap) and solved by
+the point estimate's own fit, which is its prepared ``estimators._Sample``:
+x and y are sorted once per dataset, and a resample's ranks are run totals
+of ``m`` over their tie runs, as a fresh rank transform of it gives.
 
 Replicates are solved in chunks: as many resamples as fit ``_CHUNK_BYTES``
 of stacked [Z, r] (every row weighted by sqrt(m), so rows drawn zero times
@@ -127,7 +126,7 @@ def bootstrap_distribution(d, spec, omega, plan):
     its own RNG stream and lands in the result by index.
     """
     # a degenerate sample fails in its own fit, not as redraws
-    out = _replicates(fit_spec(d, spec, omega).sample, plan)
+    out = _replicates(fit_spec(d, spec, omega), plan)
     return out[:, 0] if out.shape[1] == 1 else out
 
 
@@ -174,13 +173,13 @@ def bootstrap_ci(replicates, point, plan):
 def bootstrap_report(fit, plan):
     """InferenceReport for the target statistic of a fit with bootstrap SEs and CIs.
 
-    The replicates resample the fit's own prepared sample.  The statistic is
-    the leading k coefficients of the fit: k = p for rank-level, one slope
-    per group for grouped fits, the slope otherwise.  A plan too small for
+    The replicates resample the fit, which is its own prepared sample.  The
+    statistic is the leading k coefficients of the fit: k = p for
+    rank-level, one slope per group for grouped fits, the slope otherwise.  A plan too small for
     the SE or the interval is refused before any replicate is drawn.
     """
     _check_count(plan.reps, plan.ci_kind)
-    reps2d = _replicates(fit.sample, plan)
+    reps2d = _replicates(fit, plan)
     k = reps2d.shape[1]
     point = fit.estimates[:k]
     se = np.atleast_1d(bootstrap_se(reps2d))

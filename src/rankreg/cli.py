@@ -57,6 +57,8 @@ EXIT_IO = 1
 EXIT_ASSUMPTION = 2
 
 _MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none", "."}
+# the families a curve or a calibration sweeps: every one with a parameter
+_PARAM_FAMILIES = [f for f in FAMILIES if f != "independence"]
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,8 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
             parsed = {}
             bad_field = None
             for name in needed:
-                token = row[index[name]].strip()
-                if token.lower() in _MISSING_TOKENS:
-                    bad_field = name
-                    break
-                number = _parse_number(token)
+                # a missing token fails float() or parses to NaN
+                number = _parse_number(row[index[name]].strip())
                 if number is None:
                     bad_field = name
                     break
@@ -370,7 +369,7 @@ def _diagnostics(d, fit, info):
         "rows_dropped": info.get("rows_dropped", 0),
         "tie_count_x": d.runs_x.tied if d.x is not None else 0,
         "tie_count_y": d.runs_y.tied,
-        "design_condition_number": float(np.linalg.cond(fit.sample.system[:, :-1])),
+        "design_condition_number": float(np.linalg.cond(fit.system[:, :-1])),
     }
     if d.group_index is not None:
         sizes = np.bincount(d.group_index).tolist()
@@ -434,12 +433,12 @@ def cmd_fit(args):
     se_blocks = {}
     for method in se_methods:
         if method == "plugin":
-            plugin_report = plugin_covariance(fit, d, alpha=args.alpha)
+            plugin_report = plugin_covariance(fit, alpha=args.alpha)
             se_blocks[method] = _report_block(plugin_report)
         elif method == "hom":
-            se_blocks[method] = _report_block(hom_covariance(fit, d, alpha=args.alpha))
+            se_blocks[method] = _report_block(hom_covariance(fit, alpha=args.alpha))
         elif method == "ew":
-            se_blocks[method] = _report_block(ew_covariance(fit, d, alpha=args.alpha))
+            se_blocks[method] = _report_block(ew_covariance(fit, alpha=args.alpha))
         elif method == "bootstrap":
             plan = BootstrapPlan(
                 reps=args.bootstrap_reps, seed=args.seed,
@@ -467,7 +466,7 @@ def cmd_fit(args):
         payload["groups"] = [str(name) for name in d.group_names]
     if args.theta_p is not None:
         if plugin_report is None:
-            plugin_report = plugin_covariance(fit, d, alpha=args.alpha)
+            plugin_report = plugin_covariance(fit, alpha=args.alpha)
         payload["theta_p"] = _theta_p_block(fit, plugin_report, args.theta_p, args.alpha)
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -506,15 +505,8 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _model_from_args(args):
-    param = None if args.family == "independence" else args.param
-    if args.family != "independence" and param is None:
-        raise InvalidInputError(f"--param is required for the {args.family} family")
-    return CopulaModel(args.family, param)
-
-
 def cmd_coverage(args):
-    model = _model_from_args(args)
+    model = CopulaModel(args.family, args.param)
     plan = None
     if "bootstrap" in args.methods:
         plan = BootstrapPlan(reps=args.bootstrap_reps, seed=args.seed, alpha=args.alpha)
@@ -686,7 +678,7 @@ def build_parser():
     coverage.set_defaults(func=cmd_coverage)
 
     curve = subs.add_parser("curve", help="variance curves over a parameter grid")
-    curve.add_argument("--family", required=True, choices=FAMILIES)
+    curve.add_argument("--family", required=True, choices=_PARAM_FAMILIES)
     curve.add_argument("--grid", type=_comma_floats, default=None,
                        help="explicit comma-separated parameter grid")
     curve.add_argument("--grid-start", dest="grid_start", type=float, default=None)
@@ -698,8 +690,7 @@ def build_parser():
     curve.set_defaults(func=cmd_curve)
 
     calibrate = subs.add_parser("calibrate", help="match a target rank correlation")
-    calibrate.add_argument("--family", required=True,
-                           choices=[f for f in FAMILIES if f != "independence"])
+    calibrate.add_argument("--family", required=True, choices=_PARAM_FAMILIES)
     calibrate.add_argument("--target", type=float, required=True)
     calibrate.add_argument("--tol", type=float, default=0.005)
     calibrate.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)

@@ -321,13 +321,13 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         widths = np.zeros(len(methods))
         for k, m in enumerate(methods):
             if m == "plugin":
-                rep_ = plugin_slope_variance(fit, d, alpha=alpha)
+                rep_ = plugin_slope_variance(fit, alpha=alpha)
                 lo_, hi_ = rep_.ci[0]
             elif m == "hom":
-                rep_ = hom_covariance(fit, d, alpha=alpha)
+                rep_ = hom_covariance(fit, alpha=alpha)
                 lo_, hi_ = rep_.ci[0]
             elif m == "ew":
-                rep_ = ew_covariance(fit, d, alpha=alpha)
+                rep_ = ew_covariance(fit, alpha=alpha)
                 lo_, hi_ = rep_.ci[0]
             else:
                 plan = BootstrapPlan(
@@ -336,7 +336,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
                     ci_kind=bootstrap_plan.ci_kind,
                     alpha=alpha,
                 )
-                boots = _replicates(fit.sample, plan)[:, 0]
+                boots = _replicates(fit, plan)[:, 0]
                 lo_, hi_ = bootstrap_ci(boots, fit.slope, plan)
             covered[k] = 1.0 if lo_ <= truth <= hi_ else 0.0
             widths[k] = hi_ - lo_

@@ -12,9 +12,9 @@ rank-transformed:
 All four take one path.  A prepared sample (``_Sample``) ranks each ranked
 variable from the tie runs its ``Dataset`` keeps and orders the rows group
 by group; its ``solve_stack(m)`` fits every block (the whole sample, or one
-group) of each resample in a stack of multiplicities m.  The sample's own
-fit is the stack of one where every multiplicity is 1, and a chunk of
-bootstrap replicates is a stack of draws of m.  Covariates are taken
+group) of each resample in a stack of multiplicities m.  ``FitResult``
+is the sample solved as the stack of one where every multiplicity is 1;
+a chunk of bootstrap replicates is a stack of draws.  Covariates are taken
 exactly as given; no intercept column is added here (the CLI adds one by
 default).  Each block makes one numpy QR factorisation of the design with
 the response appended, which gives both the coefficients and
@@ -304,73 +304,6 @@ def ols(design, response, column_names=None):
     return _solve(system, column_names)[0]
 
 
-@dataclass
-class FitResult:
-    """A fit as :meth:`_Sample.solve_stack` solves it, with its residuals and ranks.
-
-    A fit has G blocks, one per group for the grouped fit, else one over the
-    whole sample.  ``coef`` (G, q) holds each block's coefficients on
-    Z = [rank(x), W] (Z = W for rank-level) and ``a_inv`` (G, q, q) its A^-1
-    with A = Z'Z/n over the block's rows and n the pooled count.  Column l
-    of Z A^-1 is the projection residual of Z_l on the other regressors over
-    its second moment, which is everything the inference step needs.
-
-    ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
-    on W, by Frisch-Waugh-Lovell) are read off the blocks, per group for a
-    grouped fit; ``slope`` and ``gamma`` are None for rank-level.
-    ``estimates`` and ``coef_names`` run coefficient-major, then group.
-    ``sample`` is the prepared sample the fit solved; inference and the
-    bootstrap read its design and group blocks rather than rebuild them.
-    """
-
-    spec: str
-    omega: float
-    data: Dataset
-    coef: np.ndarray
-    a_inv: np.ndarray
-    ranks_x: np.ndarray | None
-    ranks_y: np.ndarray | None
-    residuals: np.ndarray
-    sample: "_Sample" = field(repr=False)
-
-    @property
-    def n(self):
-        return self.data.n
-
-    def _per_block(self, values):
-        """``values`` (G, ...) per group for a grouped fit, else its one block."""
-        return values[0] if self.sample.order is None else values
-
-    @property
-    def slope(self):
-        if self.ranks_x is None:
-            return None
-        slope = self.coef[:, 0]
-        return float(slope[0]) if self.sample.order is None else slope
-
-    @property
-    def beta(self):
-        return self._per_block(self.coef[:, 0 if self.ranks_x is None else 1:])
-
-    @property
-    def gamma(self):
-        if self.ranks_x is None:
-            return None
-        # column 0 of A^-1 is proportional to e_0 minus the first-stage coefficients
-        return self._per_block(-self.a_inv[:, 1:, 0] / self.a_inv[:, :1, 0])
-
-    @property
-    def coef_names(self):
-        if self.sample.order is None:
-            return list(self.sample.names)
-        return [f"{name}@{label}" for name in self.sample.names for label in self.data.group_names]
-
-    @property
-    def estimates(self):
-        """Coefficients aligned with :attr:`coef_names`."""
-        return self.coef.T.flatten()
-
-
 class _Sample:
     """A sample prepared for one specification, to fit as it is or resampled.
 
@@ -378,8 +311,9 @@ class _Sample:
     ``order`` lists the observations group by group (None when the fit is
     one block), so every group's rows are contiguous without a further sort;
     ``bounds`` holds each fit block's [lo, hi) in that row order, and
-    ``system`` the sample's own [Z, r] in it.  The fit keeps its sample, so
-    a command prepares one: the variances and the bootstrap read it.
+    ``system`` the sample's own [Z, r] in it.  :class:`FitResult` is the
+    sample solved, so a command prepares one: the variances and the
+    bootstrap read the fit's own design.
     """
 
     def __init__(self, d, spec, omega):
@@ -508,35 +442,90 @@ class _Sample:
             err.args = (f"group {self.data.group_names[g]!r}: {err}",)
         return err
 
-    def fit(self):
-        """The sample's own fit: :meth:`solve_stack` with every multiplicity 1."""
+
+class FitResult(_Sample):
+    """A prepared sample, solved: its fit as :meth:`_Sample.solve_stack` gives it.
+
+    A fit has G blocks, one per group for the grouped fit, else one over the
+    whole sample.  ``coef`` (G, q) holds each block's coefficients on
+    Z = [rank(x), W] (Z = W for rank-level) and ``a_inv`` (G, q, q) its A^-1
+    with A = Z'Z/n over the block's rows and n the pooled count.  Column l
+    of Z A^-1 is the projection residual of Z_l on the other regressors over
+    its second moment, which is everything the inference step needs.
+    ``residuals`` are in input order.
+
+    ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
+    on W, by Frisch-Waugh-Lovell) are read off the blocks, per group for a
+    grouped fit; ``slope`` and ``gamma`` are None for rank-level.
+    ``estimates`` and ``coef_names`` run coefficient-major, then group.
+    Inference and the bootstrap read the design and group blocks the fit
+    prepared rather than rebuild them.
+    """
+
+    def __init__(self, d, spec, omega):
+        super().__init__(d, spec, omega)
         system, coef, gram_inv, errors = self.solve_stack()
         if errors[0] is not None:
             raise errors[0]
-        system, coef = system[0], coef[0]
+        system, self.coef, self.a_inv = system[0], coef[0], d.n * gram_inv[0]
         residuals = system[:, -1].copy()
-        for (lo, hi), c in zip(self.bounds, coef):
+        for (lo, hi), c in zip(self.bounds, self.coef):
             residuals[lo:hi] -= system[lo:hi, :-1] @ c
         if self.order is not None:  # back to input order
             residuals[self.order] = residuals.copy()
-        return FitResult(spec=self.spec, omega=self.omega, data=self.data, coef=coef,
-                         a_inv=self.data.n * gram_inv[0], ranks_x=self.ranks_x,
-                         ranks_y=self.ranks_y, residuals=residuals, sample=self)
+        self.residuals = residuals
+
+    @property
+    def n(self):
+        return self.data.n
+
+    def _per_block(self, values):
+        """``values`` (G, ...) per group for a grouped fit, else its one block."""
+        return values[0] if self.order is None else values
+
+    @property
+    def slope(self):
+        if self.ranks_x is None:
+            return None
+        slope = self.coef[:, 0]
+        return float(slope[0]) if self.order is None else slope
+
+    @property
+    def beta(self):
+        return self._per_block(self.coef[:, 0 if self.ranks_x is None else 1:])
+
+    @property
+    def gamma(self):
+        if self.ranks_x is None:
+            return None
+        # column 0 of A^-1 is proportional to e_0 minus the first-stage coefficients
+        return self._per_block(-self.a_inv[:, 1:, 0] / self.a_inv[:, :1, 0])
+
+    @property
+    def coef_names(self):
+        if self.order is None:
+            return list(self.names)
+        return [f"{name}@{label}" for name in self.names for label in self.data.group_names]
+
+    @property
+    def estimates(self):
+        """Coefficients aligned with :attr:`coef_names`."""
+        return self.coef.T.flatten()
 
 
 def fit_rank_rank(d, omega=1.0):
     """Joint OLS of rank(y) on (rank(x), W)."""
-    return _Sample(d, "rank-rank", omega).fit()
+    return FitResult(d, "rank-rank", omega)
 
 
 def fit_level_rank(d, omega=1.0):
     """OLS of raw y on (rank(x), W)."""
-    return _Sample(d, "level-rank", omega).fit()
+    return FitResult(d, "level-rank", omega)
 
 
 def fit_rank_level(d, omega=1.0):
     """OLS of rank(y) on W alone."""
-    return _Sample(d, "rank-level", omega).fit()
+    return FitResult(d, "rank-level", omega)
 
 
 def fit_rank_rank_by_group(d, omega=1.0):
@@ -546,12 +535,12 @@ def fit_rank_rank_by_group(d, omega=1.0):
     rows are restricted to each group, so the group fits share the pooled
     rank scale and are statistically dependent through it.
     """
-    return _Sample(d, "rank-rank-group", omega).fit()
+    return FitResult(d, "rank-rank-group", omega)
 
 
 def fit_spec(d, spec, omega=1.0):
     """Fit one of the four specifications."""
-    return _Sample(d, spec, omega).fit()
+    return FitResult(d, spec, omega)
 
 
 def expected_rank_at(intercept, slope, p):

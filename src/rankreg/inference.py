@@ -21,7 +21,8 @@ where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
 special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
 rank-level has Z = W and drops every x term.  The expression is evaluated
 once per fit block (one per group for a grouped fit, else the whole sample)
-with Z and eps zeroed outside the block's rows and the pooled n.  The plugin
+on the block's rows and with the pooled n: the kernel sums run over the
+block's members, and every observation receives their terms.  The plugin
 covariance is the empirical second moment of the influence rows.  The
 classical homoskedastic and Eicker-White estimators (which drop the kernel
 terms) are provided for comparison; they are inconsistent for ranked data
@@ -38,7 +39,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import SPECS, fit_spec
+from .estimators import fit_spec
 from .kernels import comparison_weighted_sums
 from .ranks import check_omega
 
@@ -121,22 +122,10 @@ class InferenceReport:
         return float(self.estimates[k]), float(self.se[k]), tuple(self.ci[k])
 
 
-def _resolve_data(fit, data):
-    if data is None:
-        return fit.data
-    d = data
-    same = (
-        d.n == fit.data.n
-        and np.array_equal(d.y, fit.data.y)
-        and (d.x is None) == (fit.data.x is None)
-        and (d.x is None or np.array_equal(d.x, fit.data.x))
-        and np.array_equal(d.w, fit.data.w)
-        and (d.group_index is None) == (fit.data.group_index is None)
-        and (d.group_index is None or np.array_equal(d.group_index, fit.data.group_index))
-    )
-    if not same:
+def _check_data(fit, data):
+    """Refuse any dataset but the one the fit was prepared from."""
+    if data is not None and data is not fit.data:
         raise InvalidInputError("fit was produced from a different dataset")
-    return d
 
 
 def _blocks(fit):
@@ -146,10 +135,9 @@ def _blocks(fit):
     the fit's prepared sample.  The columns are ordered coefficient-major
     then block, so block g of G owns every G-th column.
     """
-    s = fit.sample
-    return [(slice(lo, hi) if s.order is None else s.order[lo:hi], s.system[lo:hi],
-             fit.coef[g], fit.a_inv[g], slice(g, None, len(s.bounds)))
-            for g, (lo, hi) in enumerate(s.bounds)]
+    return [(slice(lo, hi) if fit.order is None else fit.order[lo:hi], fit.system[lo:hi],
+             fit.coef[g], fit.a_inv[g], slice(g, None, len(fit.bounds)))
+            for g, (lo, hi) in enumerate(fit.bounds)]
 
 
 def _block_psi(fit, rows, system, coef, a_cols):
@@ -160,18 +148,17 @@ def _block_psi(fit, rows, system, coef, a_cols):
     else y.  The kernel sums run over the block's members while every
     observation receives their terms (pooled ranks tie the groups together).
     """
-    s = fit.sample
     Z, r = system[:, :-1], system[:, -1]
     eps = fit.residuals[rows]
     C = Z @ a_cols
-    k = 0 if s.runs_x is None else 1
+    k = 0 if fit.runs_x is None else 1
     w_beta = Z[:, k:] @ coef[k:]
-    if s.runs_y is None:
+    if fit.runs_y is None:
         kernel = (r - w_beta) @ C
     else:
-        kernel = comparison_weighted_sums(s.runs_y, C, s.omega, rows) - w_beta @ C
-    if s.runs_x is not None:
-        t_x = comparison_weighted_sums(s.runs_x, np.column_stack([C, eps]), s.omega, rows)
+        kernel = comparison_weighted_sums(fit.runs_y, C, fit.omega, rows) - w_beta @ C
+    if fit.runs_x is not None:
+        t_x = comparison_weighted_sums(fit.runs_x, np.column_stack([C, eps]), fit.omega, rows)
         t_x_eps = t_x[:, -1] - eps @ Z[:, 0]
         kernel = kernel - coef[0] * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
     psi = kernel / fit.n
@@ -192,9 +179,7 @@ def _influence(fit, only_slope=False):
 
 def influence_rows(fit, data=None):
     """Per-observation influence values for every coefficient of a fit."""
-    _resolve_data(fit, data)
-    if fit.spec not in SPECS:
-        raise InvalidInputError(f"unknown specification {fit.spec!r}")
+    _check_data(fit, data)
     return _influence(fit)
 
 
@@ -223,11 +208,10 @@ def _report_from_variance(variance, names, estimates, alpha, n, method, influenc
 
 def plugin_covariance(fit, data=None, alpha=0.05):
     """Plugin estimate of the joint asymptotic covariance of all coefficients."""
-    d = _resolve_data(fit, data)
-    rows = influence_rows(fit, d)
-    sigma = rows.psi.T @ rows.psi / d.n
+    rows = influence_rows(fit, data)
+    sigma = rows.psi.T @ rows.psi / fit.n
     return _report_from_variance(
-        sigma, rows.names, fit.estimates, alpha, d.n, "plugin", influence=rows
+        sigma, rows.names, fit.estimates, alpha, fit.n, "plugin", influence=rows
     )
 
 
@@ -237,7 +221,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     Cheaper than :func:`plugin_covariance` when only the slope matters;
     numerically identical to its (rank(x), rank(x)) entry.
     """
-    d = _resolve_data(fit, data)
+    _check_data(fit, data)
     if fit.spec not in ("rank-rank", "level-rank"):
         raise InvalidInputError(
             "slope-only variance applies to rank-rank and level-rank fits; "
@@ -246,7 +230,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     rows = _influence(fit, only_slope=True)
     sigma2 = float(np.mean(rows.psi[:, 0] ** 2))
     return _report_from_variance(
-        [[sigma2]], rows.names, [fit.slope], alpha, d.n, "plugin", influence=rows
+        [[sigma2]], rows.names, [fit.slope], alpha, fit.n, "plugin", influence=rows
     )
 
 
@@ -254,7 +238,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
 # classical (inconsistent-for-ranks) variance estimators, kept for comparison
 # ---------------------------------------------------------------------------
 
-def _naive_covariance(fit, d, alpha, kind):
+def _naive_covariance(fit, alpha, kind):
     """Sandwich variance on the fit's own A^-1, one block per fit block.
 
     A grouped fit gets separate per-group regression blocks.  Its A^-1 is
@@ -268,25 +252,25 @@ def _naive_covariance(fit, d, alpha, kind):
         if kind == "hom":
             block = a_inv * float(np.mean(resid**2))
         else:
-            meat = (Z * (resid**2)[:, None]).T @ Z / d.n
+            meat = (Z * (resid**2)[:, None]).T @ Z / fit.n
             block = a_inv @ meat @ a_inv
         idx = np.arange(q)[cols]
         variance[np.ix_(idx, idx)] = block
     return _report_from_variance(
-        variance, fit.coef_names, fit.estimates, alpha, d.n, kind
+        variance, fit.coef_names, fit.estimates, alpha, fit.n, kind
     )
 
 
 def hom_covariance(fit, data=None, alpha=0.05):
     """Homoskedastic OLS variance, ignoring rank-estimation noise."""
-    d = _resolve_data(fit, data)
-    return _naive_covariance(fit, d, alpha, "hom")
+    _check_data(fit, data)
+    return _naive_covariance(fit, alpha, "hom")
 
 
 def ew_covariance(fit, data=None, alpha=0.05):
     """Eicker-White robust variance, ignoring rank-estimation noise."""
-    d = _resolve_data(fit, data)
-    return _naive_covariance(fit, d, alpha, "ew")
+    _check_data(fit, data)
+    return _naive_covariance(fit, alpha, "ew")
 
 
 def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,
@@ -338,7 +322,7 @@ def omega_sweep(d, spec, grid, alpha=0.05):
         raise InvalidInputError("omega grid is empty")
     rows = []
     for om in grid:
-        report = plugin_covariance(fit_spec(d, spec, om), d, alpha=alpha)
+        report = plugin_covariance(fit_spec(d, spec, om), alpha=alpha)
         rows.append(SweepRow(omega=om, names=report.names, estimates=report.estimates,
                              se=report.se, ci=report.ci))
     average = np.mean([row.estimates for row in rows], axis=0)

@@ -24,7 +24,7 @@ from rankreg import (
 )
 import rankreg.estimators as estimators
 from rankreg.bootstrap import _CHUNK_BYTES, _chunk, _replicates
-from rankreg.estimators import _Sample
+from rankreg.estimators import FitResult, _Sample
 
 from conftest import make_tied_sample
 
@@ -146,7 +146,7 @@ class TestDistribution:
         with pytest.raises(SingularDesignError):
             bootstrap_distribution(d, "rank-rank", 1.0, BootstrapPlan(reps=5, seed=0))
         with pytest.raises(SingularDesignError):
-            _Sample(d, "rank-rank", 1.0).fit()
+            FitResult(d, "rank-rank", 1.0)
 
     def test_rank_level_returns_coefficient_matrix(self, rng):
         n = 60
@@ -255,8 +255,7 @@ class TestStackedReplicates:
             return singular(R, column_names)
 
         monkeypatch.setattr(estimators, "_singular", spy)
-        sample = _Sample(d, "rank-rank", 0.5)
-        sample.fit()
+        sample = FitResult(d, "rank-rank", 0.5)
         for b, (want, want_rejections) in enumerate(wants):
             (value,), rejections = _chunk(sample, 2, [b])
             assert rejections == want_rejections == 0
@@ -322,8 +321,7 @@ class TestStackedReplicates:
         rng = np.random.default_rng(0)
         n = 20_000
         d = Dataset(y=rng.normal(size=n), x=rng.normal(size=n), w=np.ones((n, 1)))
-        sample = _Sample(d, "rank-rank", 1.0)
-        sample.fit()
+        sample = FitResult(d, "rank-rank", 1.0)
         tracemalloc.start()
         try:
             _replicates(sample, BootstrapPlan(reps=64, seed=0))

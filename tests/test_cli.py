@@ -107,6 +107,20 @@ class TestIngest:
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == plain
 
+    def test_non_numeric_tokens(self, tmp_path, capsys):
+        # not missing tokens, yet not numbers: float() refuses them
+        rows = [[i + 0.5, (7 * i) % 11] for i in range(20)]
+        rows[4][1], rows[9][0] = "12a", "$5"
+        path = _write_csv(tmp_path / "dirty.csv", ["y", "x"], rows)
+        out = tmp_path / "report.json"
+        assert main(["fit", path, "--out", str(out)]) == EXIT_IO
+        assert "line 6: missing or non-numeric value in column 'x'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fit", path, "--drop-missing", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["diagnostics"]["rows_dropped"] == 2
+        assert payload["n"] == 18
+
     def test_group_labels_pass_through(self, sample_csv):
         columns, _ = ingest_csv(sample_csv, "y", "x", group_col="region")
         assert set(columns["region"]) == {"BY", "SN"}
@@ -490,6 +504,16 @@ class TestFitCommand:
         assert block["method"] == "bootstrap"
         assert len(block["ci"]) == 1
 
+    def test_theta_p_without_plugin_se(self, sample_csv, tmp_path):
+        # --theta-p needs the plugin covariance, which --se hom alone does not report
+        blocks = []
+        for se in ("hom", "plugin,hom"):
+            out = tmp_path / f"{se}.json"
+            assert main(["fit", sample_csv, "--se", se, "--theta-p", "0.5", "--w-cols", "z",
+                         "--out", str(out)]) == EXIT_OK
+            blocks.append(json.loads(out.read_text())["theta_p"])
+        assert blocks[0] == blocks[1]
+
 
 class TestEdgeExitCodes:
     """Boundary designs, through ``main``, with the exit codes the CLI documents."""
@@ -670,6 +694,27 @@ class TestSimulationCommands:
         assert main(["curve", "--family", "gaussian", "--grid-points", points,
                      "--n-mc", "10000", "--out", str(out)]) == EXIT_IO
         assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_refuses_a_family_without_a_parameter(self, tmp_path, capsys):
+        # independence has no parameter to sweep; it used to exit 1 at every grid
+        with pytest.raises(SystemExit) as exit_:
+            main(["curve", "--family", "independence", "--grid-points", "2",
+                  "--n-mc", "10000", "--out", str(tmp_path / "curve.csv")])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, param, message", [
+        ("independence", ["--param", "0.3"], "independence copula takes no parameter"),
+        ("gaussian", [], "gaussian copula needs a parameter"),
+    ], ids=["independence", "gaussian"])
+    def test_coverage_param_must_fit_the_family(self, tmp_path, capsys, family, param,
+                                                message):
+        # independence used to drop --param and write an empty param cell
+        out = tmp_path / "coverage.csv"
+        assert main(["coverage", "--family", family, *param, "--n", "50", "--reps", "2",
+                     "--out", str(out)]) == EXIT_IO
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibrate_json(self, tmp_path):

@@ -257,20 +257,20 @@ class TestCoverageExperiment:
         from rankreg import bootstrap_distribution, coverage_experiment, reflection
 
         fit_calls = []
-        sample_fit = estimators._Sample.fit
+        fit_init = estimators.FitResult.__init__
         seen = []
         replicates = copulas._replicates
 
-        def counting_fit(sample):
-            fit_calls.append(sample)
-            return sample_fit(sample)
+        def counting_init(fit, *args):
+            fit_calls.append(fit)
+            fit_init(fit, *args)
 
         def spy(sample, plan):
             out = replicates(sample, plan)
             seen.append((sample.data, plan, out[:, 0]))
             return out
 
-        monkeypatch.setattr(estimators._Sample, "fit", counting_fit)
+        monkeypatch.setattr(estimators.FitResult, "__init__", counting_init)
         monkeypatch.setattr(copulas, "_replicates", spy)
         coverage_experiment(reflection(0.3), n=60, reps=4, methods=("bootstrap",),
                             seed=5, bootstrap_plan=BootstrapPlan(reps=50, seed=0))

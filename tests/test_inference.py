@@ -185,6 +185,18 @@ class TestGroupedCovariance:
             method(fit, d)
             with pytest.raises(InvalidInputError):
                 method(fit, permuted)
+        # a fit reads only its own dataset: even an equal copy is refused
+        plain = fit_rank_rank(Dataset(y=y, x=x, w=w), 1.0)
+        for method, f in [(influence_rows, fit), (plugin_covariance, fit),
+                          (hom_covariance, fit), (ew_covariance, fit),
+                          (plugin_slope_variance, plain)]:
+            method(f)
+            method(f, f.data)
+            e = f.data
+            copy = Dataset(y=e.y.copy(), x=e.x.copy(), w=e.w.copy(),
+                           g=None if e.g is None else e.g.copy())
+            with pytest.raises(InvalidInputError, match="different dataset"):
+                method(f, copy)
 
     def test_cross_group_covariance_against_monte_carlo(self):
         # groups with disjoint x supports but a shared y scale: the pooled
