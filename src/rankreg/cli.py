@@ -9,10 +9,11 @@ coverage   Monte Carlo CI coverage experiment for a copula family (CSV out)
 curve      correct/hom/ew variance curves over a copula parameter grid (CSV out)
 calibrate  find the copula parameter matching a target rank correlation
 
-fit/sweep/calibrate emit JSON (schema_version 1) with the resolved
-configuration echoed so a run can be reproduced byte-for-byte; coverage and
-curve emit CSV tables.  Exit codes: 0 success, 2 assumption violation
-(singular or degenerate design), 1 I/O or data errors.
+fit/sweep/calibrate emit JSON (schema_version 1) that echoes every parsed
+argument, so a run can be reproduced byte-for-byte; coverage and curve emit
+CSV tables.  Exit codes: 0 success, 1 I/O or data errors, 2 assumption
+violation (singular or degenerate design) or a usage error that argparse
+refuses (an unknown flag, an invalid choice, a missing argument).
 """
 
 import argparse
@@ -240,20 +241,21 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
     return columns, info
 
 
-def build_dataset(columns, info, args):
-    w_cols = list(args.w_cols)
-    w_parts = []
-    w_names = []
-    if args.intercept:
-        w_parts.append(np.ones(len(columns[args.y_col])))
-        w_names.append("const")
-    for name in w_cols:
-        w_parts.append(columns[name])
-        w_names.append(name)
-    w = np.column_stack(w_parts) if w_parts else None
-    x = columns[args.x_col] if args.spec != "rank-level" else None
-    g = columns[args.group_col] if args.group_col else None
-    return Dataset(y=columns[args.y_col], x=x, w=w, g=g, w_names=w_names)
+def load_dataset(args):
+    """The ``Dataset`` that a fit or sweep names, and the ingest info of its CSV."""
+    x_col = args.x_col if args.spec != "rank-level" else None
+    columns, info = ingest_csv(args.csv, args.y_col, x_col, args.w_cols,
+                               args.group_col, args.drop_missing)
+    const = [np.ones(len(columns[args.y_col]))] if args.intercept else []
+    w_parts = const + [columns[name] for name in args.w_cols]
+    d = Dataset(
+        y=columns[args.y_col],
+        x=columns[x_col] if x_col else None,
+        w=np.column_stack(w_parts) if w_parts else None,
+        g=columns[args.group_col] if args.group_col else None,
+        w_names=["const"] * len(const) + list(args.w_cols),
+    )
+    return d, info
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +322,21 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _emit_json(payload, out_path):
-    _emit(_json_text(payload) + "\n", out_path)
+def _emit_json(args, payload):
+    """Write a JSON report in its envelope: schema version, command and every parsed argument."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("func", "omega_given")}
+    envelope = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
+    _emit(_json_text({**payload, **envelope}) + "\n", args.out)
 
 
-def _emit_csv(fieldnames, rows, out_path):
+def _emit_csv(rows, out_path):
+    """Write table rows as CSV, schema_version first; the header is the first row's keys."""
+    rows = [{"schema_version": SCHEMA_VERSION, **row} for row in rows]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _emit(buf.getvalue(), out_path)
 
 
@@ -337,20 +344,10 @@ def _emit_csv(fieldnames, rows, out_path):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _config_echo(args, keys):
-    return {key: getattr(args, key) for key in keys}
-
-_FIT_CONFIG_KEYS = [
-    "command", "csv", "spec", "omega", "alpha", "se", "bootstrap_reps",
-    "ci_kind", "theta_p", "y_col", "x_col", "w_cols", "group_col", "seed",
-    "drop_missing", "intercept", "out",
-]
-
-
-def _tie_warnings(d, args, se_methods):
+def _tie_warnings(d, args):
     warnings = []
     has_ties = d.runs_y.tied > 0 or (d.x is not None and d.runs_x.tied > 0)
-    if has_ties and ({"hom", "ew"} & set(se_methods)):
+    if has_ties and ({"hom", "ew"} & set(args.se)):
         warnings.append(
             "data contain ties and hom/ew standard errors were requested; these "
             "formulas ignore rank-estimation noise and are inconsistent here"
@@ -416,38 +413,27 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
 
 
 def cmd_fit(args):
-    columns, info = ingest_csv(
-        args.csv, args.y_col, args.x_col if args.spec != "rank-level" else None,
-        args.w_cols, args.group_col, args.drop_missing,
-    )
-    d = build_dataset(columns, info, args)
-    se_methods = args.se
-    for method in se_methods:
-        if method not in ("plugin", "hom", "ew", "bootstrap"):
+    # built per call: a traced run swaps these module attributes in place
+    variances = {"plugin": plugin_covariance, "hom": hom_covariance, "ew": ew_covariance}
+    for method in args.se:
+        if method not in variances and method != "bootstrap":
             raise InvalidInputError(f"unknown se method {method!r}")
-    warnings = _tie_warnings(d, args, se_methods)
+    d, info = load_dataset(args)
+    warnings = _tie_warnings(d, args)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     fit = fit_spec(d, args.spec, args.omega)
-    plugin_report = None
-    se_blocks = {}
-    for method in se_methods:
-        if method == "plugin":
-            plugin_report = plugin_covariance(fit, alpha=args.alpha)
-            se_blocks[method] = _report_block(plugin_report)
-        elif method == "hom":
-            se_blocks[method] = _report_block(hom_covariance(fit, alpha=args.alpha))
-        elif method == "ew":
-            se_blocks[method] = _report_block(ew_covariance(fit, alpha=args.alpha))
-        elif method == "bootstrap":
+    reports = {}
+    for method in args.se:
+        if method == "bootstrap":
             plan = BootstrapPlan(
                 reps=args.bootstrap_reps, seed=args.seed,
                 ci_kind=args.ci_kind, alpha=args.alpha,
             )
-            se_blocks[method] = _report_block(bootstrap_report(fit, plan))
+            reports[method] = bootstrap_report(fit, plan)
+        else:
+            reports[method] = variances[method](fit, alpha=args.alpha)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
         "spec": args.spec,
         "omega": args.omega,
         "alpha": args.alpha,
@@ -457,31 +443,23 @@ def cmd_fit(args):
             "estimates": fit.estimates,
         },
         "first_stage": fit.gamma,
-        "se_methods": se_blocks,
+        "se_methods": {method: _report_block(report) for method, report in reports.items()},
         "diagnostics": _diagnostics(d, fit, info),
         "warnings": warnings,
-        "config": _config_echo(args, _FIT_CONFIG_KEYS),
     }
     if d.group_index is not None:
         payload["groups"] = [str(name) for name in d.group_names]
     if args.theta_p is not None:
-        if plugin_report is None:
-            plugin_report = plugin_covariance(fit, alpha=args.alpha)
+        plugin_report = reports.get("plugin") or plugin_covariance(fit, alpha=args.alpha)
         payload["theta_p"] = _theta_p_block(fit, plugin_report, args.theta_p, args.alpha)
-    _emit_json(payload, args.out)
+    _emit_json(args, payload)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    columns, info = ingest_csv(
-        args.csv, args.y_col, args.x_col if args.spec != "rank-level" else None,
-        args.w_cols, args.group_col, args.drop_missing,
-    )
-    d = build_dataset(columns, info, args)
+    d, _ = load_dataset(args)
     result = omega_sweep(d, args.spec, args.grid, alpha=args.alpha)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
+    _emit_json(args, {
         "spec": args.spec,
         "alpha": args.alpha,
         "n": d.n,
@@ -496,12 +474,7 @@ def cmd_sweep(args):
             for row in result.rows
         ],
         "grid_average": result.average,
-        "config": _config_echo(args, [
-            "command", "csv", "spec", "grid", "alpha", "y_col", "x_col",
-            "w_cols", "group_col", "drop_missing", "intercept", "out",
-        ]),
-    }
-    _emit_json(payload, args.out)
+    })
     return EXIT_OK
 
 
@@ -514,13 +487,8 @@ def cmd_coverage(args):
         model, args.n, args.reps, methods=args.methods, alpha=args.alpha,
         omega=args.omega, seed=args.seed, bootstrap_plan=plan,
     )
-    fields = [
-        "schema_version", "family", "param", "true_rho", "n", "reps", "alpha",
-        "omega", "seed", "method", "coverage", "mean_ci_width", "coverage_mc_se",
-    ]
-    csv_rows = [
+    _emit_csv([
         {
-            "schema_version": SCHEMA_VERSION,
             "family": args.family,
             "param": "" if model.param is None else repr(model.param),
             "true_rho": repr(row.true_value),
@@ -535,8 +503,7 @@ def cmd_coverage(args):
             "coverage_mc_se": repr(row.mc_se),
         }
         for row in rows
-    ]
-    _emit_csv(fields, csv_rows, args.out)
+    ], args.out)
     return EXIT_OK
 
 
@@ -559,13 +526,8 @@ def _curve_grid(args):
 
 def cmd_curve(args):
     rows = variance_curve(args.family, _curve_grid(args), n_mc=args.n_mc, seed=args.seed)
-    fields = [
-        "schema_version", "family", "param", "rho",
-        "sigma2", "sigma2_hom", "sigma2_ew", "n_mc", "seed",
-    ]
-    csv_rows = [
+    _emit_csv([
         {
-            "schema_version": SCHEMA_VERSION,
             "family": args.family,
             "param": repr(param),
             "rho": repr(triple.rho),
@@ -576,8 +538,7 @@ def cmd_curve(args):
             "seed": args.seed,
         }
         for param, triple in rows
-    ]
-    _emit_csv(fields, csv_rows, args.out)
+    ], args.out)
     return EXIT_OK
 
 
@@ -589,9 +550,7 @@ def cmd_calibrate(args):
     from .ranks import spearman  # local import keeps CLI import light
 
     x, y = check.sample(args.n_mc, args.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "calibrate",
+    _emit_json(args, {
         "family": args.family,
         "target_rank_corr": args.target,
         "parameter": param,
@@ -599,11 +558,7 @@ def cmd_calibrate(args):
         "tolerance": args.tol,
         "n_mc": args.n_mc,
         "seed": args.seed,
-        "config": _config_echo(args, [
-            "command", "family", "target", "tol", "n_mc", "seed", "out",
-        ]),
-    }
-    _emit_json(payload, args.out)
+    })
     return EXIT_OK
 
 

@@ -303,8 +303,12 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     if reps < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
     methods = tuple(methods)
+    if not methods:
+        raise InvalidInputError("coverage needs at least one se method")
+    # built per call: a traced run swaps these module attributes in place
+    variances = {"plugin": plugin_slope_variance, "hom": hom_covariance, "ew": ew_covariance}
     for m in methods:
-        if m not in ("plugin", "hom", "ew", "bootstrap"):
+        if m not in variances and m != "bootstrap":
             raise InvalidInputError(f"unknown se method {m!r}")
     if "bootstrap" in methods:
         if bootstrap_plan is None:
@@ -320,15 +324,8 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         covered = np.zeros(len(methods))
         widths = np.zeros(len(methods))
         for k, m in enumerate(methods):
-            if m == "plugin":
-                rep_ = plugin_slope_variance(fit, alpha=alpha)
-                lo_, hi_ = rep_.ci[0]
-            elif m == "hom":
-                rep_ = hom_covariance(fit, alpha=alpha)
-                lo_, hi_ = rep_.ci[0]
-            elif m == "ew":
-                rep_ = ew_covariance(fit, alpha=alpha)
-                lo_, hi_ = rep_.ci[0]
+            if m in variances:
+                lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
             else:
                 plan = BootstrapPlan(
                     reps=bootstrap_plan.reps,

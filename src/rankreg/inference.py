@@ -254,8 +254,7 @@ def _naive_covariance(fit, alpha, kind):
         else:
             meat = (Z * (resid**2)[:, None]).T @ Z / fit.n
             block = a_inv @ meat @ a_inv
-        idx = np.arange(q)[cols]
-        variance[np.ix_(idx, idx)] = block
+        variance[cols, cols] = block
     return _report_from_variance(
         variance, fit.coef_names, fit.estimates, alpha, fit.n, kind
     )

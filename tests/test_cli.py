@@ -1,5 +1,6 @@
 """Command-line interface: ingestion, reports, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -450,6 +451,11 @@ class TestFitCommand:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["fit", "/does/not/exist.csv"]) == EXIT_IO
 
+    def test_se_methods_are_checked_before_the_csv_is_read(self, tmp_path, capsys):
+        # the missing file used to be reported, after the input had been read
+        assert main(["fit", str(tmp_path / "missing.csv"), "--se", "bogus"]) == EXIT_IO
+        assert "unknown se method 'bogus'" in capsys.readouterr().err
+
     def test_singular_design_is_assumption_error(self, sample_csv, capsys):
         code = main(["fit", sample_csv, "--w-cols", "z,z"])
         assert code == EXIT_ASSUMPTION
@@ -717,6 +723,14 @@ class TestSimulationCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coverage_without_methods_is_refused(self, tmp_path, capsys):
+        # an empty --methods list used to exit 0 with a header-only CSV
+        out = tmp_path / "coverage.csv"
+        assert main(["coverage", "--family", "gaussian", "--param", "0.5", "--n", "50",
+                     "--reps", "2", "--methods", "", "--out", str(out)]) == EXIT_IO
+        assert "coverage needs at least one se method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_calibrate_json(self, tmp_path):
         out = tmp_path / "cal.json"
         code = main([
@@ -828,3 +842,45 @@ class TestDeterminism:
         b = json.loads(out2.read_text())
         a["config"].pop("out"); b["config"].pop("out")
         assert a == b
+
+        # a sweep reruns from its echo too
+        code = main(["sweep", sample_csv, "--spec", "rank-rank-group", "--group-col",
+                     "region", "--w-cols", "z", "--grid", "0,0.5", "--out", str(out1)])
+        assert code == EXIT_OK
+        config = json.loads(out1.read_text())["config"]
+        argv = [
+            "sweep", config["csv"],
+            "--spec", config["spec"],
+            "--grid", ",".join(map(repr, config["grid"])),
+            "--alpha", repr(config["alpha"]),
+            "--y-col", config["y_col"],
+            "--x-col", config["x_col"],
+            "--w-cols", ",".join(config["w_cols"]),
+            "--group-col", config["group_col"],
+            "--out", str(out2),
+        ]
+        argv += ["--drop-missing"] * config["drop_missing"]
+        argv += ["--no-intercept"] * (not config["intercept"])
+        assert main(argv) == EXIT_OK
+        a = json.loads(out1.read_text())
+        b = json.loads(out2.read_text())
+        a["config"].pop("out"); b["config"].pop("out")
+        assert a == b
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "calibrate"])
+    def test_config_echo_is_the_parser(self, sample_csv, tmp_path, command):
+        # the echo holds every option of the subcommand, so a new flag is echoed too
+        argv = {
+            "fit": ["fit", sample_csv],
+            "sweep": ["sweep", sample_csv, "--grid", "0.5"],
+            "calibrate": ["calibrate", "--family", "gaussian", "--target", "0.3",
+                          "--n-mc", "10000"],
+        }[command]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in subparsers.choices[command]._actions}
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == dests - {"help"} | {"command"}
+        assert config["command"] == command

@@ -509,14 +509,19 @@ class TestGroupedThetaCoverage:
 
 @st.composite
 def _tied_problem(draw):
-    """Small tied sample, a spec and omega; 2-3 groups for the grouped spec."""
+    """Small tied sample, a spec and omega; 2-3 groups for the grouped spec.
+
+    W is a constant and a covariate, or, as under --no-intercept, the
+    covariate alone.
+    """
     n = draw(st.integers(12, 40))
     support = draw(st.integers(2, 5))
     points = st.lists(st.integers(0, support - 1), min_size=n, max_size=n)
     x = np.array(draw(points), dtype=float)
     y = np.array(draw(points), dtype=float)
     seed = draw(st.integers(0, 2**32 - 1))
-    w = np.column_stack([np.ones(n), np.random.default_rng(seed).normal(size=n)])
+    covariate = np.random.default_rng(seed).normal(size=n)
+    w = np.column_stack([np.ones(n), covariate] if draw(st.booleans()) else [covariate])
     spec = draw(st.sampled_from(["rank-rank", "rank-rank-group", "level-rank",
                                  "rank-level"]))
     omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
