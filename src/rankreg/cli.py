@@ -376,28 +376,20 @@ def _diagnostics(d, fit, info):
 
 def _theta_p_block(fit, plugin_report, p_value, alpha):
     """Delta-method expected outcome rank at regressor rank p: intercept + slope*p."""
-    if fit.spec not in ("rank-rank", "rank-rank-group"):
+    if fit.runs_x is None or fit.runs_y is None:
         raise InvalidInputError("--theta-p applies to rank-rank specifications")
     if not (0.0 <= p_value <= 1.0):  # ranks lie in (0, 1]
         raise InvalidInputError(f"rank position p must lie in [0, 1], got {p_value}")
-    names = plugin_report.names
-    q = len(names)
+    if "const" not in fit.names:
+        raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
+    n_blocks = len(fit.bounds)
+    labels = [""] if fit.order is None else [str(label) for label in fit.data.group_names]
     blocks = []
-    if fit.spec == "rank-rank":
-        targets = [("", "rank(x)", "const")]
-    else:
-        targets = [
-            (str(label), f"rank(x)@{label}", f"const@{label}")
-            for label in fit.data.group_names
-        ]
-    for label, slope_name, const_name in targets:
-        if const_name not in names:
-            raise InvalidInputError(
-                "--theta-p needs an intercept column (drop --no-intercept)"
-            )
-        weights = np.zeros(q)
-        weights[names.index(slope_name)] = p_value
-        weights[names.index(const_name)] = 1.0
+    for g, label in enumerate(labels):
+        weights = np.zeros(len(plugin_report.names))
+        # estimates run coefficient-major, then block: k of block g is at k * n_blocks + g
+        weights[g] = p_value
+        weights[fit.names.index("const") * n_blocks + g] = 1.0
         rep = linear_combo_inference(
             plugin_report.variance, weights, plugin_report.estimates,
             plugin_report.n, alpha=alpha,
@@ -414,25 +406,22 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
 
 def cmd_fit(args):
     # built per call: a traced run swaps these module attributes in place
-    variances = {"plugin": plugin_covariance, "hom": hom_covariance, "ew": ew_covariance}
-    for method in args.se:
-        if method not in variances and method != "bootstrap":
+    variances = {"plugin": plugin_covariance, "hom": hom_covariance, "ew": ew_covariance,
+                 "bootstrap": lambda fit, alpha: bootstrap_report(fit, BootstrapPlan(
+                     reps=args.bootstrap_reps, seed=args.seed, ci_kind=args.ci_kind,
+                     alpha=alpha))}
+    methods = list(dict.fromkeys(args.se))  # a repeated method runs once
+    if not methods:
+        raise InvalidInputError("fit needs at least one se method")
+    for method in methods:
+        if method not in variances:
             raise InvalidInputError(f"unknown se method {method!r}")
     d, info = load_dataset(args)
     warnings = _tie_warnings(d, args)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     fit = fit_spec(d, args.spec, args.omega)
-    reports = {}
-    for method in args.se:
-        if method == "bootstrap":
-            plan = BootstrapPlan(
-                reps=args.bootstrap_reps, seed=args.seed,
-                ci_kind=args.ci_kind, alpha=args.alpha,
-            )
-            reports[method] = bootstrap_report(fit, plan)
-        else:
-            reports[method] = variances[method](fit, alpha=args.alpha)
+    reports = {m: variances[m](fit, alpha=args.alpha) for m in methods}
     payload = {
         "spec": args.spec,
         "omega": args.omega,

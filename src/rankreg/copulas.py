@@ -30,11 +30,11 @@ conservative; other copulas (e.g. the quadratic family) push the ratio the
 opposite way and produce under-coverage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, _check_count, _replicates, bootstrap_ci
+from .bootstrap import BootstrapPlan, _check_count, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
 from .inference import ew_covariance, hom_covariance, plugin_slope_variance
@@ -298,17 +298,17 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     rank-rank regression, and records whether each method's interval covers
     the true slope (= the population rank correlation, since all families
     here have continuous marginals).  Reports coverage, its Monte Carlo
-    standard error, and the mean interval width.
+    standard error, and the mean interval width, one row per distinct method.
+    ``bootstrap_plan`` supplies the bootstrap's ``reps`` and ``ci_kind``;
+    each rep seeds its own replicates, and ``alpha`` comes from this call.
     """
     if reps < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
-    methods = tuple(methods)
+    methods = tuple(dict.fromkeys(methods))  # a repeated method runs once
     if not methods:
         raise InvalidInputError("coverage needs at least one se method")
-    # built per call: a traced run swaps these module attributes in place
-    variances = {"plugin": plugin_slope_variance, "hom": hom_covariance, "ew": ew_covariance}
     for m in methods:
-        if m not in variances and m != "bootstrap":
+        if m not in ("plugin", "hom", "ew", "bootstrap"):
             raise InvalidInputError(f"unknown se method {m!r}")
     if "bootstrap" in methods:
         if bootstrap_plan is None:
@@ -316,33 +316,22 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         _check_count(bootstrap_plan.reps, bootstrap_plan.ci_kind)
     truth = true_rank_correlation(model)
 
-    def one_rep(rep):
+    covered = np.zeros((reps, len(methods)))
+    widths = np.zeros((reps, len(methods)))
+    for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
         x, y = model.sample(n, rng)
         d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
         fit = fit_spec(d, "rank-rank", omega)
-        covered = np.zeros(len(methods))
-        widths = np.zeros(len(methods))
+        # built per rep, as the bootstrap seeds from the rep's stream (and a
+        # traced run swaps these module attributes in place)
+        variances = {"plugin": plugin_slope_variance, "hom": hom_covariance, "ew": ew_covariance,
+                     "bootstrap": lambda fit, alpha: bootstrap_report(fit, replace(
+                         bootstrap_plan, seed=int(rng.integers(2**63)), alpha=alpha))}
         for k, m in enumerate(methods):
-            if m in variances:
-                lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
-            else:
-                plan = BootstrapPlan(
-                    reps=bootstrap_plan.reps,
-                    seed=int(rng.integers(2**63)),
-                    ci_kind=bootstrap_plan.ci_kind,
-                    alpha=alpha,
-                )
-                boots = _replicates(fit, plan)[:, 0]
-                lo_, hi_ = bootstrap_ci(boots, fit.slope, plan)
-            covered[k] = 1.0 if lo_ <= truth <= hi_ else 0.0
-            widths[k] = hi_ - lo_
-        return covered, widths
-
-    covered = np.zeros((reps, len(methods)))
-    widths = np.zeros((reps, len(methods)))
-    for rep in range(reps):
-        covered[rep], widths[rep] = one_rep(rep)
+            lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
+            covered[rep, k] = lo_ <= truth <= hi_
+            widths[rep, k] = hi_ - lo_
 
     rows = []
     for k, m in enumerate(methods):

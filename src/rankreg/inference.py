@@ -116,11 +116,6 @@ class InferenceReport:
     n: int
     influence: InfluenceRows | None = None
 
-    def coefficient(self, name):
-        """(estimate, se, ci) triple for one named coefficient."""
-        k = self.names.index(name)
-        return float(self.estimates[k]), float(self.se[k]), tuple(self.ci[k])
-
 
 def _check_data(fit, data):
     """Refuse any dataset but the one the fit was prepared from."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rankreg
-from rankreg import bootstrap, cli, copulas, estimators, kernels
+from rankreg import bootstrap, cli, estimators, kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -456,6 +456,27 @@ class TestFitCommand:
         assert main(["fit", str(tmp_path / "missing.csv"), "--se", "bogus"]) == EXIT_IO
         assert "unknown se method 'bogus'" in capsys.readouterr().err
 
+    def test_empty_se_list_is_refused_before_the_csv_is_read(self, tmp_path, capsys):
+        # an empty list used to exit 0 with an empty se_methods block
+        assert main(["fit", str(tmp_path / "missing.csv"), "--se", ""]) == EXIT_IO
+        assert "fit needs at least one se method" in capsys.readouterr().err
+
+    def test_repeated_se_method_runs_once(self, sample_csv, tmp_path, monkeypatch):
+        # a repeated method used to be computed once per mention
+        calls = []
+        original = cli.plugin_covariance
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "plugin_covariance", counting)
+        out = tmp_path / "report.json"
+        assert main(["fit", sample_csv, "--se", "plugin,hom,plugin",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        assert list(json.loads(out.read_text())["se_methods"]) == ["hom", "plugin"]
+
     def test_singular_design_is_assumption_error(self, sample_csv, capsys):
         code = main(["fit", sample_csv, "--w-cols", "z,z"])
         assert code == EXIT_ASSUMPTION
@@ -603,8 +624,7 @@ class TestEdgeExitCodes:
             self, sample_csv, tmp_path, capsys, monkeypatch, command):
         # a percentile interval needs 50 replicates; 10 used to be solved first
         solved = []
-        for module in (bootstrap, copulas):
-            monkeypatch.setattr(module, "_replicates", lambda *a: solved.append(a))
+        monkeypatch.setattr(bootstrap, "_replicates", lambda *a: solved.append(a))
         if command == "fit":
             argv = ["fit", sample_csv, "--se", "plugin,bootstrap"]
         else:
@@ -730,6 +750,17 @@ class TestSimulationCommands:
                      "--reps", "2", "--methods", "", "--out", str(out)]) == EXIT_IO
         assert "coverage needs at least one se method" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_coverage_method_writes_one_row(self, tmp_path):
+        # plugin,plugin used to run the plugin SE twice per rep and write two rows
+        reports = []
+        for methods in ("plugin,plugin", "plugin"):
+            out = tmp_path / f"{methods}.csv"
+            assert main(["coverage", "--family", "gaussian", "--param", "0.5", "--n", "50",
+                         "--reps", "5", "--methods", methods, "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert len(reports[0].splitlines()) == 2
 
     def test_calibrate_json(self, tmp_path):
         out = tmp_path / "cal.json"

@@ -252,14 +252,14 @@ class TestCoverageExperiment:
     def test_bootstrap_reuses_the_rep_fit(self, monkeypatch):
         # each rep fits its sample once; the bootstrap replicates it passes to
         # the interval are those of bootstrap_distribution on the same sample
-        import rankreg.copulas as copulas
+        import rankreg.bootstrap as bootstrap
         import rankreg.estimators as estimators
         from rankreg import bootstrap_distribution, coverage_experiment, reflection
 
         fit_calls = []
         fit_init = estimators.FitResult.__init__
         seen = []
-        replicates = copulas._replicates
+        replicates = bootstrap._replicates
 
         def counting_init(fit, *args):
             fit_calls.append(fit)
@@ -271,7 +271,7 @@ class TestCoverageExperiment:
             return out
 
         monkeypatch.setattr(estimators.FitResult, "__init__", counting_init)
-        monkeypatch.setattr(copulas, "_replicates", spy)
+        monkeypatch.setattr(bootstrap, "_replicates", spy)
         coverage_experiment(reflection(0.3), n=60, reps=4, methods=("bootstrap",),
                             seed=5, bootstrap_plan=BootstrapPlan(reps=50, seed=0))
         assert len(fit_calls) == 4
