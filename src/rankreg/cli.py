@@ -366,7 +366,7 @@ def _diagnostics(d, fit, info):
         "rows_dropped": info.get("rows_dropped", 0),
         "tie_count_x": d.runs_x.tied if d.x is not None else 0,
         "tie_count_y": d.runs_y.tied,
-        "design_condition_number": float(np.linalg.cond(fit.system[:, :-1])),
+        "design_condition_number": fit.condition_number,
     }
     if d.group_index is not None:
         sizes = np.bincount(d.group_index).tolist()
@@ -471,7 +471,7 @@ def cmd_coverage(args):
     model = CopulaModel(args.family, args.param)
     plan = None
     if "bootstrap" in args.methods:
-        plan = BootstrapPlan(reps=args.bootstrap_reps, seed=args.seed, alpha=args.alpha)
+        plan = BootstrapPlan(reps=args.bootstrap_reps, alpha=args.alpha)
     rows = coverage_experiment(
         model, args.n, args.reps, methods=args.methods, alpha=args.alpha,
         omega=args.omega, seed=args.seed, bootstrap_plan=plan,

@@ -312,7 +312,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
             raise InvalidInputError(f"unknown se method {m!r}")
     if "bootstrap" in methods:
         if bootstrap_plan is None:
-            bootstrap_plan = BootstrapPlan(reps=299, seed=seed, alpha=alpha)
+            bootstrap_plan = BootstrapPlan(reps=299, alpha=alpha)
         _check_count(bootstrap_plan.reps, bootstrap_plan.ci_kind)
     truth = true_rank_correlation(model)
 

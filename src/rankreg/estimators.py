@@ -16,16 +16,18 @@ group) of each resample in a stack of multiplicities m.  ``FitResult``
 is the sample solved as the stack of one where every multiplicity is 1;
 a chunk of bootstrap replicates is a stack of draws.  Covariates are taken
 exactly as given; no intercept column is added here (the CLI adds one by
-default).  Each block makes one numpy QR factorisation of the design with
-the response appended, which gives both the coefficients and
-A^-1 = (Z'Z/n)^-1; a batched singular-value pass over the small R factors
-clears the well-conditioned ones, and a column-pivoted QR of each other R
-factor decides whether its design is singular.  By the Frisch-Waugh-Lovell
-identity that one matrix holds every projection the asymptotic variance
-needs later: the first stage of rank(x) on W and, per covariate column, the
-projection of that column on the remaining regressors.  A fit keeps the
-block form, (G, q) coefficients and (G, q, q) A^-1 with G = 1 unless it is
-grouped, and reads every reported quantity off it.
+default).  Each block takes the R factor of the design with the response
+appended: one numpy QR, or for a tall block a batched QR of its row slices
+and one QR of their stacked R factors (TSQR).  That factor gives both the
+coefficients and A^-1 = (Z'Z/n)^-1; a batched singular-value pass over the
+small R factors clears the well-conditioned ones, and a column-pivoted QR
+of each other R factor decides whether its design is singular.  By the
+Frisch-Waugh-Lovell identity A^-1 holds every projection the asymptotic
+variance needs later: the first stage of rank(x) on W and, per covariate
+column, the projection of that column on the remaining regressors.  A fit
+keeps the block form, (G, q) coefficients, (G, q, q) A^-1 and the R factors,
+which carry the design's singular values, with G = 1 unless it is grouped,
+and reads every reported quantity off it.
 """
 
 import functools
@@ -69,6 +71,9 @@ _SKIP_RCOND = 1e-10
 _TIE = 1e-13
 # in-sample residual variance below this is treated as a degenerate projection
 _DEGENERATE_VAR = 1e-12
+# rows per slice of the blocked QR of a tall block: one QR of a taller block
+# runs out of cache, and a shorter one is as fast as the slices
+_QR_ROWS = 1024
 
 
 def _column_matrix(w, n):
@@ -221,10 +226,19 @@ def _r_factors(system):
     """R factors of a stack (k, rows, q+1) of [Z, r], each (q+1, q+1).
 
     The R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
-    A system with fewer rows than columns gets zero rows below its R.
+    A block of at least 2 * ``_QR_ROWS`` rows is factored by row slices
+    (TSQR): one batched QR of its ``_QR_ROWS``-row slices, then one QR of
+    their stacked R factors with the remaining rows.  Its R is that of one
+    QR up to the sign of each row, which moves no solution or singular
+    value.  A system with fewer rows than columns gets zero rows below its R.
     """
+    k, rows, width = system.shape
+    if rows >= 2 * _QR_ROWS:
+        cut = rows - rows % _QR_ROWS
+        slices = np.linalg.qr(system[:, :cut].reshape(-1, _QR_ROWS, width), mode="r")
+        system = np.concatenate([slices.reshape(k, -1, width), system[:, cut:]], axis=1)
     R = np.linalg.qr(system, mode="r")
-    short = system.shape[-1] - R.shape[-2]
+    short = width - R.shape[-2]
     if short:
         R = np.concatenate([R, np.zeros(R.shape[:-2] + (short, R.shape[-1]))], axis=-2)
     return R
@@ -374,8 +388,8 @@ class _Sample:
         """Solve every fit block of the sample, or of each resample in a stack of multiplicities.
 
         ``m`` is None for the sample itself, else (c, n) multiplicities of
-        the rows, one resample per row of ``m``.  Returns [Z, r] of shape
-        (c, n, q+1) in the row order of :attr:`system`, the coefficients
+        the rows, one resample per row of ``m``.  Returns the R factors
+        (c, G, q+1, q+1) of each fit block's [Z, r], the coefficients
         (c, G, q) and (Z'Z)^-1 (c, G, q, q) of the G fit blocks, and per
         resample None or the error that refuses it (its values are NaN).
 
@@ -425,7 +439,7 @@ class _Sample:
             i, g = divmod(k, n_blocks)
             if errors[i] is None:
                 errors[i] = self._refusal(singular[k], None if m is None else m[i], g)
-        return system, coef, gram_inv, errors
+        return R, coef, gram_inv, errors
 
     def _refusal(self, err, m, g):
         """The error refusing block g of the sample, or of the resample with multiplicities m."""
@@ -452,6 +466,7 @@ class FitResult(_Sample):
     with A = Z'Z/n over the block's rows and n the pooled count.  Column l
     of Z A^-1 is the projection residual of Z_l on the other regressors over
     its second moment, which is everything the inference step needs.
+    ``r_factors`` (G, q+1, q+1) are the blocks' R factors of [Z, r], and
     ``residuals`` are in input order.
 
     ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
@@ -464,13 +479,13 @@ class FitResult(_Sample):
 
     def __init__(self, d, spec, omega):
         super().__init__(d, spec, omega)
-        system, coef, gram_inv, errors = self.solve_stack()
+        R, coef, gram_inv, errors = self.solve_stack()
         if errors[0] is not None:
             raise errors[0]
-        system, self.coef, self.a_inv = system[0], coef[0], d.n * gram_inv[0]
-        residuals = system[:, -1].copy()
+        self.r_factors, self.coef, self.a_inv = R[0], coef[0], d.n * gram_inv[0]
+        residuals = self.system[:, -1].copy()
         for (lo, hi), c in zip(self.bounds, self.coef):
-            residuals[lo:hi] -= system[lo:hi, :-1] @ c
+            residuals[lo:hi] -= self.system[lo:hi, :-1] @ c
         if self.order is not None:  # back to input order
             residuals[self.order] = residuals.copy()
         self.residuals = residuals
@@ -478,6 +493,16 @@ class FitResult(_Sample):
     @property
     def n(self):
         return self.data.n
+
+    @property
+    def condition_number(self):
+        """2-norm condition number of the design Z over all blocks.
+
+        Z's R factors have Z's singular values, so for a grouped fit the
+        stacked (G q, q) factors of its blocks have the pooled design's.
+        """
+        q = self.coef.shape[1]
+        return float(np.linalg.cond(self.r_factors[:, :q, :q].reshape(-1, q)))
 
     def _per_block(self, values):
         """``values`` (G, ...) per group for a grouped fit, else its one block."""

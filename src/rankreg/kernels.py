@@ -3,8 +3,10 @@
 Everything downstream (rank transforms, plugin variances, the copula lab's
 conditional expectations) compares a variable with itself, so it depends on
 the variable only through its tie runs.  ``tie_runs(values)`` finds them by
-the package's one stable sort of a ranked variable, in O(n log n); the two
-functions over the runs of a sample of size n then cost O(n + R) for R runs:
+the package's one sort of a ranked variable, in O(n log n); a run id does
+not depend on the order of tied elements, so the sort need not be stable and
+numpy's default (SIMD where the CPU has it) serves.  The two functions over
+the runs of a sample of size n then cost O(n + R) for R runs:
 
 * ``comparison_counts(runs)`` -- for every element, how many sample values
   are strictly below it and how many are at or below it: cumulative run sizes.
@@ -50,8 +52,8 @@ class TieRuns(NamedTuple):
 
 
 def tie_runs(values):
-    """Tie runs of ``values`` from one stable sort."""
-    order = np.argsort(values, kind="mergesort")
+    """Tie runs of ``values`` from one sort; tied elements may come in any order."""
+    order = np.argsort(values)
     ordered = values[order]
     run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     run = np.empty(values.size, dtype=np.intp)

@@ -429,6 +429,18 @@ class TestFitCommand:
         assert payload["diagnostics"]["group_sizes"].keys() == {"BY", "SN"}
         assert "rank(x)@BY" in payload["coefficients"]["names"]
 
+    @pytest.mark.parametrize("spec", ["rank-rank", "rank-rank-group"])
+    def test_condition_number_is_the_designs(self, sample_csv, tmp_path, spec):
+        out = tmp_path / "report.json"
+        code = main(["fit", sample_csv, "--spec", spec, "--omega", "0.5", "--w-cols", "z",
+                     "--group-col", "region", "--out", str(out)])
+        assert code == EXIT_OK
+        reported = json.loads(out.read_text())["diagnostics"]["design_condition_number"]
+        x, z = np.loadtxt(sample_csv, delimiter=",", skiprows=1, usecols=(1, 2)).T
+        # the grouped fit's pooled design is the same rows in group order
+        want = np.linalg.cond(np.column_stack([rankreg.rank_transform(x, 0.5), np.ones(x.size), z]))
+        assert reported == pytest.approx(want, rel=1e-12)
+
     def test_warns_on_ties_with_naive_se(self, tied_csv, tmp_path, capsys):
         out = tmp_path / "tied.json"
         code = main(["fit", tied_csv, "--se", "plugin,hom", "--out", str(out)])

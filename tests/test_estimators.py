@@ -23,7 +23,7 @@ from rankreg import (
     rank_transform,
     spearman,
 )
-from rankreg.estimators import SPECS, _solve
+from rankreg.estimators import _QR_ROWS, SPECS, _r_factors, _solve
 
 from conftest import make_tied_sample
 
@@ -94,15 +94,18 @@ def _lapack_pivoted_solve(Z, r):
 
 
 @st.composite
-def _designs(draw):
+def _designs(draw, rows=None):
     """Random designs with an intercept, some columns scaled by 1e8 and at
     most one defect (duplicate, multiple of the intercept, zero column).
 
     Either n < q, or n is large enough for a well-conditioned random design,
-    where two stable solves agree to far below 1e-12.
+    where two stable solves agree to far below 1e-12.  ``rows``, a strategy,
+    draws n instead.
     """
     q = draw(st.integers(1, 6))
-    if q > 1 and draw(st.booleans()):
+    if rows is not None:
+        n = draw(rows)
+    elif q > 1 and draw(st.booleans()):
         n = draw(st.integers(1, q - 1))
     else:
         n = draw(st.integers(3 * q + 10, 3 * q + 60))
@@ -143,6 +146,86 @@ class TestSolveAgainstPivotedQR:
         scaled = np.outer(length, length)
         assert np.max(np.abs(gram_inv - want[1]) * scaled) <= (
             1e-12 * np.max(np.abs(want[1]) * scaled))
+
+
+def _assert_same_decision(Z, r):
+    """``_solve`` accepts [Z, r] exactly when LAPACK's pivoted QR does, and
+    names the column it names; returns the reference's verdict."""
+    want = _lapack_pivoted_solve(Z, r)
+    try:
+        _solve(np.column_stack([Z, r]))
+    except SingularDesignError as err:
+        assert isinstance(want, int), "the reference accepts the design"
+        assert err.column == want or np.array_equal(Z[:, err.column], Z[:, want])
+    else:
+        assert not isinstance(want, int), f"the reference rejects column {want}"
+    return want
+
+
+def _assert_same_gram(blocked, whole, system):
+    """R'R of both factors is [Z, r]'[Z, r], relative to the columns' lengths.
+
+    Every R factor of the system has this product; R itself is unique only
+    up to row signs, and only for a well-conditioned design.
+    """
+    length = np.linalg.norm(system, axis=0)
+    length[length == 0.0] = 1.0
+    gap = np.abs(blocked.T @ blocked - whole.T @ whole) / np.outer(length, length)
+    assert np.max(gap) <= 1e-13
+
+
+# from one QR (just below the threshold) to several slices and a remainder
+_TALL_ROWS = [2 * _QR_ROWS - 1, 2 * _QR_ROWS, 3 * _QR_ROWS + 37, 5 * _QR_ROWS + 1]
+
+
+class TestBlockedQR:
+    """The sliced QR of tall blocks against one unblocked QR and against LAPACK."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs(rows=st.sampled_from(_TALL_ROWS)))
+    def test_matches_one_qr_and_lapack_decision(self, problem):
+        Z, r = problem
+        system = np.column_stack([Z, r])
+        blocked = _r_factors(system[None])[0]
+        whole = np.linalg.qr(system, mode="r")
+        _assert_same_gram(blocked, whole, system)
+        if isinstance(_assert_same_decision(Z, r), int):
+            return
+        # full rank and well-conditioned once the 1e8 scales are divided out
+        signs = np.sign(np.diag(blocked)) * np.sign(np.diag(whole))
+        length = np.linalg.norm(system, axis=0)
+        assert np.max(np.abs(signs[:, None] * blocked - whole) / length) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [2 * _QR_ROWS - 1, 3 * _QR_ROWS + 37])
+    def test_decisions_across_the_condition_gap(self, rows):
+        # cond(Z) placed from below _SKIP_RCOND's 1e10 to past _RCOND_MIN's 1e12
+        rng = np.random.default_rng(rows)
+        verdicts = set()
+        for kappa in np.logspace(9.5, 12.5, 13):
+            for q in (2, 4, 6):
+                U = np.linalg.qr(rng.normal(size=(rows, q)))[0]
+                V = np.linalg.qr(rng.normal(size=(q, q)))[0]
+                Z = (U * np.logspace(0.0, -np.log10(kappa), q)) @ V.T
+                r = rng.normal(size=rows)
+                system = np.column_stack([Z, r])
+                _assert_same_gram(_r_factors(system[None])[0],
+                                  np.linalg.qr(system, mode="r"), system)
+                verdicts.add(isinstance(_assert_same_decision(Z, r), int))
+        assert verdicts == {False, True}
+
+
+class TestConditionNumber:
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n, scale", [(300, 1.0), (300, 1e8), (3 * _QR_ROWS + 5, 1.0)])
+    def test_equals_cond_of_the_design(self, rng, spec, n, scale):
+        x = make_tied_sample(rng, n)
+        y = x + make_tied_sample(rng, n)
+        w = np.column_stack([np.ones(n), scale * rng.normal(size=n)])
+        d = Dataset(y=y, x=x, w=w, g=rng.integers(0, 3, size=n), w_names=["const", "z"])
+        fit = fit_spec(d, spec, 0.5)
+        # a grouped fit's design is the pooled one, its rows in group order
+        want = np.linalg.cond(fit.system[:, :-1])
+        assert abs(fit.condition_number - want) <= 1e-12 * want * want
 
 
 @st.composite

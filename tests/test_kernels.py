@@ -1,6 +1,8 @@
 """Correctness of the low-level kernels against their literal definitions."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankreg import kernels
 
@@ -38,6 +40,42 @@ def test_tie_runs_are_dense_in_value_order(rng):
         assert np.array_equal(runs.run[:, None] == runs.run[None, :], same)
         assert np.array_equal(runs.run[:, None] < runs.run[None, :], below)
         assert runs.tied == np.sum(same.sum(axis=1) > 1)
+
+
+def _mergesort_runs(values):
+    """Run ids and sizes by a stable mergesort, gathered and scattered as tie_runs does."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    run = np.empty(values.size, dtype=np.intp)
+    run[order] = np.cumsum(run_start) - 1
+    return run, np.diff(np.append(np.flatnonzero(run_start), values.size))
+
+
+@st.composite
+def _tied_floats(draw):
+    """Heavily tied floats holding both -0.0 and 0.0, and a permutation of them.
+
+    Sizes run from numpy's small-array sort to its SIMD path.
+    """
+    n = draw(st.one_of(st.integers(1, 40), st.integers(41, 40_000)))
+    pool = [-0.0, 0.0] + draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool), size=n), rng.permutation(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tied_floats())
+def test_tie_runs_equal_stable_sort_bitwise(problem):
+    values, perm = problem
+    runs = kernels.tie_runs(values)
+    run, sizes = _mergesort_runs(values)
+    assert runs.run.dtype == run.dtype and np.array_equal(runs.run, run)
+    assert runs.sizes.dtype == sizes.dtype and np.array_equal(runs.sizes, sizes)
+    # a run id belongs to the value, not to the element's position
+    permuted = kernels.tie_runs(values[perm])
+    assert np.array_equal(permuted.run, runs.run[perm])
+    assert np.array_equal(permuted.sizes, runs.sizes)
 
 
 def test_weighted_sums_match_pairwise(rng):
