@@ -80,7 +80,7 @@ def _chunk(sample, seed, replicates):
     n = sample.data.n
     streams = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
                for b in replicates]
-    width = None if sample.spec == "rank-level" else 1
+    width = None if sample.runs_x is None else 1
     values = [None] * len(replicates)
     pending = list(range(len(replicates)))
     rejections = 0

@@ -50,6 +50,7 @@ from .inference import (
     omega_sweep,
     plugin_covariance,
 )
+from .ranks import spearman
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +97,9 @@ def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
     columns with no quote character is parsed by numpy in one call when
     every record is clean; on any doubt the row-by-row reader reads the same
     bytes.  That reader is the only source of error messages and line
-    numbers and the only one that drops records.
+    numbers and the only one that drops records.  It refuses a file that is
+    not UTF-8 before it reads any record, naming the line of the first byte
+    that does not decode.
     """
     needed = [y_col] + ([x_col] if x_col else []) + list(w_cols)
     needed = list(dict.fromkeys(needed))  # duplicated names read once; the
@@ -108,19 +111,7 @@ def ingest_csv(path, y_col, x_col=None, w_cols=(), group_col=None,
         parsed = _read_arrays(raw, needed, group_col)
     except Exception:  # doubt of any kind: the row reader decides and explains
         parsed = None
-    try:
-        return parsed or _read_rows(path, raw, needed, group_col, drop_missing)
-    except UnicodeDecodeError as err:
-        # the row reader decodes in pieces; one decode of the whole file
-        # places the first byte that is not UTF-8 in it
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            err = whole
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise InvalidInputError(
-            f"{path}: line {line}: byte 0x{err.object[err.start]:02x} is not UTF-8 text; "
-            "save the file as UTF-8") from None
+    return parsed or _read_rows(path, raw, needed, group_col, drop_missing)
 
 
 def _header_index(header):
@@ -184,6 +175,13 @@ def _read_arrays(raw, needed, group_col):
 
 def _read_rows(path, raw, needed, group_col, drop_missing):
     """The row reader: one csv record of ``raw`` at a time, with the line of the first fault."""
+    try:  # one decode of the whole file places its first byte that is not UTF-8
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise InvalidInputError(
+            f"{path}: line {line}: byte 0x{raw[err.start]:02x} is not UTF-8 text; "
+            "save the file as UTF-8") from None
     # utf-8-sig drops the byte-order mark that Excel and other tools write
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -197,9 +195,8 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
                 raise InvalidInputError(
                     f"{path}: column {name!r} not found in header {sorted(index)}"
                 )
-        values = {name: [] for name in needed}
-        groups = []
-        dropped = []
+        used = [index[name] for name in needed]
+        records, groups, dropped = [], [], 0
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -207,38 +204,31 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
                 raise InvalidInputError(
                     f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            parsed = {}
-            bad_field = None
-            for name in needed:
-                # a missing token fails float() or parses to NaN
-                number = _parse_number(row[index[name]].strip())
-                if number is None:
-                    bad_field = name
-                    break
-                parsed[name] = number
-            if group_col:
-                gtoken = row[index[group_col]].strip()
-                if bad_field is None and gtoken.lower() in _MISSING_TOKENS:
-                    bad_field = group_col
-            if bad_field is not None:
-                if drop_missing:
-                    dropped.append(line_no)
-                    continue
+            # a missing token fails float() or parses to NaN
+            numbers = [_parse_number(row[k].strip()) for k in used]
+            label = row[index[group_col]].strip() if group_col else None
+            if None in numbers:
+                bad_field = needed[numbers.index(None)]
+            elif group_col and label.lower() in _MISSING_TOKENS:
+                bad_field = group_col
+            else:
+                records += numbers
+                groups.append(label)
+                continue
+            if not drop_missing:
                 raise InvalidInputError(
                     f"{path}: line {line_no}: missing or non-numeric value "
                     f"in column {bad_field!r}"
                 )
-            for name in needed:
-                values[name].append(parsed[name])
-            if group_col:
-                groups.append(gtoken)
-        if not values[needed[0]]:
-            raise InvalidInputError(f"{path}: no usable data rows")
-    info = {"rows_used": len(values[needed[0]]), "rows_dropped": len(dropped)}
-    columns = {name: np.array(vals) for name, vals in values.items()}
+            dropped += 1
+    if not records:
+        raise InvalidInputError(f"{path}: no usable data rows")
+    # flat floats: numpy reads them fastest, and the GC tracks no list per record
+    table = np.array(records).reshape(-1, len(needed))
+    columns = dict(zip(needed, table.T.copy()))  # each column contiguous
     if group_col:
         columns[group_col] = np.array(groups)
-    return columns, info
+    return columns, {"rows_used": len(table), "rows_dropped": dropped}
 
 
 def load_dataset(args):
@@ -344,15 +334,16 @@ def _emit_csv(rows, out_path):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _tie_warnings(d, args):
+def _tie_warnings(fit, args):
+    """Warnings about ties among the variables that the fit ranks."""
     warnings = []
-    has_ties = d.runs_y.tied > 0 or (d.x is not None and d.runs_x.tied > 0)
+    has_ties = any(runs is not None and runs.tied > 0 for runs in (fit.runs_x, fit.runs_y))
     if has_ties and ({"hom", "ew"} & set(args.se)):
         warnings.append(
             "data contain ties and hom/ew standard errors were requested; these "
             "formulas ignore rank-estimation noise and are inconsistent here"
         )
-    if has_ties and args.spec in ("rank-rank", "rank-rank-group") and not args.omega_given:
+    if has_ties and not args.omega_given:
         warnings.append(
             "data contain ties and omega was not specified: the estimand depends "
             "on how ties are ranked; consider --omega or the sweep command"
@@ -417,10 +408,10 @@ def cmd_fit(args):
         if method not in variances:
             raise InvalidInputError(f"unknown se method {method!r}")
     d, info = load_dataset(args)
-    warnings = _tie_warnings(d, args)
+    fit = fit_spec(d, args.spec, args.omega)
+    warnings = _tie_warnings(fit, args)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
-    fit = fit_spec(d, args.spec, args.omega)
     reports = {m: variances[m](fit, alpha=args.alpha) for m in methods}
     payload = {
         "spec": args.spec,
@@ -536,8 +527,6 @@ def cmd_calibrate(args):
         args.family, args.target, tolerance=args.tol, seed=args.seed, n_mc=args.n_mc,
     )
     check = CopulaModel(args.family, param)
-    from .ranks import spearman  # local import keeps CLI import light
-
     x, y = check.sample(args.n_mc, args.seed)
     _emit_json(args, {
         "family": args.family,

@@ -286,9 +286,9 @@ def _draw_line(draw, names, shape, dirty_rate=0):
 def _csv_files(draw):
     """CSV bytes over columns y, x, w, g and z, and the ingest arguments.
 
-    A third of the files are clean, a third have exactly one flaw in a line
-    or a used cell (the cases the accept path must detect) and a third have
-    flaws anywhere.
+    A third of the files are clean, a third have exactly one flaw in a line,
+    a used cell or any cell written in Latin-1 (the cases the accept path
+    must detect) and a third have flaws anywhere.
     """
     if draw(st.integers(0, 5)) == 0:  # one field per line: a blank line has no commas
         names, x_col, w_cols, group_col = ["y"], None, [], None
@@ -309,7 +309,8 @@ def _csv_files(draw):
         lines = [_draw_line(draw, names, "row") for _ in range(draw(st.integers(1, 6)))]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     if mode == "one flaw":
-        flaw = draw(st.sampled_from(_SHAPES[1:] + ["token", "nonfinite", "label", "quote", "cr"]))
+        flaw = draw(st.sampled_from(_SHAPES[1:] + ["token", "nonfinite", "label", "quote", "cr",
+                                                   "latin1"]))
         row = draw(st.integers(0, len(lines) - 1))
         used = [k for k, name in enumerate(names)
                 if name.strip() in {"y", x_col, group_col, *w_cols}]
@@ -324,6 +325,8 @@ def _csv_files(draw):
             lines[row] = _draw_line(draw, names, flaw)
         elif flaw == "quote":  # a clean value, quoted
             cells[at] = f'"{cells[at]}"'
+        elif flaw == "latin1":  # a used or unused cell ends in Latin-1's e-acute, byte 0xe9
+            cells[draw(st.integers(0, len(cells) - 1))] += "\udce9"
         elif names[at].strip() == "g":
             cells[at] = draw(st.sampled_from(_DIRTY_LABELS))
         else:
@@ -334,7 +337,8 @@ def _csv_files(draw):
     elif mode == "any":
         newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join([",".join(names)] + lines) + (newline if draw(st.booleans()) else "")
-    raw = text.encode("utf-8-sig" if draw(st.booleans()) else "utf-8")
+    # surrogateescape writes the lone surrogate U+DCE9 as the byte 0xe9
+    raw = text.encode("utf-8-sig" if draw(st.booleans()) else "utf-8", "surrogateescape")
     return raw, x_col, w_cols, group_col
 
 
@@ -457,6 +461,29 @@ class TestFitCommand:
         payload = json.loads(out.read_text())
         assert not any("omega was not specified" in w for w in payload["warnings"])
 
+    def _warnings(self, tmp_path, x, y, *flags):
+        path = _write_csv(tmp_path / "data.csv", ["y", "x"], np.column_stack([y, x]).tolist())
+        out = tmp_path / "report.json"
+        assert main(["fit", path, "--out", str(out), *flags]) == EXIT_OK
+        return json.loads(out.read_text())["warnings"]
+
+    def test_level_rank_warns_on_ties_in_x(self, tmp_path, rng):
+        # the level-rank slope depends on omega when x is tied
+        x = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=300)
+        found = self._warnings(tmp_path, x, x + rng.normal(size=300), "--spec", "level-rank")
+        assert any("omega was not specified" in w for w in found)
+
+    def test_level_rank_ignores_ties_in_raw_y(self, tmp_path, rng):
+        # level-rank does not rank y, so its ties concern neither warning
+        x = rng.normal(size=300)
+        y = np.round(x)
+        assert self._warnings(tmp_path, x, y, "--spec", "level-rank", "--se", "plugin,hom") == []
+
+    def test_rank_level_warns_on_ties_in_y(self, tmp_path, rng):
+        x = rng.normal(size=300)
+        found = self._warnings(tmp_path, x, np.round(x), "--spec", "rank-level", "--w-cols", "x")
+        assert any("omega was not specified" in w for w in found)
+
     def test_missing_column_is_io_error(self, small_csv, capsys):
         assert main(["fit", small_csv, "--x-col", "nope"]) == EXIT_IO
 
@@ -521,6 +548,21 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{path}: line 3: byte 0x" in err and "is not UTF-8" in err
+
+    @pytest.mark.parametrize("bad_line", [10, 2500])
+    def test_encoding_error_comes_before_any_record(self, tmp_path, capsys, bad_line):
+        # an NA on line 2 and a Latin-1 byte further down: the encoding is
+        # checked before any record is read, however far into the file the
+        # byte lies (line 2,500 is past the first 8 KB of decoded text)
+        lines = [b"y,x,name"] + [b"%d,%d,Ana" % (k, k % 7) for k in range(2, 3001)]
+        lines[1] = b"NA,1,Ana"
+        lines[bad_line - 1] = b"5,3,Jos\xe9"
+        path = tmp_path / "two-faults.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["fit", str(path), "--out", str(tmp_path / "out.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: line {bad_line}: byte 0xe9 is not UTF-8 text; "
+                       "save the file as UTF-8\n")
 
     def test_strict_missing_value_is_io_error(self, tmp_path, capsys):
         path = _write_csv(tmp_path / "bad.csv", ["y", "x"], [[1, 2], ["NA", 3], [2, 2]])
