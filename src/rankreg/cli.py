@@ -233,6 +233,8 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
 
 def load_dataset(args):
     """The ``Dataset`` that a fit or sweep names, and the ingest info of its CSV."""
+    if (args.group_col is None) == (args.spec == "rank-rank-group"):
+        raise InvalidInputError("--group-col goes with --spec rank-rank-group, which needs it")
     x_col = args.x_col if args.spec != "rank-level" else None
     columns, info = ingest_csv(args.csv, args.y_col, x_col, args.w_cols,
                                args.group_col, args.drop_missing)
@@ -367,12 +369,6 @@ def _diagnostics(d, fit, info):
 
 def _theta_p_block(fit, plugin_report, p_value, alpha):
     """Delta-method expected outcome rank at regressor rank p: intercept + slope*p."""
-    if fit.runs_x is None or fit.runs_y is None:
-        raise InvalidInputError("--theta-p applies to rank-rank specifications")
-    if not (0.0 <= p_value <= 1.0):  # ranks lie in (0, 1]
-        raise InvalidInputError(f"rank position p must lie in [0, 1], got {p_value}")
-    if "const" not in fit.names:
-        raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
     n_blocks = len(fit.bounds)
     labels = [""] if fit.order is None else [str(label) for label in fit.data.group_names]
     blocks = []
@@ -407,6 +403,13 @@ def cmd_fit(args):
     for method in methods:
         if method not in variances:
             raise InvalidInputError(f"unknown se method {method!r}")
+    if args.theta_p is not None:
+        if args.spec not in ("rank-rank", "rank-rank-group"):
+            raise InvalidInputError("--theta-p applies to rank-rank specifications")
+        if not (0.0 <= args.theta_p <= 1.0):  # ranks lie in (0, 1]
+            raise InvalidInputError(f"rank position p must lie in [0, 1], got {args.theta_p}")
+        if not (args.intercept or "const" in args.w_cols):
+            raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
     d, info = load_dataset(args)
     fit = fit_spec(d, args.spec, args.omega)
     warnings = _tie_warnings(fit, args)

@@ -106,13 +106,11 @@ class CopulaModel:
             raise InvalidInputError("need n >= 1 draws")
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         th = self.param
-        if self.family == "gaussian":
+        if self.family in ("gaussian", "student_t1"):
             z1 = rng.standard_normal(n)
             z2 = th * z1 + np.sqrt(max(1.0 - th * th, 0.0)) * rng.standard_normal(n)
-            return z1, z2
-        if self.family == "student_t1":
-            z1 = rng.standard_normal(n)
-            z2 = th * z1 + np.sqrt(max(1.0 - th * th, 0.0)) * rng.standard_normal(n)
+            if self.family == "gaussian":
+                return z1, z2
             mix = np.sqrt(rng.chisquare(1, n))
             return z1 / mix, z2 / mix
         if self.family == "quadratic":
@@ -229,7 +227,7 @@ def true_rank_correlation(model, n_mc=ORACLE_DRAWS):
     if model.family == "independence":
         return 0.0
     if model.family == "reflection":
-        return 1.0 - 2.0 * model.param**3
+        return reflection_closed_forms(model.param).rho
     key = (model.family, model.param, n_mc)
     if key not in _TRUE_RHO_CACHE:
         x, y = model.sample(n_mc, ORACLE_SEED)
@@ -238,7 +236,7 @@ def true_rank_correlation(model, n_mc=ORACLE_DRAWS):
 
 
 def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
-                        n_mc=200_000, max_iter=200):
+                        n_mc=200_000):
     """Bisect the copula parameter until the MC rank correlation hits the target.
 
     Every evaluation reuses the same seed (common random numbers), which makes
@@ -261,12 +259,12 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
         return lo
     if f_hi == 0.0:
         return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if not np.sign(f_lo) * np.sign(f_hi) < 0:  # a NaN target brackets nothing
         raise CalibrationError(
             f"target rank correlation {target_rank_corr} is not bracketed by the "
             f"{family} family over [{lo}, {hi}]"
         )
-    for _ in range(max_iter):
+    while True:  # the bracket halves each step, so its width rule ends the loop
         mid = 0.5 * (lo + hi)
         f_mid = rank_corr(mid) - target_rank_corr
         if abs(f_mid) <= tolerance or (hi - lo) < 1e-7:
@@ -274,8 +272,7 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
         if np.sign(f_mid) == np.sign(f_lo):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = mid
 
 
 @dataclass

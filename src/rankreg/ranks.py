@@ -117,27 +117,28 @@ def _pearson(a, b):
     return float(np.mean(da * db) / np.sqrt(va * vb))
 
 
-def spearman(x, y, omega=1.0):
-    """Rank correlation: Pearson correlation of the two rank vectors."""
+def _rank_pair(x, y, omega):
+    """Ranks of x and y under one omega, after checking that their lengths match."""
     x = _as_sample(x, "x")
     y = _as_sample(y, "y")
     if x.size != y.size:
         raise InvalidInputError("x and y must have equal length")
-    if x.size < 2:
+    return rank_transform(x, omega), rank_transform(y, omega)
+
+
+def spearman(x, y, omega=1.0):
+    """Rank correlation: Pearson correlation of the two rank vectors."""
+    rx, ry = _rank_pair(x, y, omega)
+    if rx.size < 2:
         raise InvalidInputError("need at least two observations")
-    return _pearson(rank_transform(x, omega), rank_transform(y, omega))
+    return _pearson(rx, ry)
 
 
 def centered_rank_moment(x, y, k, l, omega=1.0):
     """Sample moment (1/n) sum_i (Rx_i - mean Rx)^k (Ry_i - mean Ry)^l."""
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.size != y.size:
-        raise InvalidInputError("x and y must have equal length")
+    rx, ry = _rank_pair(x, y, omega)
     if k < 0 or l < 0:
         raise InvalidInputError("moment orders must be nonnegative")
-    rx = rank_transform(x, omega)
-    ry = rank_transform(y, omega)
     return float(np.mean((rx - rx.mean()) ** k * (ry - ry.mean()) ** l))
 
 
@@ -150,16 +151,7 @@ def slope_decomposition(x, y, omega=1.0):
     and the slope equals the rank correlation; with ties the two can differ
     arbitrarily.
     """
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.size != y.size:
-        raise InvalidInputError("x and y must have equal length")
-    rx = rank_transform(x, omega)
-    ry = rank_transform(y, omega)
-    sx = float(np.std(rx))
-    sy = float(np.std(ry))
-    if sx <= 0.0 or sy <= 0.0:
-        raise DegenerateInputError("rank variance is zero (all values tied)")
-    rank_corr = _pearson(rx, ry)
-    sd_ratio = sy / sx
+    rx, ry = _rank_pair(x, y, omega)
+    rank_corr = _pearson(rx, ry)  # refuses a rank variance of zero
+    sd_ratio = float(np.std(ry)) / float(np.std(rx))
     return rank_corr * sd_ratio, rank_corr, sd_ratio

@@ -436,8 +436,9 @@ class TestFitCommand:
     @pytest.mark.parametrize("spec", ["rank-rank", "rank-rank-group"])
     def test_condition_number_is_the_designs(self, sample_csv, tmp_path, spec):
         out = tmp_path / "report.json"
+        grouping = ["--group-col", "region"] if spec == "rank-rank-group" else []
         code = main(["fit", sample_csv, "--spec", spec, "--omega", "0.5", "--w-cols", "z",
-                     "--group-col", "region", "--out", str(out)])
+                     *grouping, "--out", str(out)])
         assert code == EXIT_OK
         reported = json.loads(out.read_text())["diagnostics"]["design_condition_number"]
         x, z = np.loadtxt(sample_csv, delimiter=",", skiprows=1, usecols=(1, 2)).T
@@ -499,6 +500,39 @@ class TestFitCommand:
         # an empty list used to exit 0 with an empty se_methods block
         assert main(["fit", str(tmp_path / "missing.csv"), "--se", ""]) == EXIT_IO
         assert "fit needs at least one se method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_group_col_needs_the_grouped_spec(self, tmp_path, capsys, command):
+        # state C has one row: its labels used to be loaded for a plain fit,
+        # which then refused the file for the size of a group it does not have
+        path = _write_csv(tmp_path / "states.csv", ["y", "x", "state"],
+                          [[1, 3, "A"], [2, 1, "A"], [3, 2, "B"], [4, 4, "B"], [5, 6, "B"],
+                           [6, 5, "C"]])
+        out = tmp_path / "out.json"
+        assert main([command, path, "--group-col", "state", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: --group-col goes with --spec rank-rank-group, which needs it\n")
+        assert not out.exists()
+        assert main([command, path, "--out", str(out)]) == EXIT_OK
+        assert "groups" not in json.loads(out.read_text())
+
+    def test_grouped_spec_without_group_col_is_refused_before_the_csv_is_read(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "missing.csv")
+        assert main(["fit", path, "--spec", "rank-rank-group"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: --group-col goes with --spec rank-rank-group, which needs it\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--spec", "level-rank"], "--theta-p applies to rank-rank specifications"),
+        (["--theta-p", "2"], "rank position p must lie in [0, 1], got 2.0"),
+        (["--no-intercept"], "--theta-p needs an intercept column (drop --no-intercept)"),
+    ], ids=["spec", "p", "intercept"])
+    def test_theta_p_is_checked_before_the_csv_is_read(self, tmp_path, capsys, flags,
+                                                       message):
+        argv = ["fit", str(tmp_path / "missing.csv"), "--theta-p", "0.5", *flags]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_repeated_se_method_runs_once(self, sample_csv, tmp_path, monkeypatch):
         # a repeated method used to be computed once per mention
@@ -826,6 +860,15 @@ class TestSimulationCommands:
         payload = json.loads(out.read_text())
         assert payload["parameter"] == pytest.approx(0.5, abs=0.02)
         assert payload["achieved_rank_corr"] == pytest.approx(0.75, abs=0.01)
+
+    def test_calibrate_refuses_a_nan_target(self, tmp_path, capsys):
+        # every sign comparison with NaN is false: the bisection used to walk
+        # to the low end of the range and report it
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--family", "gaussian", "--target", "nan",
+                     "--n-mc", "2000", "--out", str(out)]) == EXIT_IO
+        assert "target rank correlation nan is not bracketed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOneSortPerVariable:

@@ -9,6 +9,7 @@ from rankreg import (
     CopulaModel,
     InvalidInputError,
     calibrate_parameter,
+    copulas,
     gaussian,
     independence,
     quadratic,
@@ -90,6 +91,20 @@ class TestSamplers:
         a = sample_copula(gaussian(0.4), 100, 9)
         b = sample_copula(gaussian(0.4), 100, 9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t1"])
+    def test_draw_is_the_two_normal_construction(self, family):
+        # z2 = theta z1 + sqrt(1 - theta^2) z, from the same stream; the t1
+        # pair divides both by sqrt(chi2_1), drawn after them
+        theta, n = -0.35, 500
+        x, y = CopulaModel(family, theta).sample(n, np.random.default_rng(41))
+        rng = np.random.default_rng(41)
+        z1 = rng.standard_normal(n)
+        z2 = theta * z1 + np.sqrt(1.0 - theta * theta) * rng.standard_normal(n)
+        if family == "student_t1":
+            mix = np.sqrt(rng.chisquare(1, n))
+            z1, z2 = z1 / mix, z2 / mix
+        assert x.tobytes() == z1.tobytes() and y.tobytes() == z2.tobytes()
 
 
 class TestVarianceTripleMc:
@@ -218,6 +233,21 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_parameter("reflection", 1.5, seed=0, n_mc=20_000)
 
+    @pytest.mark.parametrize("family", ["gaussian", "reflection"])
+    def test_bisection_ends_by_its_width_rule(self, family, monkeypatch):
+        # with tolerance 0 only the halving bracket stops the search: the two
+        # ends and about 25 midpoints
+        calls = []
+
+        def counted(x, y, omega):
+            calls.append(omega)
+            return spearman(x, y, omega)
+
+        monkeypatch.setattr(copulas, "spearman", counted)
+        param = calibrate_parameter(family, 0.3, tolerance=0.0, seed=2, n_mc=2_000)
+        assert 0.0 < param < 1.0
+        assert len(calls) <= 30
+
     def test_gaussian_calibrated_for_mobility_benchmark(self):
         # the 0.384 benchmark lands near theta = 0.4 for the gaussian family
         theta = calibrate_parameter("gaussian", 0.384, seed=3, n_mc=200_000)
@@ -228,6 +258,8 @@ class TestTrueRankCorrelation:
     def test_closed_forms(self):
         assert true_rank_correlation(independence()) == 0.0
         assert true_rank_correlation(reflection(0.2)) == pytest.approx(1 - 2 * 0.2**3)
+        for a in (1e-6, 0.2, 0.5, 0.7, 0.999):
+            assert true_rank_correlation(reflection(a)) == reflection_closed_forms(a).rho
 
     def test_mc_truth_is_cached_and_stable(self):
         model = gaussian(0.4)

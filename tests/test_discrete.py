@@ -17,8 +17,19 @@ coverage of the exact slope within +-0.02.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rankreg import Dataset, fit_spec, plugin_covariance, plugin_slope_variance
+from rankreg import (
+    BootstrapPlan,
+    Dataset,
+    bootstrap_report,
+    fit_spec,
+    linear_combo_inference,
+    plugin_covariance,
+    plugin_slope_variance,
+)
 
 # rows are the three levels of x, columns the four levels of y
 PMF = np.array([[0.10, 0.08, 0.05, 0.02],
@@ -186,21 +197,29 @@ def test_plugin_variance_and_coverage_by_spec(spec, seed):
     assert np.all(np.abs(covered.mean(axis=0) - 0.95) <= 0.02), covered.mean(axis=0)
 
 
-def exact_pooled_slopes(pmfs, shares, omega):
-    """Each group's population rank-rank slope when both rank in the pooled sample.
+def exact_pooled_slopes(table, omega):
+    """Each group's population rank-rank slope on the pooled ranks, then each group's intercept.
 
-    The ranks are the pooled margins' F^w, the mixture of the groups' pmfs
-    by their shares; each slope is the within-group regression on them.
+    ``table`` holds the (group, x, y) cell masses.  The ranks are the pooled
+    margins' F^w, and each slope is the within-group regression on them.  The
+    coefficients run as the grouped fit's: every group's slope, then every
+    group's intercept, so one group is the intercept-only rank-rank fit.
+    Complex input stays complex, so complex-step differentiation sees through.
     """
-    pooled = sum(share * pmf for share, pmf in zip(shares, pmfs))
-    u = _tie_weighted_cdf(pooled.sum(axis=1), omega)
-    v = _tie_weighted_cdf(pooled.sum(axis=0), omega)
-    slopes = []
-    for pmf in pmfs:
+    u = _tie_weighted_cdf(table.sum(axis=(0, 2)), omega)
+    v = _tie_weighted_cdf(table.sum(axis=(0, 1)), omega)
+    slopes, consts = [], []
+    for mass in table:
+        pmf = mass / mass.sum()
         px, py = pmf.sum(axis=1), pmf.sum(axis=0)
         du, dv = u - px @ u, v - py @ v
-        slopes.append(float(du @ pmf @ dv / (px @ du**2)))
-    return np.array(slopes)
+        slopes.append(du @ pmf @ dv / (px @ du**2))
+        consts.append(py @ v - slopes[-1] * (px @ u))
+    return np.array(slopes + consts)
+
+
+# group a holds 60% of the population and group b 40%
+POOLED = np.stack([0.6 * PMF, 0.4 * PMF_B])
 
 
 def test_exact_pooled_slopes_are_the_fit_of_the_population():
@@ -212,7 +231,7 @@ def test_exact_pooled_slopes_are_the_fit_of_the_population():
     d = _intercept_only(cells // PMF.shape[1] + 1.0, cells % PMF.shape[1] + 1.0, g=g)
     for omega in OMEGAS:
         fit = fit_spec(d, "rank-rank-group", omega)
-        truth = exact_pooled_slopes((PMF, PMF_B), (0.6, 0.4), omega)
+        truth = exact_pooled_slopes(POOLED, omega)[:2]
         np.testing.assert_allclose(fit.slope, truth, rtol=0, atol=1e-12)
 
 
@@ -222,7 +241,7 @@ def test_grouped_coverage_on_pooled_ranks():
     # is left out to hold the suite's time
     rng = np.random.default_rng(20261024)
     reps, omegas = 1000, (0.0, 1.0)
-    truth = np.array([exact_pooled_slopes((PMF, PMF_B), (0.6, 0.4), omega) for omega in omegas])
+    truth = np.array([exact_pooled_slopes(POOLED, omega)[:2] for omega in omegas])
     covered = np.empty((reps, len(omegas), 2))
     for rep in range(reps):
         in_b = rng.random(N) < 0.4
@@ -236,3 +255,118 @@ def test_grouped_coverage_on_pooled_ranks():
             covered[rep, o] = (lo <= truth[o]) & (truth[o] <= hi)
     coverage = covered.mean(axis=0)
     assert np.all(np.abs(coverage - 0.95) <= 0.02), coverage
+
+
+# ---------------------------------------------------------------------------
+# exact delta-method oracle for the plugin covariance
+# ---------------------------------------------------------------------------
+#
+# Every coefficient is a smooth function theta(p) of the cell probabilities,
+# so under multinomial sampling sqrt(n)(theta_hat - theta) has the variance
+# J (diag p - p p') J' with J = d theta / d p.  A sample that holds every
+# cell exactly n p_c times has the empirical distribution p, so its plugin
+# covariance must equal that matrix.  J comes from complex-step
+# differentiation, exact to rounding.  At omega < 1 the sample ranks carry a
+# +(1 - omega)/n shift that F^w lacks, which moves only the intercept's row
+# and column; the whole matrix is compared at omega = 1.
+
+DELTA_RTOL = 1e-12
+
+
+def delta_covariance(theta, p):
+    """J (diag p - p p') J' of theta at the pmf p, J by complex step."""
+    h = 1e-30
+    jac = np.empty((theta(p).size, p.size))
+    for c in range(p.size):
+        step = np.zeros(p.size, complex)
+        step[c] = 1j * h
+        jac[:, c] = theta(p + step.reshape(p.shape)).imag / h
+    flat = p.ravel()
+    return jac @ (np.diag(flat) - np.outer(flat, flat)) @ jac.T
+
+
+def _assert_plugin_is_delta(d, spec, theta, p, omega, intercepts, p_rank):
+    """The plugin covariance of d against the delta covariance of theta at p.
+
+    Entries outside the intercepts' rows and columns are gated at omega, the
+    whole matrix at omega = 1, and for the rank-rank fits the variance of
+    theta_p = intercept + p_rank * slope of every block at omega = 1.
+    """
+    for w in dict.fromkeys((omega, 1.0)):
+        fit = fit_spec(d, spec, w)
+        plugin = plugin_covariance(fit)
+        delta = delta_covariance(lambda q: theta(q, w), p)
+        keep = np.ones(delta.shape, bool)
+        if w < 1.0:
+            keep[intercepts, :] = keep[:, intercepts] = False
+        assert np.abs(plugin.variance - delta)[keep].max() <= DELTA_RTOL * np.abs(delta).max()
+        if w < 1.0 or spec not in ("rank-rank", "rank-rank-group"):
+            continue
+        for g, const in enumerate(intercepts):  # block g's slope is estimate g
+            weights = np.zeros(len(delta))
+            weights[g], weights[const] = p_rank, 1.0
+            combo = linear_combo_inference(plugin.variance, weights, plugin.estimates, fit.n)
+            want = weights @ delta @ weights
+            assert abs(combo.variance[0, 0] - want) <= DELTA_RTOL * want
+
+
+def _oracle_case(spec, counts):
+    """The sample that holds a count table's cells, theta(q, omega), and the intercepts.
+
+    rank-rank-group takes a (group, x, y) table of two groups; the other
+    specs take an (x, y, w) table, where rank-rank without a covariate (w of
+    one level) is the one-group pooled fit.
+    """
+    a, b, c = np.unravel_index(np.repeat(np.arange(counts.size), counts.ravel()), counts.shape)
+    if spec == "rank-rank-group":
+        d = _intercept_only(b + 1.0, c + 1.0, g=np.array(["a", "b"])[a])
+        return d, exact_pooled_slopes, [2, 3]
+    if spec == "rank-rank" and counts.shape[2] == 1:
+        return (_intercept_only(a + 1.0, b + 1.0),
+                lambda q, omega: exact_pooled_slopes(np.moveaxis(q, 2, 0), omega), [1])
+    return (_spec_dataset(spec, a + 1.0, b + 1.0, c.astype(float)),
+            lambda q, omega: exact_coefficients(q, spec, omega),
+            [0 if spec == "rank-level" else 1])
+
+
+# every cell occupied: each level is present and the designs stay well
+# conditioned (a level held by one row of 16 moved an entry by 9e-13)
+_counts = st.integers(1, 9)
+_sides = st.integers(2, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(list(GATED)),
+       counts=st.tuples(_sides, _sides, st.sampled_from([1, 2])).flatmap(
+           lambda shape: hnp.arrays(np.int64, shape, elements=_counts)),
+       omega=st.floats(0.0, 1.0), p_rank=st.floats(0.0, 1.0))
+def test_plugin_covariance_is_the_delta_method(spec, counts, omega, p_rank):
+    d, theta, intercepts = _oracle_case(spec, counts)
+    _assert_plugin_is_delta(d, spec, theta, counts / counts.sum(), omega, intercepts, p_rank)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counts=st.tuples(_sides, _sides).flatmap(
+           lambda shape: hnp.arrays(np.int64, (2, *shape), elements=_counts)),
+       omega=st.floats(0.0, 1.0), p_rank=st.floats(0.0, 1.0))
+def test_grouped_plugin_covariance_is_the_delta_method(counts, omega, p_rank):
+    d, theta, intercepts = _oracle_case("rank-rank-group", counts)
+    _assert_plugin_is_delta(d, "rank-rank-group", theta, counts / counts.sum(), omega,
+                            intercepts, p_rank)
+
+
+@pytest.mark.parametrize("spec", [*GATED, "rank-rank-group"])
+def test_bootstrap_se_is_the_delta_se(spec):
+    # the populations of the exactness checks above, resampled 2,000 times
+    # at mid-ranks; the bootstrap's SE of each gated slope is within 10% of
+    # the delta method's
+    omega = 0.5
+    if spec == "rank-rank-group":
+        counts, gated = np.rint(1000 * POOLED).astype(int), [0, 1]
+    else:
+        counts, gated = np.rint(1000 * PMF_W).astype(int), [GATED[spec]]
+    d, theta, _ = _oracle_case(spec, counts)
+    delta = delta_covariance(lambda q: theta(q, omega), counts / counts.sum())
+    report = bootstrap_report(fit_spec(d, spec, omega), BootstrapPlan(reps=2000, seed=7))
+    ratio = report.se[gated] / np.sqrt(np.diag(delta)[gated] / d.n)
+    assert np.all(np.abs(ratio - 1.0) <= 0.1), ratio

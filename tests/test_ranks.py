@@ -159,11 +159,26 @@ class TestSpearman:
                 spearman(x, y, omega), abs=1e-14)
 
     def test_all_tied_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            spearman([1, 1, 1], [1, 2, 3], 0.5)
+        for pair_function in (spearman, slope_decomposition):
+            with pytest.raises(DegenerateInputError, match="rank variance is zero"):
+                pair_function([1, 1, 1], [1, 2, 3], 0.5)
+
+
+@pytest.mark.parametrize("pair_function", [
+    spearman, slope_decomposition,
+    # a negative order too: the lengths are checked first
+    lambda x, y, omega: centered_rank_moment(x, y, -1, 0, omega),
+], ids=["spearman", "slope_decomposition", "centered_rank_moment"])
+def test_unequal_lengths_are_refused(pair_function):
+    with pytest.raises(InvalidInputError, match="^x and y must have equal length$"):
+        pair_function([1, 2, 3], [1, 2], 0.5)
 
 
 class TestCenteredRankMoment:
+    def test_negative_order_is_refused(self):
+        with pytest.raises(InvalidInputError, match="moment orders must be nonnegative"):
+            centered_rank_moment([1, 2, 3], [1, 2, 3], -1, 0)
+
     def test_first_moment_is_zero(self, rng):
         x = rng.normal(size=30)
         y = make_tied_sample(rng, 30)
