@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
 from .estimators import fit_spec
-from .inference import InferenceReport, normal_quantile
+from .inference import InferenceReport, check_alpha, normal_quantile
 
 __all__ = [
     "BootstrapPlan",
@@ -65,8 +65,7 @@ class BootstrapPlan:
             raise InvalidInputError("bootstrap needs at least one replicate")
         if self.ci_kind not in ("percentile", "normal"):
             raise InvalidInputError(f"unknown ci_kind {self.ci_kind!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidInputError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
 
 
 def _chunk(sample, seed, replicates):

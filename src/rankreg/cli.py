@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapPlan, bootstrap_report
+from .bootstrap import BootstrapPlan, _check_count, bootstrap_report
 from .copulas import (
     FAMILIES,
     CopulaModel,
@@ -42,15 +42,16 @@ from .errors import (
     RankRegressionError,
     SingularDesignError,
 )
-from .estimators import SPECS, Dataset, fit_spec
+from .estimators import GROUPED, RANKS_X, RANKS_Y, SPECS, Dataset, check_rank_position, fit_spec
 from .inference import (
+    check_alpha,
     ew_covariance,
     hom_covariance,
     linear_combo_inference,
     omega_sweep,
     plugin_covariance,
 )
-from .ranks import spearman
+from .ranks import check_omega, spearman
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +60,8 @@ EXIT_IO = 1
 EXIT_ASSUMPTION = 2
 
 _MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none", "."}
+# the name of the constant column that --no-intercept leaves out
+_INTERCEPT = "const"
 # the families a curve or a calibration sweeps: every one with a parameter
 _PARAM_FAMILIES = [f for f in FAMILIES if f != "independence"]
 
@@ -233,9 +236,9 @@ def _read_rows(path, raw, needed, group_col, drop_missing):
 
 def load_dataset(args):
     """The ``Dataset`` that a fit or sweep names, and the ingest info of its CSV."""
-    if (args.group_col is None) == (args.spec == "rank-rank-group"):
-        raise InvalidInputError("--group-col goes with --spec rank-rank-group, which needs it")
-    x_col = args.x_col if args.spec != "rank-level" else None
+    if (args.group_col is None) == (args.spec == GROUPED):
+        raise InvalidInputError(f"--group-col goes with --spec {GROUPED}, which needs it")
+    x_col = args.x_col if args.spec in RANKS_X else None
     columns, info = ingest_csv(args.csv, args.y_col, x_col, args.w_cols,
                                args.group_col, args.drop_missing)
     const = [np.ones(len(columns[args.y_col]))] if args.intercept else []
@@ -245,7 +248,7 @@ def load_dataset(args):
         x=columns[x_col] if x_col else None,
         w=np.column_stack(w_parts) if w_parts else None,
         g=columns[args.group_col] if args.group_col else None,
-        w_names=["const"] * len(const) + list(args.w_cols),
+        w_names=[_INTERCEPT] * len(const) + list(args.w_cols),
     )
     return d, info
 
@@ -376,7 +379,7 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
         weights = np.zeros(len(plugin_report.names))
         # estimates run coefficient-major, then block: k of block g is at k * n_blocks + g
         weights[g] = p_value
-        weights[fit.names.index("const") * n_blocks + g] = 1.0
+        weights[fit.names.index(_INTERCEPT) * n_blocks + g] = 1.0
         rep = linear_combo_inference(
             plugin_report.variance, weights, plugin_report.estimates,
             plugin_report.n, alpha=alpha,
@@ -394,9 +397,7 @@ def _theta_p_block(fit, plugin_report, p_value, alpha):
 def cmd_fit(args):
     # built per call: a traced run swaps these module attributes in place
     variances = {"plugin": plugin_covariance, "hom": hom_covariance, "ew": ew_covariance,
-                 "bootstrap": lambda fit, alpha: bootstrap_report(fit, BootstrapPlan(
-                     reps=args.bootstrap_reps, seed=args.seed, ci_kind=args.ci_kind,
-                     alpha=alpha))}
+                 "bootstrap": lambda fit, alpha: bootstrap_report(fit, plan)}
     methods = list(dict.fromkeys(args.se))  # a repeated method runs once
     if not methods:
         raise InvalidInputError("fit needs at least one se method")
@@ -404,12 +405,17 @@ def cmd_fit(args):
         if method not in variances:
             raise InvalidInputError(f"unknown se method {method!r}")
     if args.theta_p is not None:
-        if args.spec not in ("rank-rank", "rank-rank-group"):
+        if args.spec not in RANKS_X & RANKS_Y:
             raise InvalidInputError("--theta-p applies to rank-rank specifications")
-        if not (0.0 <= args.theta_p <= 1.0):  # ranks lie in (0, 1]
-            raise InvalidInputError(f"rank position p must lie in [0, 1], got {args.theta_p}")
-        if not (args.intercept or "const" in args.w_cols):
+        check_rank_position(args.theta_p)
+        if not (args.intercept or _INTERCEPT in args.w_cols):
             raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
+    check_omega(args.omega)
+    check_alpha(args.alpha)
+    if "bootstrap" in methods:  # the plan that the bootstrap method runs
+        plan = BootstrapPlan(reps=args.bootstrap_reps, seed=args.seed, ci_kind=args.ci_kind,
+                             alpha=args.alpha)
+        _check_count(plan.reps, plan.ci_kind)
     d, info = load_dataset(args)
     fit = fit_spec(d, args.spec, args.omega)
     warnings = _tie_warnings(fit, args)
@@ -440,6 +446,9 @@ def cmd_fit(args):
 
 
 def cmd_sweep(args):
+    for omega in args.grid:  # an empty grid is the sweep's to refuse
+        check_omega(omega)
+    check_alpha(args.alpha)
     d, _ = load_dataset(args)
     result = omega_sweep(d, args.spec, args.grid, alpha=args.alpha)
     _emit_json(args, {

@@ -57,7 +57,6 @@ __all__ = [
     "true_rank_correlation",
     "coverage_experiment",
     "CoverageRow",
-    "FAMILIES",
 ]
 
 FAMILIES = ("gaussian", "student_t1", "quadratic", "reflection", "independence")

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["RankRegressionError", "InvalidInputError", "DegenerateInputError",
+           "SingularDesignError", "AssumptionViolationError", "CalibrationError",
+           "BootstrapDiagnosticError"]
+
 
 class RankRegressionError(Exception):
     """Base class for all rankreg errors."""

@@ -57,10 +57,13 @@ __all__ = [
     "fit_rank_level",
     "fit_spec",
     "expected_rank_at",
-    "SPECS",
 ]
 
 SPECS = ("rank-rank", "rank-rank-group", "level-rank", "rank-level")
+# the specs that rank x, those that rank y, and the one fit per group
+RANKS_X = frozenset(SPECS) - {"rank-level"}
+RANKS_Y = frozenset(SPECS) - {"level-rank"}
+GROUPED = "rank-rank-group"
 
 # reciprocal-condition threshold on the R factor of the pivoted QR
 _RCOND_MIN = 1e-12
@@ -334,18 +337,18 @@ class _Sample:
         if spec not in SPECS:
             raise InvalidInputError(f"unknown specification {spec!r}; expected one of {SPECS}")
         omega = check_omega(omega)
-        if spec == "rank-level" and d.p == 0:
-            raise InvalidInputError("rank-level fit needs at least one regressor column")
-        if spec == "rank-rank-group" and d.group_index is None:
+        if spec not in RANKS_X and d.p == 0:
+            raise InvalidInputError(f"{spec} fit needs at least one regressor column")
+        if spec == GROUPED and d.group_index is None:
             raise InvalidInputError("grouped fit needs group labels")
-        if spec != "rank-level" and d.x is None:
+        if spec in RANKS_X and d.x is None:
             raise InvalidInputError(f"{spec} fit needs the ranked regressor x")
         self.data, self.spec, self.omega = d, spec, omega
-        self.runs_x = None if spec == "rank-level" else d.runs_x
-        self.runs_y = None if spec == "level-rank" else d.runs_y
+        self.runs_x = d.runs_x if spec in RANKS_X else None
+        self.runs_y = d.runs_y if spec in RANKS_Y else None
         self.ranks_x = self._ranks(self.runs_x)
         self.ranks_y = self._ranks(self.runs_y)
-        self.order = np.argsort(d.group_index, kind="stable") if spec == "rank-rank-group" else None
+        self.order = np.argsort(d.group_index, kind="stable") if spec == GROUPED else None
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
         counts = [d.n] if self.order is None else np.bincount(d.group_index).tolist()
         ends = list(itertools.accumulate(counts))
@@ -568,9 +571,14 @@ def fit_spec(d, spec, omega=1.0):
     return FitResult(d, spec, omega)
 
 
-def expected_rank_at(intercept, slope, p):
-    """Expected outcome rank at regressor rank p: intercept + slope * p."""
+def check_rank_position(p):
+    """``p`` as a float, refused outside [0, 1], where the ranks lie."""
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidInputError(f"rank position p must lie in [0, 1], got {p}")
-    return float(intercept) + float(slope) * p
+    return p
+
+
+def expected_rank_at(intercept, slope, p):
+    """Expected outcome rank at regressor rank p: intercept + slope * p."""
+    return float(intercept) + float(slope) * check_rank_position(p)

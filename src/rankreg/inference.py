@@ -55,7 +55,6 @@ __all__ = [
     "linear_combo_inference",
     "normal_quantile",
     "omega_sweep",
-    "SweepResult",
 ]
 
 
@@ -73,14 +72,19 @@ def normal_quantile(p):
     return -NormalDist().inv_cdf(p)
 
 
+def check_alpha(alpha):
+    """Refuse a level outside (0, 1): alpha in [1, 2) would invert every interval."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
+
+
 def confidence_interval(estimate, sigma, n, alpha=0.05):
     """Two-sided normal interval: estimate +- z_{alpha/2} * sigma / sqrt(n).
 
     ``sigma`` is the asymptotic standard deviation of the sqrt(n)-scaled
     estimator; sigma = 0 collapses the interval to the point estimate.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
+    check_alpha(alpha)
     if sigma < 0.0:
         raise InvalidInputError("sigma must be nonnegative")
     if n < 1:
@@ -179,8 +183,7 @@ def influence_rows(fit, data=None):
 
 
 def _report_from_variance(variance, names, estimates, alpha, n, method, influence=None):
-    if not (0.0 < alpha < 1.0):  # alpha in [1, 2) would invert every interval
-        raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
+    check_alpha(alpha)
     variance = np.atleast_2d(np.asarray(variance, dtype=np.float64))
     variance = 0.5 * (variance + variance.T)  # absorb round-off asymmetry
     diag = np.clip(np.diag(variance), 0.0, None)
@@ -219,7 +222,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     lab (n = 1,000, 250 reps) ran 11% slower on the full covariance.
     """
     _check_data(fit, data)
-    if fit.spec not in ("rank-rank", "level-rank"):
+    if fit.runs_x is None or fit.order is not None:
         raise InvalidInputError(
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"

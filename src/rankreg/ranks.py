@@ -27,7 +27,6 @@ from . import kernels
 from .errors import DegenerateInputError, InvalidInputError
 
 __all__ = [
-    "check_omega",
     "comparison_kernel",
     "ecdf",
     "ecdf_left",

@@ -534,6 +534,24 @@ class TestFitCommand:
         assert main(argv) == EXIT_IO
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--alpha", "1.5"], "alpha must lie in the open interval (0, 1), got 1.5"),
+        (["fit", "--omega", "2"], "omega must lie in [0, 1], got 2.0"),
+        (["fit", "--se", "plugin,bootstrap", "--bootstrap-reps", "10"],
+         "percentile interval needs at least 50 replicates"),
+        (["fit", "--se", "bootstrap", "--bootstrap-reps", "0"],
+         "bootstrap needs at least one replicate"),
+        (["sweep", "--grid", "0,2"], "omega must lie in [0, 1], got 2.0"),
+        (["sweep", "--alpha", "1.5"], "alpha must lie in the open interval (0, 1), got 1.5"),
+    ], ids=["fit-alpha", "fit-omega", "fit-percentile-reps", "fit-no-reps", "sweep-grid",
+            "sweep-alpha"])
+    def test_argument_refusals_come_before_the_csv_is_read(self, tmp_path, capsys, argv,
+                                                          message):
+        # each used to wait for the whole file to be read and fitted
+        command, *flags = argv
+        assert main([command, str(tmp_path / "missing.csv"), *flags]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_repeated_se_method_runs_once(self, sample_csv, tmp_path, monkeypatch):
         # a repeated method used to be computed once per mention
         calls = []

@@ -126,29 +126,46 @@ OMEGAS = (0.0, 0.5, 1.0)
 GATED = {"rank-rank": 0, "level-rank": 0, "rank-level": 1}
 
 
-def exact_coefficients(pmf3, spec, omega):
+def exact_coefficients(pmf3, spec, omega, intercept=True):
     """Population OLS coefficients of a spec under a joint pmf of (x, y, w).
 
     The cells are the grid points, with x and y on the levels 1, 2, ... and
     w on 0, 1; the design and response of each spec are evaluated per cell,
-    and the normal equations are finite sums over the cells.
+    and the normal equations are finite sums over the cells.  Without an
+    intercept w takes the constant's place, and is left out when it has one
+    level, where it is all zero.
     """
     i, j, k = np.indices(pmf3.shape).reshape(3, -1)
     p = pmf3.ravel()
     u = _tie_weighted_cdf(pmf3.sum(axis=(1, 2)), omega)[i]
     v = _tie_weighted_cdf(pmf3.sum(axis=(0, 2)), omega)[j]
     one = np.ones_like(p)
+    w = [k] * (pmf3.shape[2] > 1)
     design, response = {
         "rank-rank": ([u, one, k], v),      # rank(y) on rank(x), 1, w
         "level-rank": ([u, one], j + 1.0),  # raw y on rank(x), 1
         "rank-level": ([one, i + 1.0], v),  # rank(y) on 1, raw x
+    }[spec] if intercept else {
+        "rank-rank": ([u, *w], v),          # rank(y) on rank(x), w
+        "level-rank": ([u, *w], j + 1.0),   # raw y on rank(x), w
+        "rank-level": ([*w, i + 1.0], v),   # rank(y) on w, raw x
     }[spec]
     design = np.column_stack(design)
     return np.linalg.solve(design.T @ (p[:, None] * design), design.T @ (p * response))
 
 
-def _spec_dataset(spec, x, y, w):
-    """The dataset of a spec's design: W is [1, w], [1] or [1, x]."""
+def _spec_dataset(spec, x, y, w, intercept=True):
+    """The dataset of a spec's design: W is [1, w], [1] or [1, x].
+
+    Without an intercept W is [w] or [w, x], with w left out when it has
+    one level, as in :func:`exact_coefficients`.
+    """
+    if not intercept:
+        columns = {"w": w} if w.any() else {}
+        if spec == "rank-level":
+            columns["x"], x = x, None
+        return Dataset(y=y, x=x, w=np.column_stack(list(columns.values())) if columns else None,
+                       w_names=list(columns))
     one = np.ones_like(y)
     if spec == "rank-rank":
         return Dataset(y=y, x=x, w=np.column_stack([one, w]), w_names=["const", "w"])
@@ -310,14 +327,18 @@ def _assert_plugin_is_delta(d, spec, theta, p, omega, intercepts, p_rank):
             assert abs(combo.variance[0, 0] - want) <= DELTA_RTOL * want
 
 
-def _oracle_case(spec, counts):
+def _oracle_case(spec, counts, intercept=True):
     """The sample that holds a count table's cells, theta(q, omega), and the intercepts.
 
     rank-rank-group takes a (group, x, y) table of two groups; the other
     specs take an (x, y, w) table, where rank-rank without a covariate (w of
-    one level) is the one-group pooled fit.
+    one level) is the one-group pooled fit.  Without an intercept there are
+    no intercepts, and w takes the constant's place.
     """
     a, b, c = np.unravel_index(np.repeat(np.arange(counts.size), counts.ravel()), counts.shape)
+    if not intercept:
+        return (_spec_dataset(spec, a + 1.0, b + 1.0, c.astype(float), intercept=False),
+                lambda q, omega: exact_coefficients(q, spec, omega, intercept=False), [])
     if spec == "rank-rank-group":
         d = _intercept_only(b + 1.0, c + 1.0, g=np.array(["a", "b"])[a])
         return d, exact_pooled_slopes, [2, 3]
@@ -335,14 +356,18 @@ _counts = st.integers(1, 9)
 _sides = st.integers(2, 6)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(spec=st.sampled_from(list(GATED)),
        counts=st.tuples(_sides, _sides, st.sampled_from([1, 2])).flatmap(
            lambda shape: hnp.arrays(np.int64, shape, elements=_counts)),
-       omega=st.floats(0.0, 1.0), p_rank=st.floats(0.0, 1.0))
-def test_plugin_covariance_is_the_delta_method(spec, counts, omega, p_rank):
-    d, theta, intercepts = _oracle_case(spec, counts)
-    _assert_plugin_is_delta(d, spec, theta, counts / counts.sum(), omega, intercepts, p_rank)
+       omega=st.floats(0.0, 1.0), p_rank=st.floats(0.0, 1.0), intercept=st.booleans())
+def test_plugin_covariance_is_the_delta_method(spec, counts, omega, p_rank, intercept):
+    # without an intercept nothing absorbs the sample ranks' +(1 - omega)/n
+    # shift, so only omega = 1 fits the population; with no intercept to
+    # exclude, the whole matrix is gated, and theta_p is not checked
+    d, theta, intercepts = _oracle_case(spec, counts, intercept)
+    _assert_plugin_is_delta(d, spec, theta, counts / counts.sum(),
+                            omega if intercept else 1.0, intercepts, p_rank)
 
 
 @settings(max_examples=30, deadline=None)

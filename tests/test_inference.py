@@ -1,5 +1,7 @@
 """Plugin variances, naive variances, intervals, and the omega sweep."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankreg import (
+    BootstrapPlan,
     Dataset,
     InvalidInputError,
     RankRegressionError,
@@ -342,6 +345,30 @@ class TestNaiveVariances:
         assert ew_covariance(fit, d).variance[0, 0] == pytest.approx(
             ew_display, rel=1e-10)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    def test_grouped_variances_are_the_textbook_sandwiches(self, rng, omega):
+        # each group's sandwich from its own lstsq on the pooled ranks, scaled
+        # by the pooled n; block g sits at every G-th row and column from g
+        n, n_groups = 300, 3
+        x, y = make_tied_sample(rng, n), make_tied_sample(rng, n)
+        g = rng.integers(0, n_groups, n)
+        w = np.column_stack([np.ones(n), rng.normal(size=n)])
+        fit = fit_rank_rank_by_group(Dataset(y=y, x=x, w=w, g=g), omega)
+        design, response = np.column_stack([rank_transform(x, omega), w]), rank_transform(y, omega)
+        size = n_groups * design.shape[1]
+        hom, ew = np.zeros((size, size)), np.zeros((size, size))
+        for group in range(n_groups):
+            Z, r = design[g == group], response[g == group]
+            e = r - Z @ np.linalg.lstsq(Z, r, rcond=None)[0]
+            bread = np.linalg.inv(Z.T @ Z)
+            block = np.ix_(range(group, size, n_groups), range(group, size, n_groups))
+            hom[block] = n * bread * np.mean(e**2)
+            ew[block] = n * bread @ (Z.T * e**2) @ Z @ bread
+        for method, want in ((hom_covariance, hom), (ew_covariance, ew)):
+            got = method(fit).variance
+            assert np.all(got[want == 0.0] == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
     def test_reflection_ratio_blows_up(self):
         # at a = 0.2 the naive limits exceed the correct variance by ~3.4x
         # (hom) and ~6.6x (ew); check the estimates reproduce that margin
@@ -413,6 +440,17 @@ class TestConfidenceInterval:
             linear_combo_inference(np.eye(2), [1.0, 0.0], [0.1, 0.2], n=40, alpha=alpha)
         with pytest.raises(InvalidInputError, match="alpha must lie in"):
             omega_sweep(d, "rank-rank", [0.5], alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_every_alpha_refusal_is_one_message(self, rng, alpha):
+        # BootstrapPlan used to say "alpha must lie in (0, 1)", without the value
+        message = re.escape(f"alpha must lie in the open interval (0, 1), got {alpha}")
+        fit = fit_rank_rank(_intercept_dataset(rng.normal(size=40), rng.normal(size=40)), 1.0)
+        for refuse in (lambda: confidence_interval(0.0, 1.0, 100, alpha=alpha),
+                       lambda: plugin_covariance(fit, alpha=alpha),
+                       lambda: BootstrapPlan(alpha=alpha)):
+            with pytest.raises(InvalidInputError, match=message):
+                refuse()
 
     def test_zero_sigma_degenerates(self):
         assert confidence_interval(0.3, 0.0, 50) == (0.3, 0.3)
