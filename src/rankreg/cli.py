@@ -127,11 +127,12 @@ def _read_arrays(raw, needed, group_col):
 
     With no quote character in the file a csv record is a line split on
     commas, so the row reader's rules apply to whole arrays: every line has
-    the header's comma count, and ``np.loadtxt`` parses the numeric columns
-    as float() does, stripping the same whitespace.  Missing tokens,
-    underscores and non-ASCII digits fail that parse; nan, inf and overflow
-    parse to non-finite values, which are refused here.  Like csv, loadtxt
-    also ends a line at a lone CR, so it must find one row per LF-ended line.
+    the header's comma count, and one ``np.loadtxt`` call reads the numeric
+    columns as float() does, stripping the same whitespace, and the group
+    label as its field's text, stripped here.  Missing tokens, underscores
+    and non-ASCII digits fail that parse; nan, inf and overflow parse to
+    non-finite values, which are refused here.  Like csv, loadtxt also ends a
+    line at a lone CR, so it must find one row per LF-ended line.
     """
     if b'"' in raw:
         return None
@@ -141,7 +142,8 @@ def _read_arrays(raw, needed, group_col):
         ends = np.append(ends, len(raw))
     header = next(csv.reader([raw[:ends[0] + 1].decode("utf-8-sig")]))
     index = _header_index(header)
-    if any(name not in index for name in needed + ([group_col] if group_col else [])):
+    used = needed + ([group_col] if group_col else [])
+    if any(name not in index for name in used):
         return None
     rows, width = ends.size - 1, len(header)
     commas = np.flatnonzero(data == ord(","))
@@ -152,24 +154,20 @@ def _read_arrays(raw, needed, group_col):
             or np.any(np.diff(np.searchsorted(commas, bounds)) != width - 1)
             or np.diff(bounds).max() > csv.field_size_limit()):
         return None
-    if group_col:
-        # field k of a data line lies between its k-th and (k+1)-th
-        # separators, counting the line's own ends
-        k, seps = index[group_col], commas.reshape(-1, width - 1)
-        lo = seps[1:, k - 1].copy() if k else ends[:-1]
-        hi = seps[1:, k].copy() if k < width - 1 else ends[1:]
-        del seps
     del commas, bounds  # not held while loadtxt runs
     # a handle, not a path: numpy would fetch a URL or decompress a .gz name;
     # the wrapper decodes the shared bytes in chunks
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
-    table = np.loadtxt(text, delimiter=",", comments=None, skiprows=1,
-                       usecols=[index[name] for name in needed], ndmin=2)
-    if table.shape[0] != rows or not np.all(np.isfinite(table)):
+    # a float field per needed column, then the label's text (its column may be numeric too)
+    dtype = np.dtype([("", np.float64)] * len(needed) + [("", object)] * bool(group_col))
+    table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                       usecols=[index[name] for name in used], ndmin=1)
+    fields = [table[name] for name in dtype.names]
+    if table.size != rows or not all(np.isfinite(field).all() for field in fields[:len(needed)]):
         return None
-    columns = dict(zip(needed, table.T.copy()))  # each column contiguous
-    if group_col:  # only the labels are decoded
-        labels = [raw[a + 1:b].decode().strip() for a, b in zip(lo.tolist(), hi.tolist())]
+    columns = {name: field.copy() for name, field in zip(needed, fields)}  # each contiguous
+    if group_col:
+        labels = [label.strip() for label in fields[-1].tolist()]
         if any(label.lower() in _MISSING_TOKENS for label in labels):
             return None
         columns[group_col] = np.array(labels)
@@ -408,7 +406,7 @@ def cmd_fit(args):
         if args.spec not in RANKS_X & RANKS_Y:
             raise InvalidInputError("--theta-p applies to rank-rank specifications")
         check_rank_position(args.theta_p)
-        if not (args.intercept or _INTERCEPT in args.w_cols):
+        if not args.intercept:  # a covariate named const need not be constant
             raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
     check_omega(args.omega)
     check_alpha(args.alpha)

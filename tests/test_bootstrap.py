@@ -419,3 +419,13 @@ class TestPercentileCoverage:
             lo, hi = bootstrap_ci(boots, fit.slope, plan)
             covered += lo <= 0.0 <= hi
         assert abs(covered / reps - 0.95) <= 0.025
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bootstrap_se([0.3]), "need at least two replicates for a bootstrap SE"),
+    (lambda: bootstrap_se(np.ones((1, 3))), "need at least two replicates for a bootstrap SE"),
+], ids=["se-one-scalar", "se-one-vector"])
+def test_refusal_messages(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message

@@ -159,15 +159,25 @@ class TestAcceptPath:
         return calls
 
     @pytest.mark.parametrize("drop_missing", [False, True])
-    @pytest.mark.parametrize("kind", ["numeric", "grouped", "bom", "crlf"])
+    @pytest.mark.parametrize("kind", [
+        "numeric", "grouped", "bom", "crlf", "grouped-bom", "grouped-crlf", "label-middle",
+        "label-padded", "label-numeric"])
     def test_clean_file_skips_row_reader(self, tmp_path, rng, row_reader_calls,
                                          kind, drop_missing):
         n = 300
         path = tmp_path / "clean.csv"
-        text = _national_text(rng, n, "\r\n" if kind == "crlf" else "\n")
-        path.write_bytes(text.encode("utf-8-sig" if kind == "bom" else "utf-8"))
-        group = "state" if kind == "grouped" else None
+        text = _national_text(rng, n, "\r\n" if kind.endswith("crlf") else "\n")
+        group = None if kind in ("numeric", "bom", "crlf") else "state"
         w_cols = ["age", "female", "hours"]
+        if kind == "label-middle":  # state moves between x and age
+            text = re.sub(r"^([^,\n]*,[^,\n]*),(.*),([^,\n]*)$", r"\1,\3,\2", text, flags=re.M)
+            assert text.startswith("y,x,state,age,")
+        elif kind == "label-padded":  # ASCII and non-ASCII padding around non-ASCII names
+            text = re.sub(r",S(\d+)$", ", \u00cele-\\1\xa0", text, flags=re.M)
+            assert ", \u00cele-0" in text
+        elif kind == "label-numeric":  # the labels are a covariate's numbers
+            group = "female"
+        path.write_bytes(text.encode("utf-8-sig" if kind.endswith("bom") else "utf-8"))
         columns, info = ingest_csv(str(path), "y", "x", w_cols, group, drop_missing)
         assert row_reader_calls == []
         assert info == {"rows_used": n, "rows_dropped": 0}
@@ -286,6 +296,8 @@ def _draw_line(draw, names, shape, dirty_rate=0):
 def _csv_files(draw):
     """CSV bytes over columns y, x, w, g and z, and the ingest arguments.
 
+    The group labels are read from g or from one of the numeric columns used.
+
     A third of the files are clean, a third have exactly one flaw in a line,
     a used cell or any cell written in Latin-1 (the cases the accept path
     must detect) and a third have flaws anywhere.
@@ -296,7 +308,8 @@ def _csv_files(draw):
         names = list(draw(st.permutations(["y", "x", "w", "g", "z"])))
         x_col = draw(st.sampled_from(["x", None]))
         w_cols = draw(st.sampled_from([[], ["w"], ["w", "z"], ["x"]]))
-        group_col = draw(st.sampled_from([None, "g"]))
+        # a label may be read from a column that is also parsed as a number
+        group_col = draw(st.sampled_from([None, "g", "y", *([x_col] if x_col else []), *w_cols]))
     if draw(st.booleans()):  # a repeated or padded name; the last one wins
         names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(["x", " y", "w "])))
     mode = draw(st.sampled_from(["clean", "one flaw", "any"]))
@@ -316,7 +329,7 @@ def _csv_files(draw):
                 if name.strip() in {"y", x_col, group_col, *w_cols}]
         at = draw(st.sampled_from(used))
         if flaw == "label" and group_col:
-            at = names.index("g")
+            at = names.index(group_col)
         cells = lines[row].split(",")
         if flaw == "cr":  # a lone CR anywhere in one line
             cut = draw(st.integers(0, len(lines[row])))
@@ -527,7 +540,11 @@ class TestFitCommand:
         (["--spec", "level-rank"], "--theta-p applies to rank-rank specifications"),
         (["--theta-p", "2"], "rank position p must lie in [0, 1], got 2.0"),
         (["--no-intercept"], "--theta-p needs an intercept column (drop --no-intercept)"),
-    ], ids=["spec", "p", "intercept"])
+        # a covariate named const need not be constant: one of N(0, 25) noise
+        # used to give theta(p) = beta_const + p * slope, with exit 0
+        (["--no-intercept", "--w-cols", "const"],
+         "--theta-p needs an intercept column (drop --no-intercept)"),
+    ], ids=["spec", "p", "intercept", "intercept-named-const"])
     def test_theta_p_is_checked_before_the_csv_is_read(self, tmp_path, capsys, flags,
                                                        message):
         argv = ["fit", str(tmp_path / "missing.csv"), "--theta-p", "0.5", *flags]
@@ -551,6 +568,20 @@ class TestFitCommand:
         command, *flags = argv
         assert main([command, str(tmp_path / "missing.csv"), *flags]) == EXIT_IO
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "{empty}"], "{empty}: empty file"),
+        (["sweep", "{small}", "--grid", ""], "omega grid is empty"),
+    ], ids=["empty-file", "sweep-empty-grid"])
+    def test_refusals_after_the_read(self, tmp_path, small_csv, capsys, argv, message):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        paths = {"empty": str(empty), "small": small_csv}
+        out = tmp_path / "report.json"
+        argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert not out.exists()
 
     def test_repeated_se_method_runs_once(self, sample_csv, tmp_path, monkeypatch):
         # a repeated method used to be computed once per mention

@@ -320,3 +320,16 @@ class TestCoverageExperiment:
         row = rows[0]
         assert row.n == 400 and row.reps == 100
         assert row.true_value == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: copulas.coverage_experiment(gaussian(0.5), 50, 1, methods=("jackknife",)),
+     "unknown se method 'jackknife'"),
+    (lambda: CopulaModel("gaussian", 0.5).sample(0, 1), "need n >= 1 draws"),
+    (lambda: calibrate_parameter("independence", 0.3),
+     "independence copula has no parameter to calibrate"),
+], ids=["coverage-method", "sample-none", "calibrate-independence"])
+def test_refusal_messages(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message

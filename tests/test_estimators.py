@@ -568,3 +568,34 @@ class TestDatasetValidation:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             Dataset(y=[1.0, 2.0, 3.0], x=[1.0, 2.0])
+
+
+_Y, _X, _ONES = np.arange(6.0), np.arange(6.0)[::-1], np.ones((6, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset(y=[]), "dataset is empty"),
+    (lambda: Dataset(y=_Y, x=[0, 1, 2, np.nan, 4, 5]), "x contains non-finite values"),
+    (lambda: Dataset(y=_Y, w=np.column_stack([_ONES, [0, 1, np.inf, 3, 4, 5]])),
+     "w contains non-finite values"),
+    (lambda: Dataset(y=_Y, w=_ONES[:5]), "w must have one row per observation"),
+    (lambda: Dataset(y=_Y, w=_ONES, w_names=["const", "z"]),
+     "w_names length must match covariate count"),
+    (lambda: Dataset(y=_Y, g=["a"] * 5), "g and y must have equal length"),
+    (lambda: fit_spec(Dataset(y=_Y, x=_X, w=_ONES), "rank-log", 1.0),
+     f"unknown specification 'rank-log'; expected one of {SPECS}"),
+    (lambda: fit_spec(Dataset(y=_Y, x=_X), "rank-level", 1.0),
+     "rank-level fit needs at least one regressor column"),
+    (lambda: fit_spec(Dataset(y=_Y, x=_X, w=_ONES), "rank-rank-group", 1.0),
+     "grouped fit needs group labels"),
+    (lambda: fit_spec(Dataset(y=_Y, w=_ONES), "level-rank", 1.0),
+     "level-rank fit needs the ranked regressor x"),
+    (lambda: ols(np.ones((3, 1)), [1.0, 2.0]), "design and response lengths differ"),
+    (lambda: ols(np.ones((3, 1)), [1.0, np.nan, 2.0]), "design and response must be finite"),
+], ids=["empty-y", "x-nonfinite", "w-nonfinite", "w-rows", "w-names", "g-length",
+        "unknown-spec", "rank-level-no-w", "grouped-no-labels", "ranked-no-x", "ols-length",
+        "ols-nonfinite"])
+def test_refusal_messages(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message

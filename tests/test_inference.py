@@ -594,3 +594,29 @@ class TestInfluenceMatrixForm:
             fast = influence_rows(fit, d).psi
             slow = influence_rows_pairwise(fit, d).psi
             assert np.max(np.abs(fast - slow)) < 1e-10 * max(1.0, np.max(np.abs(slow)))
+
+
+def _tiny_fit(spec, grouped=False):
+    y, x = np.arange(8.0), np.array([3.0, 1, 4, 1, 5, 9, 2, 6])
+    g = np.repeat(["a", "b"], 4) if grouped else None
+    return fit_spec(Dataset(y=y, x=x, w=np.ones((8, 1)), w_names=["const"], g=g), spec, 1.0)
+
+
+_SLOPE_ONLY = ("slope-only variance applies to rank-rank and level-rank fits; "
+               "use plugin_covariance for grouped or rank-level fits")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: plugin_slope_variance(_tiny_fit("rank-rank-group", grouped=True)), _SLOPE_ONLY),
+    (lambda: plugin_slope_variance(_tiny_fit("rank-level")), _SLOPE_ONLY),
+    (lambda: omega_sweep(_tiny_fit("rank-rank").data, "rank-rank", []), "omega grid is empty"),
+    (lambda: confidence_interval(0.0, -1.0, 10), "sigma must be nonnegative"),
+    (lambda: confidence_interval(0.0, 1.0, 0), "n must be at least 1"),
+    (lambda: normal_quantile(0.0), "tail probability must lie in (0, 1), got 0.0"),
+    (lambda: normal_quantile(1.0), "tail probability must lie in (0, 1), got 1.0"),
+], ids=["slope-grouped", "slope-rank-level", "sweep-empty-grid", "ci-sigma", "ci-n",
+        "quantile-0", "quantile-1"])
+def test_refusal_messages(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message

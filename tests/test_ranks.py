@@ -227,3 +227,12 @@ class TestSlopeDecomposition:
 def test_tie_count():
     assert tie_count(TIED) == 6  # the pair of 7s plus four 15s
     assert tie_count([1, 2, 3]) == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spearman([1.0], [2.0]), "need at least two observations"),
+], ids=["spearman-one"])
+def test_refusal_messages(call, message):
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message
