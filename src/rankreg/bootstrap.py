@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
 from .estimators import fit_spec
-from .inference import InferenceReport, check_alpha, normal_quantile
+from .inference import InferenceReport, check_alpha, confidence_interval
 
 __all__ = [
     "BootstrapPlan",
@@ -165,8 +165,7 @@ def bootstrap_ci(replicates, point, plan):
             _type1_quantile(s, plan.alpha / 2.0),
             _type1_quantile(s, 1.0 - plan.alpha / 2.0),
         )
-    half = normal_quantile(plan.alpha / 2.0) * bootstrap_se(reps)
-    return float(point - half), float(point + half)
+    return confidence_interval(point, bootstrap_se(reps), 1, plan.alpha)
 
 
 def bootstrap_report(fit, plan):

@@ -346,8 +346,10 @@ class _Sample:
         self.data, self.spec, self.omega = d, spec, omega
         self.runs_x = d.runs_x if spec in RANKS_X else None
         self.runs_y = d.runs_y if spec in RANKS_Y else None
-        self.ranks_x = self._ranks(self.runs_x)
-        self.ranks_y = self._ranks(self.runs_y)
+        self.ranks_x, self.ranks_y = (
+            None if runs is None
+            else ranks_from_counts(*kernels.comparison_counts(runs), d.n, omega)
+            for runs in (self.runs_x, self.runs_y))
         self.order = np.argsort(d.group_index, kind="stable") if spec == GROUPED else None
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
         counts = [d.n] if self.order is None else np.bincount(d.group_index).tolist()
@@ -358,18 +360,13 @@ class _Sample:
         if self.order is not None:
             self.system = self.system[self.order]
 
-    def _ranks(self, runs, mult=None):
-        """Ranks of the sample, or of each resample in the stack ``mult`` (c, n).
+    def _ranks(self, runs, mult):
+        """Ranks of each resample in the stack ``mult`` (c, n).
 
         A resample's ranks are run totals of its multiplicities, scaled by
         its own size, the total of its row of ``mult``; they come in the row
         order of ``mult``, which is the order of :attr:`system`.
         """
-        if runs is None:
-            return None
-        if mult is None:
-            below, at_or_below = kernels.comparison_counts(runs)
-            return ranks_from_counts(below, at_or_below, self.data.n, self.omega)
         n_runs = runs.sizes.size
         run = runs.run if self.order is None else runs.run[self.order]
         # one bincount over the whole stack: resample i owns runs i*R..i*R+R-1

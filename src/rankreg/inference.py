@@ -24,8 +24,9 @@ once per fit block (one per group for a grouped fit, else the whole sample)
 on the block's rows and with the pooled n: the kernel sums run over the
 block's members, and every observation receives their terms.  The plugin
 covariance is the empirical second moment of the influence rows.  The
-classical homoskedastic and Eicker-White estimators (which drop the kernel
-terms) are provided for comparison; they are inconsistent for ranked data
+classical estimators drop the kernel terms and are provided for comparison:
+per fit block, Eicker-White is the second moment of the eps*C term alone and
+homoskedastic is A^-1 mean(eps^2).  They are inconsistent for ranked data
 and can come out too large or too small.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
@@ -165,21 +166,14 @@ def _block_psi(fit, rows, system, coef, a_cols):
     return psi
 
 
-def _influence(fit, only_slope=False):
-    """Influence rows of every coefficient, or of the slope alone."""
-    names = fit.coef_names[:1] if only_slope else fit.coef_names
-    psi = np.empty((fit.n, len(names)))
-    for rows, system, coef, a_inv, cols in _blocks(fit):
-        a_cols = a_inv[:, :1] if only_slope else a_inv
-        psi[:, cols] = _block_psi(fit, rows, system, coef, a_cols)
-    scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()[: len(names)]
-    return InfluenceRows(psi=psi, names=names, scales=scales)
-
-
 def influence_rows(fit, data=None):
     """Per-observation influence values for every coefficient of a fit."""
     _check_data(fit, data)
-    return _influence(fit)
+    psi = np.empty((fit.n, len(fit.coef_names)))
+    for rows, system, coef, a_inv, cols in _blocks(fit):
+        psi[:, cols] = _block_psi(fit, rows, system, coef, a_inv)
+    scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()
+    return InfluenceRows(psi=psi, names=fit.coef_names, scales=scales)
 
 
 def _report_from_variance(variance, names, estimates, alpha, n, method, influence=None):
@@ -217,9 +211,11 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     """Plugin variance for the coefficient on the ranked regressor alone.
 
     Cheaper than :func:`plugin_covariance` when only the slope matters;
-    numerically identical to its (rank(x), rank(x)) entry.  It stays because it
-    needs 3 kernel-sum columns to the full covariance's 2q + 1: the coverage
-    lab (n = 1,000, 250 reps) ran 11% slower on the full covariance.
+    numerically identical to its (rank(x), rank(x)) entry.  It needs 3
+    kernel-sum columns to the full covariance's 2q + 1: the coverage lab
+    (n = 1,000, 250 reps) took 1.12x the time on the full covariance (median
+    of 12 alternating pairs on a 2-core x86_64 VM).  It stays until the
+    covariance is assembled from per-run tables (ROADMAP direction 3).
     """
     _check_data(fit, data)
     if fit.runs_x is None or fit.order is not None:
@@ -227,8 +223,9 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
         )
-    rows = _influence(fit, only_slope=True)
-    sigma2 = float(np.mean(rows.psi[:, 0] ** 2))
+    psi = _block_psi(fit, slice(None), fit.system, fit.coef[0], fit.a_inv[0][:, :1])
+    rows = InfluenceRows(psi=psi, names=fit.coef_names[:1], scales=1.0 / fit.a_inv[0, :1, 0])
+    sigma2 = float(np.mean(psi[:, 0] ** 2))
     return _report_from_variance(
         [[sigma2]], rows.names, [fit.slope], alpha, fit.n, "plugin", influence=rows
     )
@@ -238,38 +235,33 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
 # classical (inconsistent-for-ranks) variance estimators, kept for comparison
 # ---------------------------------------------------------------------------
 
-def _naive_covariance(fit, alpha, kind):
-    """Sandwich variance on the fit's own A^-1, one block per fit block.
-
-    A grouped fit gets separate per-group regression blocks.  Its A^-1 is
-    taken over the pooled n, which already puts each block on the pooled
-    sqrt(n) convention, so one report covers all coefficients.
-    """
-    q = len(fit.coef_names)
-    variance = np.zeros((q, q))
-    for rows, system, _, a_inv, cols in _blocks(fit):
-        Z, resid = system[:, :-1], fit.residuals[rows]
-        if kind == "hom":
-            block = a_inv * float(np.mean(resid**2))
-        else:
-            meat = (Z * (resid**2)[:, None]).T @ Z / fit.n
-            block = a_inv @ meat @ a_inv
-        variance[cols, cols] = block
-    return _report_from_variance(
-        variance, fit.coef_names, fit.estimates, alpha, fit.n, kind
-    )
-
-
 def hom_covariance(fit, data=None, alpha=0.05):
-    """Homoskedastic OLS variance, ignoring rank-estimation noise."""
+    """Homoskedastic OLS variance, ignoring rank-estimation noise.
+
+    Each fit block's variance is A^-1 mean(eps^2).  A grouped fit gets
+    separate per-group regression blocks.  Its A^-1 is taken over the pooled
+    n, which already puts each block on the pooled sqrt(n) convention, so one
+    report covers all coefficients.
+    """
     _check_data(fit, data)
-    return _naive_covariance(fit, alpha, "hom")
+    variance = np.zeros((len(fit.coef_names),) * 2)
+    for rows, _, _, a_inv, cols in _blocks(fit):
+        variance[cols, cols] = a_inv * float(np.mean(fit.residuals[rows] ** 2))
+    return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "hom")
 
 
 def ew_covariance(fit, data=None, alpha=0.05):
-    """Eicker-White robust variance, ignoring rank-estimation noise."""
+    """Eicker-White robust variance, ignoring rank-estimation noise.
+
+    Each fit block's variance is the second moment of the eps*C term that
+    every influence row carries, so it is A^-1 meat A^-1 on the pooled n.
+    """
     _check_data(fit, data)
-    return _naive_covariance(fit, alpha, "ew")
+    variance = np.zeros((len(fit.coef_names),) * 2)
+    for rows, system, _, a_inv, cols in _blocks(fit):
+        d = fit.residuals[rows][:, None] * (system[:, :-1] @ a_inv)
+        variance[cols, cols] = d.T @ d / fit.n
+    return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "ew")
 
 
 def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,

@@ -119,15 +119,24 @@ class TestPluginSlopeVariance:
 
 class TestPluginJointCovariance:
     def test_slope_entry_matches_scalar_path(self, rng):
+        # tied x and y with a covariate: the slope path is the full path's
+        # slope column, its influence rows and scale included
         n = 60
-        x = rng.normal(size=n)
+        x, y = make_tied_sample(rng, n), make_tied_sample(rng, n)
         w = np.column_stack([np.ones(n), rng.normal(size=n)])
-        y = x + rng.normal(size=n)
         d = Dataset(y=y, x=x, w=w)
-        fit = fit_rank_rank(d, 0.5)
-        joint = plugin_covariance(fit, d)
-        scalar = plugin_slope_variance(fit, d)
-        assert joint.variance[0, 0] == pytest.approx(scalar.variance[0, 0], abs=1e-10)
+        for spec in ("rank-rank", "level-rank"):
+            for omega in (0.0, 0.5, 1.0):
+                fit = fit_spec(d, spec, omega)
+                joint = plugin_covariance(fit, d)
+                scalar = plugin_slope_variance(fit, d)
+                assert joint.variance[0, 0] == pytest.approx(scalar.variance[0, 0], abs=1e-10)
+                full = influence_rows(fit, d)
+                assert scalar.influence.names == full.names[:1]
+                np.testing.assert_allclose(scalar.influence.psi[:, 0], full.psi[:, 0],
+                                           rtol=0.0, atol=1e-12, err_msg=spec)
+                np.testing.assert_allclose(scalar.influence.scales, full.scales[:1],
+                                           rtol=1e-12, atol=0.0, err_msg=spec)
 
     def test_symmetric_psd(self, rng):
         n = 70
@@ -347,27 +356,33 @@ class TestNaiveVariances:
 
     @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
     def test_grouped_variances_are_the_textbook_sandwiches(self, rng, omega):
-        # each group's sandwich from its own lstsq on the pooled ranks, scaled
-        # by the pooled n; block g sits at every G-th row and column from g
-        n, n_groups = 300, 3
+        # each block's sandwich from its own lstsq on the sample's (pooled)
+        # ranks, scaled by the pooled n; block g sits at every G-th row and
+        # column from g.  Every spec, with an intercept and a covariate; the
+        # grouped fit has 3 blocks, the others one.
+        n = 300
         x, y = make_tied_sample(rng, n), make_tied_sample(rng, n)
-        g = rng.integers(0, n_groups, n)
         w = np.column_stack([np.ones(n), rng.normal(size=n)])
-        fit = fit_rank_rank_by_group(Dataset(y=y, x=x, w=w, g=g), omega)
-        design, response = np.column_stack([rank_transform(x, omega), w]), rank_transform(y, omega)
-        size = n_groups * design.shape[1]
-        hom, ew = np.zeros((size, size)), np.zeros((size, size))
-        for group in range(n_groups):
-            Z, r = design[g == group], response[g == group]
-            e = r - Z @ np.linalg.lstsq(Z, r, rcond=None)[0]
-            bread = np.linalg.inv(Z.T @ Z)
-            block = np.ix_(range(group, size, n_groups), range(group, size, n_groups))
-            hom[block] = n * bread * np.mean(e**2)
-            ew[block] = n * bread @ (Z.T * e**2) @ Z @ bread
-        for method, want in ((hom_covariance, hom), (ew_covariance, ew)):
-            got = method(fit).variance
-            assert np.all(got[want == 0.0] == 0.0)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        for spec in ("rank-rank", "level-rank", "rank-level", "rank-rank-group"):
+            n_groups = 3 if spec == "rank-rank-group" else 1
+            g = rng.integers(0, n_groups, n)
+            fit = fit_spec(Dataset(y=y, x=x, w=w, g=g if n_groups > 1 else None), spec, omega)
+            ranked = [] if spec == "rank-level" else [rank_transform(x, omega)]
+            design = np.column_stack(ranked + [w])
+            response = y if spec == "level-rank" else rank_transform(y, omega)
+            size = n_groups * design.shape[1]
+            hom, ew = np.zeros((size, size)), np.zeros((size, size))
+            for group in range(n_groups):
+                Z, r = design[g == group], response[g == group]
+                e = r - Z @ np.linalg.lstsq(Z, r, rcond=None)[0]
+                bread = np.linalg.inv(Z.T @ Z)
+                block = np.ix_(range(group, size, n_groups), range(group, size, n_groups))
+                hom[block] = n * bread * np.mean(e**2)
+                ew[block] = n * bread @ (Z.T * e**2) @ Z @ bread
+            for method, want in ((hom_covariance, hom), (ew_covariance, ew)):
+                got = method(fit).variance
+                assert np.all(got[want == 0.0] == 0.0), spec
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0, err_msg=spec)
 
     def test_reflection_ratio_blows_up(self):
         # at a = 0.2 the naive limits exceed the correct variance by ~3.4x
