@@ -19,11 +19,19 @@ are one matrix expression,
 where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
 :mod:`rankreg.ranks` down each column.  The other specifications are
 special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
-rank-level has Z = W and drops every x term.  The expression is evaluated
-once per fit block (one per group for a grouped fit, else the whole sample)
-on the block's rows and with the pooled n: the kernel sums run over the
-block's members, and every observation receives their terms.  The plugin
-covariance is the empirical second moment of the influence rows.  The
+rank-level has Z = W and drops every x term.  Each fit block (one per group
+for a grouped fit, else the whole sample) has its own C, eps and
+coefficients over its rows, and the pooled n: the kernel sums run over the
+block's members, and every observation receives their terms.  Those terms
+depend on an observation only through its y-run and its x-run, so every
+kernel sum of every block is one per-run table, (R_y, G q) for y and
+(R_x, G q) for x, with the coefficient arithmetic and the constant
+-(W beta)'C applied to the tables.  An influence row is then the y-table's
+row at its y-run plus the x-table's row at its x-run, over n, plus eps*C in
+its own block's columns.  The rows are formed in chunks of about 64k
+entries, block by block, and the plugin covariance, the empirical second
+moment of the influence rows, is summed over the chunks: memory is
+O((R_x + R_y) G q + chunk), and no n x G q matrix is formed.  The
 classical estimators drop the kernel terms and are provided for comparison:
 per fit block, Eicker-White is the second moment of the eps*C term alone and
 homoskedastic is A^-1 mean(eps^2).  They are inconsistent for ranked data
@@ -41,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .estimators import fit_spec
-from .kernels import comparison_weighted_sums
+from .kernels import comparison_run_sums
 from .ranks import check_omega
 
 __all__ = [
@@ -119,7 +127,6 @@ class InferenceReport:
     ci: np.ndarray
     alpha: float
     n: int
-    influence: InfluenceRows | None = None
 
 
 def _check_data(fit, data):
@@ -140,43 +147,86 @@ def _blocks(fit):
             for g, (lo, hi) in enumerate(fit.bounds)]
 
 
-def _block_psi(fit, rows, system, coef, a_cols):
-    """Influence columns of one fit block for the columns ``a_cols`` of A^-1.
+_CHUNK_ENTRIES = 1 << 16  # influence entries per row chunk: 512 KiB of float64
 
-    ``system`` is the block's [Z, r] and ``coef`` its coefficients: Z is
-    [rank(x), W] when x is ranked, else W, and r is rank(y) when y is ranked,
-    else y.  The kernel sums run over the block's members while every
-    observation receives their terms (pooled ranks tie the groups together).
+
+def _kernel_tables(fit, a_cols, C, eps):
+    """[(table, run ids)] whose gathers table[run ids] sum to the kernel terms over n.
+
+    ``C`` (n, k) and ``eps`` are in the fit's row order, C holding each
+    row's Z A^-1 columns ``a_cols`` (G, q, k) of its own block.  A table is
+    (R, k G), columns coefficient-major then block, and the run ids are
+    those of the fit's rows; the per-block constants ride in the first table.
     """
-    Z, r = system[:, :-1], system[:, -1]
-    eps = fit.residuals[rows]
-    C = Z @ a_cols
-    k = 0 if fit.runs_x is None else 1
-    w_beta = Z[:, k:] @ coef[k:]
-    if fit.runs_y is None:
-        kernel = (r - w_beta) @ C
-    else:
-        kernel = comparison_weighted_sums(fit.runs_y, C, fit.omega, rows) - w_beta @ C
+    G, _, k = a_cols.shape
+    kx = 0 if fit.runs_x is None else 1
+    order = slice(None) if fit.order is None else fit.order
+    blocks = None if G == 1 else np.repeat(np.arange(G), [hi - lo for lo, hi in fit.bounds])
+    const = np.empty((k, G))
+    for g, (lo, hi) in enumerate(fit.bounds):
+        Z, r = fit.system[lo:hi, :-1], fit.system[lo:hi, -1]
+        w_beta = Z[:, kx:] @ fit.coef[g, kx:]
+        const[:, g] = (r - w_beta if fit.runs_y is None else -w_beta) @ C[lo:hi]
+        if kx:
+            const[:, g] -= (eps[lo:hi] @ Z[:, 0]) * a_cols[g, 0]
+    tables = []
+    if fit.runs_y is not None:
+        tables.append((comparison_run_sums(fit.runs_y, C, fit.omega, order, blocks, G),
+                       fit.runs_y))
     if fit.runs_x is not None:
-        t_x = comparison_weighted_sums(fit.runs_x, np.column_stack([C, eps]), fit.omega, rows)
-        t_x_eps = t_x[:, -1] - eps @ Z[:, 0]
-        kernel = kernel - coef[0] * t_x[:, :-1] + np.outer(t_x_eps, a_cols[0])
-    psi = kernel / fit.n
-    psi[rows] += eps[:, None] * C
-    return psi
+        t_x = comparison_run_sums(fit.runs_x, C, fit.omega, order, blocks, G)
+        t_x *= -fit.coef[:, 0]
+        t_x_eps = comparison_run_sums(fit.runs_x, eps, fit.omega, order, blocks, G)[:, 0]
+        for l in range(k):
+            t_x[:, l] += t_x_eps * a_cols[:, 0, l]
+        tables.append((t_x, fit.runs_x))
+    first = tables[0][0]
+    first += const
+    for table, _ in tables:
+        table /= fit.n
+    return [(table.reshape(len(table), -1), runs.run[order]) for table, runs in tables]
+
+
+def _influence_chunks(fit, a_cols):
+    """Influence rows for the columns ``a_cols`` (G, q, k) of each block's A^-1, in row chunks.
+
+    Yields (start, stop, psi): psi (stop - start, k G) holds the influence
+    values of rows start..stop-1 of the fit's row order, columns
+    coefficient-major then block, and the next chunk overwrites it.  A chunk
+    lies within one block and holds about ``_CHUNK_ENTRIES`` values, so no
+    n-row influence matrix is formed.
+    """
+    G, _, k = a_cols.shape
+    eps = fit.residuals if fit.order is None else fit.residuals[fit.order]
+    C = np.empty((fit.n, k))
+    for g, (lo, hi) in enumerate(fit.bounds):
+        C[lo:hi] = fit.system[lo:hi, :-1] @ a_cols[g]
+    (first, first_runs), *rest = _kernel_tables(fit, a_cols, C, eps)
+    step = min(max(1, _CHUNK_ENTRIES // (k * G)), max(hi - lo for lo, hi in fit.bounds))
+    psi, gathered = np.empty((2, step, k * G))
+    for g, (lo, hi) in enumerate(fit.bounds):
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            chunk = psi[:stop - start]
+            np.take(first, first_runs[start:stop], axis=0, out=chunk, mode="clip")
+            for table, runs in rest:
+                chunk += np.take(table, runs[start:stop], axis=0,
+                                 out=gathered[:stop - start], mode="clip")
+            chunk[:, g::G] += eps[start:stop, None] * C[start:stop]
+            yield start, stop, chunk
 
 
 def influence_rows(fit, data=None):
-    """Per-observation influence values for every coefficient of a fit."""
+    """Per-observation influence values for every coefficient of a fit, in input order."""
     _check_data(fit, data)
     psi = np.empty((fit.n, len(fit.coef_names)))
-    for rows, system, coef, a_inv, cols in _blocks(fit):
-        psi[:, cols] = _block_psi(fit, rows, system, coef, a_inv)
+    for start, stop, chunk in _influence_chunks(fit, fit.a_inv):
+        psi[slice(start, stop) if fit.order is None else fit.order[start:stop]] = chunk
     scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()
     return InfluenceRows(psi=psi, names=fit.coef_names, scales=scales)
 
 
-def _report_from_variance(variance, names, estimates, alpha, n, method, influence=None):
+def _report_from_variance(variance, names, estimates, alpha, n, method):
     check_alpha(alpha)
     variance = np.atleast_2d(np.asarray(variance, dtype=np.float64))
     variance = 0.5 * (variance + variance.T)  # absorb round-off asymmetry
@@ -194,28 +244,33 @@ def _report_from_variance(variance, names, estimates, alpha, n, method, influenc
         ci=ci,
         alpha=alpha,
         n=n,
-        influence=influence,
     )
 
 
 def plugin_covariance(fit, data=None, alpha=0.05):
-    """Plugin estimate of the joint asymptotic covariance of all coefficients."""
-    rows = influence_rows(fit, data)
-    sigma = rows.psi.T @ rows.psi / fit.n
-    return _report_from_variance(
-        sigma, rows.names, fit.estimates, alpha, fit.n, "plugin", influence=rows
-    )
+    """Plugin estimate of the joint asymptotic covariance of all coefficients.
+
+    The second moment psi'psi/n of the influence rows, summed over their
+    row chunks.
+    """
+    _check_data(fit, data)
+    width = len(fit.coef_names)
+    sigma = np.zeros((width, width))
+    for _, _, psi in _influence_chunks(fit, fit.a_inv):
+        sigma += psi.T @ psi
+    return _report_from_variance(sigma / fit.n, fit.coef_names, fit.estimates, alpha, fit.n,
+                                 "plugin")
 
 
 def plugin_slope_variance(fit, data=None, alpha=0.05):
     """Plugin variance for the coefficient on the ranked regressor alone.
 
     Cheaper than :func:`plugin_covariance` when only the slope matters;
-    numerically identical to its (rank(x), rank(x)) entry.  It needs 3
-    kernel-sum columns to the full covariance's 2q + 1: the coverage lab
-    (n = 1,000, 250 reps) took 1.12x the time on the full covariance (median
-    of 12 alternating pairs on a 2-core x86_64 VM).  It stays until the
-    covariance is assembled from per-run tables (ROADMAP direction 3).
+    numerically identical to its (rank(x), rank(x)) entry.  It builds the
+    kernel tables and influence chunks of A^-1's slope column alone, 3
+    kernel-sum columns to the full covariance's 2q + 1.  On a coverage-lab
+    fit (n = 1,000, intercept only) the full covariance took 180 us per call
+    against 113 us for this path (best of 7 x 500 calls, 2-core x86_64 VM).
     """
     _check_data(fit, data)
     if fit.runs_x is None or fit.order is not None:
@@ -223,12 +278,10 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
         )
-    psi = _block_psi(fit, slice(None), fit.system, fit.coef[0], fit.a_inv[0][:, :1])
-    rows = InfluenceRows(psi=psi, names=fit.coef_names[:1], scales=1.0 / fit.a_inv[0, :1, 0])
-    sigma2 = float(np.mean(psi[:, 0] ** 2))
-    return _report_from_variance(
-        [[sigma2]], rows.names, [fit.slope], alpha, fit.n, "plugin", influence=rows
-    )
+    sigma2 = sum(float(psi[:, 0] @ psi[:, 0])
+                 for _, _, psi in _influence_chunks(fit, fit.a_inv[:, :, :1])) / fit.n
+    return _report_from_variance([[sigma2]], fit.coef_names[:1], [fit.slope], alpha, fit.n,
+                                 "plugin")
 
 
 # ---------------------------------------------------------------------------

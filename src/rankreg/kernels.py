@@ -5,17 +5,22 @@ conditional expectations) compares a variable with itself, so it depends on
 the variable only through its tie runs.  ``tie_runs(values)`` finds them by
 the package's one sort of a ranked variable, in O(n log n); a run id does
 not depend on the order of tied elements, so the sort need not be stable and
-numpy's default (SIMD where the CPU has it) serves.  The two functions over
-the runs of a sample of size n then cost O(n + R) for R runs:
+numpy's default (SIMD where the CPU has it) serves.  The functions over the
+runs of a sample of size n then cost O(n + R) for R runs:
 
 * ``comparison_counts(runs)`` -- for every element, how many sample values
   are strictly below it and how many are at or below it: cumulative run sizes.
-* ``comparison_weighted_sums(runs, weights, omega)`` -- for every element
-  ``i`` the sum ``sum_j K(values_i, values_j) * weights_j`` with the
-  tie-weighted step kernel ``K(a, b) = omega*1{a<=b} + (1-omega)*1{a<b}``:
-  per column a ``bincount`` of the weights per run, a suffix sum over the
-  runs and a gather.  A (n, k) weight matrix gives exactly the k
-  single-column results.
+* ``comparison_run_sums(runs, weights, omega, rows, blocks, n_blocks)`` --
+  for every run ``r`` and block ``g`` the sum ``sum_j K(v_r, values_j) *
+  weights_j`` over the weighted elements ``j`` of block ``g``, with ``v_r``
+  the value of run ``r`` and the tie-weighted step kernel ``K(a, b) =
+  omega*1{a<=b} + (1-omega)*1{a<b}``: per column one ``bincount`` over the
+  ids ``run * n_blocks + block``, a suffix sum over the runs and the omega
+  mix.  The table is (R, k, n_blocks) for k weight columns, whatever the
+  number of elements.
+* ``comparison_weighted_sums(runs, weights, omega)`` -- the same sums for
+  every element ``i``: the one-block table gathered at the elements' runs.
+  A (n, k) weight matrix gives exactly the k single-column results.
 
 The literal O(n^2) pairwise evaluation lives in the tests and in
 :mod:`rankreg.bruteforce`, which are the correctness oracles for this path.
@@ -30,6 +35,7 @@ __all__ = [
     "backend_name",
     "tie_runs",
     "comparison_counts",
+    "comparison_run_sums",
     "comparison_weighted_sums",
 ]
 
@@ -68,6 +74,33 @@ def comparison_counts(runs):
     return at_or_below - runs.sizes[runs.run], at_or_below
 
 
+def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_blocks=1):
+    """Per-run table of the kernel sums, (R, k, n_blocks) for (m,) or (m, k) ``weights``.
+
+    ``weights`` has one row per element indexed by ``rows``, and ``blocks``
+    (None for one block) gives each of those elements its block in
+    0..n_blocks-1.  Entry [r, l, g] is sum_j K(v_r, values_j) * weights[j, l]
+    over the weighted elements j of block g, with v_r the value of run r;
+    every element of run r has that sum.
+    """
+    omega = float(omega)
+    n_runs = runs.sizes.size
+    ids = runs.run[rows]
+    if blocks is not None:
+        ids = ids * n_blocks + blocks
+    columns = weights.reshape(weights.shape[0], -1).T
+    table = np.empty((n_runs, columns.shape[0], n_blocks))
+    for k, column in enumerate(columns):
+        per_run = np.bincount(ids, column, n_runs * n_blocks).reshape(n_runs, n_blocks)
+        # suffix[r] = total weight of runs r, r+1, ..., R-1; the sum past R-1 is 0
+        suffix = np.cumsum(per_run[::-1], axis=0)[::-1]
+        table[-1, k] = 0.0
+        table[:-1, k] = suffix[1:]
+        table[:, k] *= 1.0 - omega
+        table[:, k] += omega * suffix
+    return table
+
+
 def comparison_weighted_sums(runs, weights, omega, rows=slice(None)):
     """t_i = sum_j K(values_i, values_j) * weights_j with the tie-weighted kernel K.
 
@@ -75,13 +108,5 @@ def comparison_weighted_sums(runs, weights, omega, rows=slice(None)):
     an index ``rows``, ``weights`` has one row per indexed element, every
     other element weighs zero, and the result still covers the whole sample.
     """
-    omega = float(omega)
-    run = runs.run[rows]
-    n_runs = runs.sizes.size
-    columns = weights.reshape(weights.shape[0], -1).T
-    # suffix[r] = total weight of runs r, r+1, ..., R-1; suffix[R] = 0
-    suffix = np.zeros((n_runs + 1, columns.shape[0]))
-    for k, column in enumerate(columns):
-        suffix[:-1, k] = np.cumsum(np.bincount(run, column, n_runs)[::-1])[::-1]
-    per_run = omega * suffix[:-1] + (1.0 - omega) * suffix[1:]
-    return per_run[runs.run].reshape((runs.run.size,) + weights.shape[1:])
+    table = comparison_run_sums(runs, weights, omega, rows)
+    return table[runs.run].reshape((runs.run.size,) + weights.shape[1:])

@@ -92,6 +92,13 @@ def test_weighted_sums_match_pairwise(rng):
             fast = kernels.comparison_weighted_sums(runs, weights[rows], omega, rows)
             slow = _pairwise_sums(values, in_rows, omega)
             assert np.max(np.abs(fast - slow)) < 1e-12
+            # block g's column of the per-run table holds the sums of its members alone
+            blocks = rng.integers(0, 3, rows.size)
+            table = kernels.comparison_run_sums(runs, weights[rows], omega, rows, blocks, 3)
+            for g in range(3):
+                slow = _pairwise_sums(values, np.where(np.isin(np.arange(90), rows[blocks == g]),
+                                                       weights, 0.0), omega)
+                assert np.max(np.abs(table[runs.run, 0, g] - slow)) < 1e-12
 
 
 def test_weight_matrix_equals_column_calls_bitwise(rng):
