@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
 from .estimators import fit_spec
-from .inference import InferenceReport, check_alpha, confidence_interval
+from .inference import InferenceReport, check_alpha, check_seed, confidence_interval
 
 __all__ = [
     "BootstrapPlan",
@@ -66,6 +66,7 @@ class BootstrapPlan:
         if self.ci_kind not in ("percentile", "normal"):
             raise InvalidInputError(f"unknown ci_kind {self.ci_kind!r}")
         check_alpha(self.alpha)
+        check_seed(self.seed)
 
 
 def _chunk(sample, seed, replicates):

@@ -362,22 +362,21 @@ def _diagnostics(d, fit, info):
         "tie_count_y": d.runs_y.tied,
         "design_condition_number": fit.condition_number,
     }
-    if d.group_index is not None:
-        sizes = np.bincount(d.group_index).tolist()
-        diag["group_sizes"] = {str(name): size for name, size in zip(d.group_names, sizes)}
+    if fit.grouped:
+        diag["group_sizes"] = {str(name): hi - lo
+                               for name, (lo, hi) in zip(d.group_names, fit.bounds)}
     return diag
 
 
 def _theta_p_block(fit, plugin_report, p_value, alpha):
     """Delta-method expected outcome rank at regressor rank p: intercept + slope*p."""
-    n_blocks = len(fit.bounds)
-    labels = [""] if fit.order is None else [str(label) for label in fit.data.group_names]
+    labels = [str(label) for label in fit.data.group_names] if fit.grouped else [""]
     blocks = []
     for g, label in enumerate(labels):
         weights = np.zeros(len(plugin_report.names))
-        # estimates run coefficient-major, then block: k of block g is at k * n_blocks + g
+        # estimates run coefficient-major, then block: k of block g of G is at k * G + g
         weights[g] = p_value
-        weights[fit.names.index(_INTERCEPT) * n_blocks + g] = 1.0
+        weights[fit.names.index(_INTERCEPT) * len(labels) + g] = 1.0
         rep = linear_combo_inference(
             plugin_report.variance, weights, plugin_report.estimates,
             plugin_report.n, alpha=alpha,
@@ -434,7 +433,7 @@ def cmd_fit(args):
         "diagnostics": _diagnostics(d, fit, info),
         "warnings": warnings,
     }
-    if d.group_index is not None:
+    if fit.grouped:
         payload["groups"] = [str(name) for name in d.group_names]
     if args.theta_p is not None:
         plugin_report = reports.get("plugin") or plugin_covariance(fit, alpha=args.alpha)

@@ -37,9 +37,9 @@ import numpy as np
 from .bootstrap import BootstrapPlan, _check_count, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
-from .inference import ew_covariance, hom_covariance, plugin_slope_variance
+from .inference import check_alpha, check_seed, ew_covariance, hom_covariance, plugin_slope_variance
 from .kernels import comparison_counts, comparison_weighted_sums, tie_runs
-from .ranks import ranks_from_counts, spearman
+from .ranks import check_omega, ranks_from_counts, spearman
 
 __all__ = [
     "CopulaModel",
@@ -103,7 +103,8 @@ class CopulaModel:
         """n i.i.d. draws (x, y); ``seed`` is an int or a numpy Generator."""
         if n < 1:
             raise InvalidInputError("need n >= 1 draws")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = (seed if isinstance(seed, np.random.Generator)
+               else np.random.default_rng(check_seed(seed)))
         th = self.param
         if self.family in ("gaussian", "student_t1"):
             z1 = rng.standard_normal(n)
@@ -213,6 +214,7 @@ def variance_triple_mc(model, n_mc, seed):
 
 def variance_curve(family, grid, n_mc=200_000, seed=0):
     """One variance triple per grid point, for plotting against the parameter."""
+    check_seed(seed)
     rows = []
     for k, param in enumerate(grid):
         model = CopulaModel(family, float(param))
@@ -306,6 +308,9 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     for m in methods:
         if m not in ("plugin", "hom", "ew", "bootstrap"):
             raise InvalidInputError(f"unknown se method {m!r}")
+    check_alpha(alpha)
+    check_omega(omega)
+    check_seed(seed)
     if "bootstrap" in methods:
         if bootstrap_plan is None:
             bootstrap_plan = BootstrapPlan(reps=299, alpha=alpha)

@@ -325,12 +325,12 @@ class _Sample:
     """A sample prepared for one specification, to fit as it is or resampled.
 
     The ranks of each ranked variable come from the tie runs of the dataset.
-    ``order`` lists the observations group by group (None when the fit is
-    one block), so every group's rows are contiguous without a further sort;
-    ``bounds`` holds each fit block's [lo, hi) in that row order, and
-    ``system`` the sample's own [Z, r] in it.  :class:`FitResult` is the
-    sample solved, so a command prepares one: the variances and the
-    bootstrap read the fit's own design.
+    ``x[order]`` puts any per-observation x in the fit's row order: ``order``
+    sorts the rows stably by group when ``grouped``, so each group's rows are
+    contiguous, and is ``slice(None)`` otherwise.  ``bounds`` holds each fit
+    block's [lo, hi) in that order, and ``system`` the sample's own [Z, r] in
+    it.  :class:`FitResult` is the sample solved, so a command prepares one:
+    the variances and the bootstrap read the fit's own design.
     """
 
     def __init__(self, d, spec, omega):
@@ -350,15 +350,14 @@ class _Sample:
             None if runs is None
             else ranks_from_counts(*kernels.comparison_counts(runs), d.n, omega)
             for runs in (self.runs_x, self.runs_y))
-        self.order = np.argsort(d.group_index, kind="stable") if spec == GROUPED else None
+        self.grouped = spec == GROUPED
+        self.order = np.argsort(d.group_index, kind="stable") if self.grouped else slice(None)
         self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
-        counts = [d.n] if self.order is None else np.bincount(d.group_index).tolist()
+        counts = np.bincount(d.group_index).tolist() if self.grouped else [d.n]
         ends = list(itertools.accumulate(counts))
         self.bounds = list(zip([0] + ends[:-1], ends))
         columns = [self.ranks_x, d.w, d.y if self.ranks_y is None else self.ranks_y]
-        self.system = np.column_stack([c for c in columns if c is not None])
-        if self.order is not None:
-            self.system = self.system[self.order]
+        self.system = np.column_stack([c for c in columns if c is not None])[self.order]
 
     def _ranks(self, runs, mult):
         """Ranks of each resample in the stack ``mult`` (c, n).
@@ -368,7 +367,7 @@ class _Sample:
         order of ``mult``, which is the order of :attr:`system`.
         """
         n_runs = runs.sizes.size
-        run = runs.run if self.order is None else runs.run[self.order]
+        run = runs.run[self.order]
         # one bincount over the whole stack: resample i owns runs i*R..i*R+R-1
         ids = run + n_runs * np.arange(mult.shape[0])[:, None]
         per_run = np.bincount(ids.ravel(), weights=mult.ravel(), minlength=mult.shape[0] * n_runs)
@@ -407,7 +406,7 @@ class _Sample:
             system = self.system[None]
             sizes = np.array([[hi - lo for lo, hi in self.bounds]])
         else:
-            m = np.asarray(m if self.order is None else m[:, self.order], dtype=np.float64)
+            m = np.asarray(m, dtype=np.float64)[:, self.order]
             # built by columns, so each resample's [Z, r] is in LAPACK's order
             columns = np.empty((m.shape[0],) + self._columns.shape)
             columns[:] = self._columns
@@ -448,11 +447,10 @@ class _Sample:
         # an all-tied x makes rank(x) a constant column, which the pivot may
         # keep in place of the intercept it duplicates
         if isinstance(err, SingularDesignError) and self.runs_x is not None:
-            run = self.runs_x.run if self.order is None else self.runs_x.run[self.order]
-            run = run[lo:hi] if m is None else run[lo:hi][m[lo:hi] > 0]
-            if np.ptp(run) == 0:
+            run = self.runs_x.run[self.order][lo:hi]
+            if np.ptp(run if m is None else run[m[lo:hi] > 0]) == 0:
                 err = SingularDesignError("design is numerically singular at rank(x)", column=0)
-        if self.order is not None:
+        if self.grouped:
             err.args = (f"group {self.data.group_names[g]!r}: {err}",)
         return err
 
@@ -466,8 +464,8 @@ class FitResult(_Sample):
     with A = Z'Z/n over the block's rows and n the pooled count.  Column l
     of Z A^-1 is the projection residual of Z_l on the other regressors over
     its second moment, which is everything the inference step needs.
-    ``r_factors`` (G, q+1, q+1) are the blocks' R factors of [Z, r], and
-    ``residuals`` are in input order.
+    ``r_factors`` (G, q+1, q+1) are the blocks' R factors of [Z, r]; ``eps``
+    holds the residuals in the fit's row order, ``residuals`` in input order.
 
     ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
     on W, by Frisch-Waugh-Lovell) are read off the blocks, per group for a
@@ -483,12 +481,11 @@ class FitResult(_Sample):
         if errors[0] is not None:
             raise errors[0]
         self.r_factors, self.coef, self.a_inv = R[0], coef[0], d.n * gram_inv[0]
-        residuals = self.system[:, -1].copy()
+        self.eps = self.system[:, -1].copy()
         for (lo, hi), c in zip(self.bounds, self.coef):
-            residuals[lo:hi] -= self.system[lo:hi, :-1] @ c
-        if self.order is not None:  # back to input order
-            residuals[self.order] = residuals.copy()
-        self.residuals = residuals
+            self.eps[lo:hi] -= self.system[lo:hi, :-1] @ c
+        self.residuals = np.empty_like(self.eps)
+        self.residuals[self.order] = self.eps
 
     @property
     def n(self):
@@ -506,14 +503,14 @@ class FitResult(_Sample):
 
     def _per_block(self, values):
         """``values`` (G, ...) per group for a grouped fit, else its one block."""
-        return values[0] if self.order is None else values
+        return values if self.grouped else values[0]
 
     @property
     def slope(self):
         if self.ranks_x is None:
             return None
         slope = self.coef[:, 0]
-        return float(slope[0]) if self.order is None else slope
+        return slope if self.grouped else float(slope[0])
 
     @property
     def beta(self):
@@ -528,7 +525,7 @@ class FitResult(_Sample):
 
     @property
     def coef_names(self):
-        if self.order is None:
+        if not self.grouped:
             return list(self.names)
         return [f"{name}@{label}" for name in self.names for label in self.data.group_names]
 

@@ -20,22 +20,22 @@ where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
 :mod:`rankreg.ranks` down each column.  The other specifications are
 special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
 rank-level has Z = W and drops every x term.  Each fit block (one per group
-for a grouped fit, else the whole sample) has its own C, eps and
-coefficients over its rows, and the pooled n: the kernel sums run over the
-block's members, and every observation receives their terms.  Those terms
-depend on an observation only through its y-run and its x-run, so every
-kernel sum of every block is one per-run table, (R_y, G q) for y and
-(R_x, G q) for x, with the coefficient arithmetic and the constant
--(W beta)'C applied to the tables.  An influence row is then the y-table's
-row at its y-run plus the x-table's row at its x-run, over n, plus eps*C in
-its own block's columns.  The rows are formed in chunks of about 64k
-entries, block by block, and the plugin covariance, the empirical second
-moment of the influence rows, is summed over the chunks: memory is
-O((R_x + R_y) G q + chunk), and no n x G q matrix is formed.  The
-classical estimators drop the kernel terms and are provided for comparison:
-per fit block, Eicker-White is the second moment of the eps*C term alone and
-homoskedastic is A^-1 mean(eps^2).  They are inconsistent for ranked data
-and can come out too large or too small.
+for a grouped fit, else the whole sample) is a row range [lo, hi) of the
+fit's row order, where C and eps are read; it has its own C, eps and
+coefficients and the pooled n: the kernel sums run over the block's members,
+and every observation receives their terms.  Those terms depend on an
+observation only through its y-run and its x-run, so every kernel sum of
+every block is one per-run table, (R_y, G q) for y and (R_x, G q) for x,
+with the coefficient arithmetic and the constant -(W beta)'C applied to the
+tables.  An influence row is then the y-table's row at its y-run plus the
+x-table's row at its x-run, over n, plus eps*C in its own block's columns.
+The rows are formed in chunks of about 64k entries, block by block, and the
+plugin covariance, the empirical second moment of the influence rows, is
+summed over the chunks: memory is O((R_x + R_y) G q + chunk), and no n x G q
+matrix is formed.  The classical estimators drop the kernel terms and are
+provided for comparison: per fit block, Eicker-White is the second moment
+of the eps*C term alone and homoskedastic is A^-1 mean(eps^2).  They are
+inconsistent for ranked data and can come out too large or too small.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
 errors are sqrt(diag(variance)/n).  Grouped fits keep the pooled n as the
@@ -87,6 +87,13 @@ def check_alpha(alpha):
         raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
 
 
+def check_seed(seed):
+    """``seed`` if it is an integer >= 0, the seeds numpy's SeedSequence takes; else refuse."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def confidence_interval(estimate, sigma, n, alpha=0.05):
     """Two-sided normal interval: estimate +- z_{alpha/2} * sigma / sqrt(n).
 
@@ -135,32 +142,19 @@ def _check_data(fit, data):
         raise InvalidInputError("fit was produced from a different dataset")
 
 
-def _blocks(fit):
-    """(rows, [Z, r], coefficients, A^-1, psi columns) for each fit block.
-
-    The rows index the block's observations and [Z, r] is their slice of
-    the fit's prepared sample.  The columns are ordered coefficient-major
-    then block, so block g of G owns every G-th column.
-    """
-    return [(slice(lo, hi) if fit.order is None else fit.order[lo:hi], fit.system[lo:hi],
-             fit.coef[g], fit.a_inv[g], slice(g, None, len(fit.bounds)))
-            for g, (lo, hi) in enumerate(fit.bounds)]
-
-
 _CHUNK_ENTRIES = 1 << 16  # influence entries per row chunk: 512 KiB of float64
 
 
-def _kernel_tables(fit, a_cols, C, eps):
+def _kernel_tables(fit, a_cols, C):
     """[(table, run ids)] whose gathers table[run ids] sum to the kernel terms over n.
 
-    ``C`` (n, k) and ``eps`` are in the fit's row order, C holding each
-    row's Z A^-1 columns ``a_cols`` (G, q, k) of its own block.  A table is
+    ``C`` (n, k) holds each row's Z A^-1 columns ``a_cols`` (G, q, k) of its
+    own block, in the fit's row order like ``fit.eps``.  A table is
     (R, k G), columns coefficient-major then block, and the run ids are
     those of the fit's rows; the per-block constants ride in the first table.
     """
     G, _, k = a_cols.shape
     kx = 0 if fit.runs_x is None else 1
-    order = slice(None) if fit.order is None else fit.order
     blocks = None if G == 1 else np.repeat(np.arange(G), [hi - lo for lo, hi in fit.bounds])
     const = np.empty((k, G))
     for g, (lo, hi) in enumerate(fit.bounds):
@@ -168,15 +162,15 @@ def _kernel_tables(fit, a_cols, C, eps):
         w_beta = Z[:, kx:] @ fit.coef[g, kx:]
         const[:, g] = (r - w_beta if fit.runs_y is None else -w_beta) @ C[lo:hi]
         if kx:
-            const[:, g] -= (eps[lo:hi] @ Z[:, 0]) * a_cols[g, 0]
+            const[:, g] -= (fit.eps[lo:hi] @ Z[:, 0]) * a_cols[g, 0]
     tables = []
     if fit.runs_y is not None:
-        tables.append((comparison_run_sums(fit.runs_y, C, fit.omega, order, blocks, G),
+        tables.append((comparison_run_sums(fit.runs_y, C, fit.omega, fit.order, blocks, G),
                        fit.runs_y))
     if fit.runs_x is not None:
-        t_x = comparison_run_sums(fit.runs_x, C, fit.omega, order, blocks, G)
+        t_x = comparison_run_sums(fit.runs_x, C, fit.omega, fit.order, blocks, G)
         t_x *= -fit.coef[:, 0]
-        t_x_eps = comparison_run_sums(fit.runs_x, eps, fit.omega, order, blocks, G)[:, 0]
+        t_x_eps = comparison_run_sums(fit.runs_x, fit.eps, fit.omega, fit.order, blocks, G)[:, 0]
         for l in range(k):
             t_x[:, l] += t_x_eps * a_cols[:, 0, l]
         tables.append((t_x, fit.runs_x))
@@ -184,7 +178,7 @@ def _kernel_tables(fit, a_cols, C, eps):
     first += const
     for table, _ in tables:
         table /= fit.n
-    return [(table.reshape(len(table), -1), runs.run[order]) for table, runs in tables]
+    return [(table.reshape(len(table), -1), runs.run[fit.order]) for table, runs in tables]
 
 
 def _influence_chunks(fit, a_cols):
@@ -197,11 +191,10 @@ def _influence_chunks(fit, a_cols):
     n-row influence matrix is formed.
     """
     G, _, k = a_cols.shape
-    eps = fit.residuals if fit.order is None else fit.residuals[fit.order]
     C = np.empty((fit.n, k))
     for g, (lo, hi) in enumerate(fit.bounds):
         C[lo:hi] = fit.system[lo:hi, :-1] @ a_cols[g]
-    (first, first_runs), *rest = _kernel_tables(fit, a_cols, C, eps)
+    (first, first_runs), *rest = _kernel_tables(fit, a_cols, C)
     step = min(max(1, _CHUNK_ENTRIES // (k * G)), max(hi - lo for lo, hi in fit.bounds))
     psi, gathered = np.empty((2, step, k * G))
     for g, (lo, hi) in enumerate(fit.bounds):
@@ -212,7 +205,7 @@ def _influence_chunks(fit, a_cols):
             for table, runs in rest:
                 chunk += np.take(table, runs[start:stop], axis=0,
                                  out=gathered[:stop - start], mode="clip")
-            chunk[:, g::G] += eps[start:stop, None] * C[start:stop]
+            chunk[:, g::G] += fit.eps[start:stop, None] * C[start:stop]
             yield start, stop, chunk
 
 
@@ -221,7 +214,8 @@ def influence_rows(fit, data=None):
     _check_data(fit, data)
     psi = np.empty((fit.n, len(fit.coef_names)))
     for start, stop, chunk in _influence_chunks(fit, fit.a_inv):
-        psi[slice(start, stop) if fit.order is None else fit.order[start:stop]] = chunk
+        psi[start:stop] = chunk
+    psi[fit.order] = psi.copy()  # back to input order
     scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()
     return InfluenceRows(psi=psi, names=fit.coef_names, scales=scales)
 
@@ -273,7 +267,7 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     against 113 us for this path (best of 7 x 500 calls, 2-core x86_64 VM).
     """
     _check_data(fit, data)
-    if fit.runs_x is None or fit.order is not None:
+    if fit.runs_x is None or fit.grouped:
         raise InvalidInputError(
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
@@ -297,9 +291,10 @@ def hom_covariance(fit, data=None, alpha=0.05):
     report covers all coefficients.
     """
     _check_data(fit, data)
+    G = len(fit.bounds)
     variance = np.zeros((len(fit.coef_names),) * 2)
-    for rows, _, _, a_inv, cols in _blocks(fit):
-        variance[cols, cols] = a_inv * float(np.mean(fit.residuals[rows] ** 2))
+    for g, (lo, hi) in enumerate(fit.bounds):
+        variance[g::G, g::G] = fit.a_inv[g] * float(np.mean(fit.eps[lo:hi] ** 2))
     return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "hom")
 
 
@@ -310,10 +305,11 @@ def ew_covariance(fit, data=None, alpha=0.05):
     every influence row carries, so it is A^-1 meat A^-1 on the pooled n.
     """
     _check_data(fit, data)
+    G = len(fit.bounds)
     variance = np.zeros((len(fit.coef_names),) * 2)
-    for rows, system, _, a_inv, cols in _blocks(fit):
-        d = fit.residuals[rows][:, None] * (system[:, :-1] @ a_inv)
-        variance[cols, cols] = d.T @ d / fit.n
+    for g, (lo, hi) in enumerate(fit.bounds):
+        d = fit.eps[lo:hi, None] * (fit.system[lo:hi, :-1] @ fit.a_inv[g])
+        variance[g::G, g::G] = d.T @ d / fit.n
     return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "ew")
 
 

@@ -424,7 +424,8 @@ class TestPercentileCoverage:
 @pytest.mark.parametrize("call, message", [
     (lambda: bootstrap_se([0.3]), "need at least two replicates for a bootstrap SE"),
     (lambda: bootstrap_se(np.ones((1, 3))), "need at least two replicates for a bootstrap SE"),
-], ids=["se-one-scalar", "se-one-vector"])
+    (lambda: BootstrapPlan(seed=-1), "seed must be a nonnegative integer, got -1"),
+], ids=["se-one-scalar", "se-one-vector", "plan-seed"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()

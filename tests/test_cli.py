@@ -569,6 +569,21 @@ class TestFitCommand:
         assert main([command, str(tmp_path / "missing.csv"), *flags]) == EXIT_IO
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "{missing}", "--se", "plugin,bootstrap"],
+        ["coverage", "--family", "reflection", "--param", "0.5", "--n", "50", "--reps", "2"],
+        ["curve", "--family", "gaussian", "--grid", "0.5", "--n-mc", "10000"],
+        ["calibrate", "--family", "gaussian", "--target", "0.3", "--n-mc", "2000"],
+    ], ids=["fit", "coverage", "curve", "calibrate"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, argv):
+        # each used to end in a numpy ValueError traceback, fit's only after the
+        # CSV had been read and fitted; fit now refuses before the read
+        out = tmp_path / "out"
+        argv = [arg.format(missing=tmp_path / "missing.csv") for arg in argv]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["fit", "{empty}"], "{empty}: empty file"),
         (["sweep", "{small}", "--grid", ""], "omega grid is empty"),

@@ -328,8 +328,32 @@ class TestCoverageExperiment:
     (lambda: CopulaModel("gaussian", 0.5).sample(0, 1), "need n >= 1 draws"),
     (lambda: calibrate_parameter("independence", 0.3),
      "independence copula has no parameter to calibrate"),
-], ids=["coverage-method", "sample-none", "calibrate-independence"])
+    (lambda: CopulaModel("gaussian", 0.5).sample(10, -1),
+     "seed must be a nonnegative integer, got -1"),
+    (lambda: variance_curve("gaussian", [0.5], n_mc=10_000, seed=-1),
+     "seed must be a nonnegative integer, got -1"),
+    (lambda: calibrate_parameter("gaussian", 0.3, seed=-1),
+     "seed must be a nonnegative integer, got -1"),
+], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
+        "curve-seed", "calibrate-seed"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": 1.5}, "alpha must lie in the open interval (0, 1), got 1.5"),
+    ({"omega": 2.0}, "omega must lie in [0, 1], got 2.0"),
+    ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+], ids=["alpha", "omega", "seed"])
+def test_coverage_refuses_bad_arguments_before_any_draw(monkeypatch, kwargs, message):
+    # a bad alpha or omega used to be refused only after the population truth
+    # had been drawn: 1M draws, 0.3 s for gaussian(0.5)
+    def no_truth(model):
+        raise AssertionError("the population truth was drawn")
+
+    monkeypatch.setattr(copulas, "true_rank_correlation", no_truth)
+    with pytest.raises(InvalidInputError) as err:
+        copulas.coverage_experiment(gaussian(0.5), 50, 2, **kwargs)
     assert str(err.value) == message

@@ -176,14 +176,21 @@ class TestPluginJointCovariance:
 
 class TestGroupedCovariance:
     def test_single_group_matches_plain_joint(self, rng):
-        n = 50
-        x, y = rng.normal(size=n), rng.normal(size=n)
+        # one group is one block over the same rows: the grouped path must do
+        # the plain path's arithmetic, so every number agrees bit for bit
+        n = 300
         w = np.column_stack([np.ones(n), rng.normal(size=n)])
-        dg = Dataset(y=y, x=x, w=w, g=np.zeros(n, dtype=int))
-        d = Dataset(y=y, x=x, w=w)
-        joint_g = plugin_covariance(fit_rank_rank_by_group(dg, 1.0), dg)
-        joint = plugin_covariance(fit_rank_rank(d, 1.0), d)
-        assert joint_g.variance == pytest.approx(joint.variance, abs=1e-10)
+        draws = [(rng.normal(size=n), rng.normal(size=n)),
+                 (make_tied_sample(rng, n), make_tied_sample(rng, n))]
+        for x, y in draws:
+            dg = Dataset(y=y, x=x, w=w, g=np.zeros(n, dtype=int))
+            d = Dataset(y=y, x=x, w=w)
+            for omega in (0.0, 0.5, 1.0):
+                fit_g, fit = fit_rank_rank_by_group(dg, omega), fit_rank_rank(d, omega)
+                assert np.array_equal(fit_g.estimates, fit.estimates)
+                for method in (plugin_covariance, hom_covariance, ew_covariance):
+                    assert np.array_equal(method(fit_g).variance, method(fit).variance), \
+                        (method.__name__, omega)
 
     def test_foreign_group_labels_rejected(self, rng):
         n = 600
