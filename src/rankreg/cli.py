@@ -263,15 +263,21 @@ def _json_text(value, indent=""):
 
     ``indent`` makes json use its pure-Python encoder, which spends most of
     a report on the float arrays (the 150 x 150 variance of a 50-group fit).
-    Here a float array is written as ``repr`` joins spliced into the
-    document, with json's bytes: floats as ``float.__repr__`` or NaN,
+    Here a finite float64 array is written as ``repr`` joins spliced into
+    the document, with json's bytes: floats as ``float.__repr__`` or NaN,
     Infinity and -Infinity, numpy arrays and scalars as their ``tolist()``.
-    Dict keys must be strings.
+    A square one whose bits equal its transpose's (every reported variance)
+    is written from its upper triangle, one ``repr`` per pair of entries:
+    see :func:`_symmetric_text`.  Dict keys must be strings.
     """
     inner = indent + "  "
-    if (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+    if (isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size
             and value.dtype == np.float64 and np.isfinite(value).all()):
-        return f"[\n{inner}" + f",\n{inner}".join(map(repr, value.tolist())) + f"\n{indent}]"
+        if value.ndim == 1:
+            return _float_list(map(repr, value.tolist()), indent)
+        bits = value.view(np.uint64)  # -0.0 == 0.0, but their reprs differ
+        if value.shape[0] == value.shape[1] and (bits == bits.T).all():
+            return _symmetric_text(value, indent)
     if isinstance(value, np.ndarray) and value.ndim > 1:
         value = list(value)
     elif isinstance(value, (np.ndarray, np.generic)):
@@ -292,6 +298,29 @@ def _json_text(value, indent=""):
     if not items:
         return brackets
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _float_list(texts, indent):
+    """json's indented list of the float ``texts``, its closing bracket at ``indent``."""
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+
+
+def _symmetric_text(value, indent):
+    """``_json_text`` of a bitwise symmetric square float64 array, one ``repr`` per pair.
+
+    Row k's texts left of the diagonal are those of column k in the rows
+    above; each row keeps its texts right of the diagonal in a list, last
+    column first, and every later row pops one text off each of those
+    lists, so a text is dropped once both of its rows are written.
+    """
+    inner = indent + "  "
+    above, rows = [], []
+    for k in range(len(value)):
+        own = list(map(repr, value[k, k:].tolist()))
+        rows.append(inner + _float_list([*map(list.pop, above), *own], inner))
+        above.append(own[:0:-1])
+    return "[\n" + ",\n".join(rows) + f"\n{indent}]"
 
 
 def _report_block(report):

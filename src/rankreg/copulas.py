@@ -246,6 +246,8 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
     """
     if family == "independence":
         raise InvalidInputError("independence copula has no parameter to calibrate")
+    if not tolerance >= 0.0:  # a negative or NaN tolerance is never met
+        raise InvalidInputError(f"tolerance must be nonnegative, got {tolerance}")
     lo, hi, closed = _PARAM_RANGES[family]
     if not closed:
         lo, hi = lo + 1e-9, hi - 1e-9
@@ -302,6 +304,8 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     """
     if reps < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
+    if n < 3:  # the intercept-only fit of every rep needs n >= p + 2
+        raise InvalidInputError(f"need n >= p + 2 observations (n={n}, p=1)")
     methods = tuple(dict.fromkeys(methods))  # a repeated method runs once
     if not methods:
         raise InvalidInputError("coverage needs at least one se method")

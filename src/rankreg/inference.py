@@ -29,10 +29,10 @@ every block is one per-run table, (R_y, G q) for y and (R_x, G q) for x,
 with the coefficient arithmetic and the constant -(W beta)'C applied to the
 tables.  An influence row is then the y-table's row at its y-run plus the
 x-table's row at its x-run, over n, plus eps*C in its own block's columns.
-The rows are formed in chunks of about 64k entries, block by block, and the
-plugin covariance, the empirical second moment of the influence rows, is
-summed over the chunks: memory is O((R_x + R_y) G q + chunk), and no n x G q
-matrix is formed.  The classical estimators drop the kernel terms and are
+The rows are formed in chunks of about 64k entries, cut over the fit's whole
+row order and across block bounds, and the plugin covariance, the empirical
+second moment of the influence rows, is summed over the chunks: memory is
+O((R_x + R_y) G q + chunk), and no n x G q matrix is formed.  The classical estimators drop the kernel terms and are
 provided for comparison: per fit block, Eicker-White is the second moment
 of the eps*C term alone and homoskedastic is A^-1 mean(eps^2).  They are
 inconsistent for ranked data and can come out too large or too small.
@@ -187,26 +187,36 @@ def _influence_chunks(fit, a_cols):
     Yields (start, stop, psi): psi (stop - start, k G) holds the influence
     values of rows start..stop-1 of the fit's row order, columns
     coefficient-major then block, and the next chunk overwrites it.  A chunk
-    lies within one block and holds about ``_CHUNK_ENTRIES`` values, so no
-    n-row influence matrix is formed.
+    holds about ``_CHUNK_ENTRIES`` values, so no n-row influence matrix is
+    formed.  Chunks are cut over the whole row order and may straddle block
+    bounds: each block a chunk overlaps adds eps*C to its own columns of the
+    overlapping rows, and the block index only moves forward, so the loop
+    costs O(chunks + G).  Every influence value is the same sum of the same
+    terms whatever the chunk size.
     """
     G, _, k = a_cols.shape
     C = np.empty((fit.n, k))
     for g, (lo, hi) in enumerate(fit.bounds):
         C[lo:hi] = fit.system[lo:hi, :-1] @ a_cols[g]
     (first, first_runs), *rest = _kernel_tables(fit, a_cols, C)
-    step = min(max(1, _CHUNK_ENTRIES // (k * G)), max(hi - lo for lo, hi in fit.bounds))
+    step = min(max(1, _CHUNK_ENTRIES // (k * G)), fit.n)
     psi, gathered = np.empty((2, step, k * G))
-    for g, (lo, hi) in enumerate(fit.bounds):
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            chunk = psi[:stop - start]
-            np.take(first, first_runs[start:stop], axis=0, out=chunk, mode="clip")
-            for table, runs in rest:
-                chunk += np.take(table, runs[start:stop], axis=0,
-                                 out=gathered[:stop - start], mode="clip")
-            chunk[:, g::G] += fit.eps[start:stop, None] * C[start:stop]
-            yield start, stop, chunk
+    g = 0
+    for start in range(0, fit.n, step):
+        stop = min(start + step, fit.n)
+        chunk = psi[:stop - start]
+        np.take(first, first_runs[start:stop], axis=0, out=chunk, mode="clip")
+        for table, runs in rest:
+            chunk += np.take(table, runs[start:stop], axis=0,
+                             out=gathered[:stop - start], mode="clip")
+        lo = start
+        while lo < stop:  # each block's slice of the chunk; block g holds row lo
+            while fit.bounds[g][1] <= lo:
+                g += 1
+            hi = min(fit.bounds[g][1], stop)
+            chunk[lo - start:hi - start, g::G] += fit.eps[lo:hi, None] * C[lo:hi]
+            lo = hi
+        yield start, stop, chunk
 
 
 def influence_rows(fit, data=None):

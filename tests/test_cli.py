@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rankreg
-from rankreg import bootstrap, cli, estimators, kernels
+from rankreg import bootstrap, cli, copulas, estimators, kernels
 from rankreg.cli import EXIT_ASSUMPTION, EXIT_IO, EXIT_OK, ingest_csv, main
 from rankreg.errors import InvalidInputError
 
@@ -389,12 +389,34 @@ def _numpy_tolist(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# a few values whose reprs are easy to confuse (-0.0 and 0.0, the smallest
+# subnormal, exponent forms), drawn often enough to repeat within an array
+_pooled_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 0.1, -2.5])
+
+
+@st.composite
+def _symmetric_arrays(draw, signed_zero_pair=False):
+    """Square float64 arrays whose bits equal their transpose's, optionally but
+    for one -0.0 facing a 0.0 across the diagonal; some as reversed views."""
+    m = draw(st.integers(2 if signed_zero_pair else 1, 6))
+    a = draw(hnp.arrays(np.float64, (m, m),
+                        elements=_pooled_floats | st.floats(allow_nan=False, allow_infinity=False)))
+    sym = np.where(np.triu(np.ones((m, m), dtype=bool)), a, a.T)
+    if signed_zero_pair:
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        sym[i, j], sym[j, i] = -0.0, 0.0
+    return sym[::-1, ::-1] if draw(st.booleans()) else sym
+
+
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
     hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
                hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
+               elements=_pooled_floats),
+    _symmetric_arrays(), _symmetric_arrays(signed_zero_pair=True),
 )
 _json_documents = st.recursive(
     _json_leaves,
@@ -408,7 +430,8 @@ _json_documents = st.recursive(
 @given(_json_documents)
 def test_json_text_matches_json_dumps(document):
     # the report writer against json itself: nested containers, empty ones,
-    # non-ASCII text, NaN and infinities, numpy scalars and 0-2-d arrays
+    # non-ASCII text, NaN and infinities, numpy scalars and 0-2-d arrays,
+    # symmetric matrices and ones that are symmetric but for a signed zero
     want = json.dumps(document, indent=2, sort_keys=True, default=_numpy_tolist)
     assert cli._json_text(document) == want
 
@@ -582,6 +605,25 @@ class TestFitCommand:
         argv = [arg.format(missing=tmp_path / "missing.csv") for arg in argv]
         assert main([*argv, "--seed", "-1", "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coverage", "--family", "gaussian", "--param", "0.5", "--n", "1", "--reps", "2"],
+         "need n >= p + 2 observations (n=1, p=1)"),
+        (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "-1",
+          "--n-mc", "2000"], "tolerance must be nonnegative, got -1.0"),
+    ], ids=["coverage-n", "calibrate-tol"])
+    def test_simulation_refusals_come_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+        # coverage used to draw the 1M-value population truth first, and a
+        # negative tolerance was accepted and echoed in the report
+        def no_draw(model, n, seed):
+            raise AssertionError("a copula sample was drawn")
+
+        monkeypatch.setattr(copulas.CopulaModel, "sample", no_draw)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

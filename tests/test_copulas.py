@@ -334,8 +334,12 @@ class TestCoverageExperiment:
      "seed must be a nonnegative integer, got -1"),
     (lambda: calibrate_parameter("gaussian", 0.3, seed=-1),
      "seed must be a nonnegative integer, got -1"),
+    (lambda: calibrate_parameter("gaussian", 0.3, tolerance=-1.0),
+     "tolerance must be nonnegative, got -1.0"),
+    (lambda: calibrate_parameter("gaussian", 0.3, tolerance=float("nan")),
+     "tolerance must be nonnegative, got nan"),
 ], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
-        "curve-seed", "calibrate-seed"])
+        "curve-seed", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()
@@ -346,7 +350,8 @@ def test_refusal_messages(call, message):
     ({"alpha": 1.5}, "alpha must lie in the open interval (0, 1), got 1.5"),
     ({"omega": 2.0}, "omega must lie in [0, 1], got 2.0"),
     ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
-], ids=["alpha", "omega", "seed"])
+    ({"n": 2}, "need n >= p + 2 observations (n=2, p=1)"),
+], ids=["alpha", "omega", "seed", "n"])
 def test_coverage_refuses_bad_arguments_before_any_draw(monkeypatch, kwargs, message):
     # a bad alpha or omega used to be refused only after the population truth
     # had been drawn: 1M draws, 0.3 s for gaussian(0.5)
@@ -355,5 +360,5 @@ def test_coverage_refuses_bad_arguments_before_any_draw(monkeypatch, kwargs, mes
 
     monkeypatch.setattr(copulas, "true_rank_correlation", no_truth)
     with pytest.raises(InvalidInputError) as err:
-        copulas.coverage_experiment(gaussian(0.5), 50, 2, **kwargs)
+        copulas.coverage_experiment(gaussian(0.5), **{"n": 50, "reps": 2, **kwargs})
     assert str(err.value) == message

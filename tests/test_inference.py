@@ -34,6 +34,7 @@ from rankreg import (
     sample_copula,
 )
 from rankreg import inference
+from rankreg.bootstrap import bootstrap_report
 from rankreg.bruteforce import influence_rows_pairwise
 
 from conftest import make_tied_sample
@@ -172,6 +173,22 @@ class TestPluginJointCovariance:
         direct = float(weights @ joint.variance @ weights)
         assert combo.variance[0, 0] == pytest.approx(direct, abs=1e-14)
         assert combo.estimates[0] == pytest.approx(fit.beta[0] + fit.slope * p)
+
+
+@pytest.mark.parametrize("spec", ["rank-rank", "rank-rank-group", "level-rank", "rank-level"])
+def test_every_reported_variance_is_bitwise_symmetric(rng, spec):
+    # the report writer spells a variance out from its upper triangle
+    n = 200
+    w = np.column_stack([np.ones(n), rng.normal(size=n)])
+    g = np.arange(n) % 3 if spec == "rank-rank-group" else None
+    d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n), w=w, g=g)
+    fit = fit_spec(d, spec, 0.5)
+    reports = [plugin_covariance(fit), hom_covariance(fit), ew_covariance(fit),
+               bootstrap_report(fit, BootstrapPlan(reps=60, seed=1))]
+    assert all(report.variance.shape[0] > 1 for report in reports[:3])
+    for report in reports:
+        bits = report.variance.view(np.uint64)
+        assert np.array_equal(bits, bits.T), report.method
 
 
 class TestGroupedCovariance:
@@ -631,6 +648,36 @@ class TestChunkedAssembly:
         # the 1e-24 floor is for all-tied draws, whose variance is 0 and both
         # sides rounding noise
         assert np.max(np.abs(sigma - reference)) <= 1e-12 * np.max(np.abs(reference)) + 1e-24
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+    def test_grouped_chunks_straddle_groups_exactly(self, omega, tied):
+        # chunks are cut across group bounds: 1-row and 7-row chunks and the
+        # default one-chunk fit give every influence value bit for bit, and
+        # only the plugin's sums over the chunks are regrouped
+        rng = np.random.default_rng(5)
+        sizes = [3, 3, 4, 25, 3, 12]
+        n = sum(sizes)
+        g = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        draw = (lambda: make_tied_sample(rng, n)) if tied else (lambda: rng.random(n))
+        w = np.column_stack([np.ones(n), rng.normal(size=n)])
+        fit = fit_rank_rank_by_group(Dataset(y=draw(), x=draw(), w=w, g=g), omega)
+        width = len(fit.coef_names)
+        assert [hi - lo for lo, hi in fit.bounds] == sizes
+        assert sum(lo < 7 for lo, _ in fit.bounds) >= 3  # the first 7-row chunk meets 3 groups
+        assert inference._CHUNK_ENTRIES // width > n  # the default chunk holds every group
+        saved = inference._CHUNK_ENTRIES
+        results = []
+        for rows in (1, 7, None):
+            inference._CHUNK_ENTRIES = saved if rows is None else rows * width
+            try:
+                results.append((influence_rows(fit).psi, plugin_covariance(fit).variance))
+            finally:
+                inference._CHUNK_ENTRIES = saved
+        (psi, sigma), *others = results
+        for other_psi, other_sigma in others:
+            assert np.array_equal(other_psi, psi)
+            assert np.max(np.abs(other_sigma - sigma)) <= 1e-13 * np.max(np.abs(sigma))
 
     def test_no_influence_matrix_is_formed(self):
         # n = 20,000 rows, G = 100 groups and q = 3: the n x Gq influence
