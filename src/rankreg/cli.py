@@ -346,8 +346,7 @@ def _emit(text, out_path):
 
 def _emit_json(args, payload):
     """Write a JSON report in its envelope: schema version, command and every parsed argument."""
-    config = {key: value for key, value in vars(args).items()
-              if key not in ("func", "omega_given")}
+    config = {key: value for key, value in vars(args).items() if key != "func"}
     envelope = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
     _emit(_json_text({**payload, **envelope}) + "\n", args.out)
 
@@ -366,7 +365,7 @@ def _emit_csv(rows, out_path):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _tie_warnings(fit, args):
+def _tie_warnings(fit, args, omega_given):
     """Warnings about ties among the variables that the fit ranks."""
     warnings = []
     has_ties = any(runs is not None and runs.tied > 0 for runs in (fit.runs_x, fit.runs_y))
@@ -375,7 +374,7 @@ def _tie_warnings(fit, args):
             "data contain ties and hom/ew standard errors were requested; these "
             "formulas ignore rank-estimation noise and are inconsistent here"
         )
-    if has_ties and not args.omega_given:
+    if has_ties and not omega_given:
         warnings.append(
             "data contain ties and omega was not specified: the estimand depends "
             "on how ties are ranked; consider --omega or the sweep command"
@@ -436,6 +435,9 @@ def cmd_fit(args):
         check_rank_position(args.theta_p)
         if not args.intercept:  # a covariate named const need not be constant
             raise InvalidInputError("--theta-p needs an intercept column (drop --no-intercept)")
+    omega_given = args.omega is not None
+    if not omega_given:  # the default; the config echoes 1.0
+        args.omega = 1.0
     check_omega(args.omega)
     check_alpha(args.alpha)
     if "bootstrap" in methods:  # the plan that the bootstrap method runs
@@ -444,7 +446,7 @@ def cmd_fit(args):
         _check_count(plan.reps, plan.ci_kind)
     d, info = load_dataset(args)
     fit = fit_spec(d, args.spec, args.omega)
-    warnings = _tie_warnings(fit, args)
+    warnings = _tie_warnings(fit, args, omega_given)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     reports = {m: variances[m](fit, alpha=args.alpha) for m in methods}
@@ -675,10 +677,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fit":
-        args.omega_given = args.omega is not None
-        if args.omega is None:
-            args.omega = 1.0
     try:
         return args.func(args)
     except (SingularDesignError, AssumptionViolationError, DegenerateInputError) as err:

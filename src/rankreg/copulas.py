@@ -248,6 +248,8 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
         raise InvalidInputError("independence copula has no parameter to calibrate")
     if not tolerance >= 0.0:  # a negative or NaN tolerance is never met
         raise InvalidInputError(f"tolerance must be nonnegative, got {tolerance}")
+    if tolerance == np.inf:  # the first midpoint would always meet it
+        raise InvalidInputError(f"tolerance must be finite, got {tolerance}")
     lo, hi, closed = _PARAM_RANGES[family]
     if not closed:
         lo, hi = lo + 1e-9, hi - 1e-9

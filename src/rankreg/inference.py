@@ -13,29 +13,31 @@ C is the projection residual of Z_l on the other regressors over its second
 moment, by Frisch-Waugh-Lovell), all influence columns of a rank-rank fit
 are one matrix expression,
 
-    psi = eps*C + (T_y(C) - rho T_x(C) - 1 (W beta)'C) / n
-              + (T_x(eps) - eps'rank(x)) A^-1[0, :] / n,
+    psi = eps*C + (T_y(C) - rho T_x(C) + T_x(eps) A^-1[0, :]) / n - beta~,
 
 where T_v(M)_i = sum_j K(v_i, v_j) M_j applies the comparison kernel of
-:mod:`rankreg.ranks` down each column.  The other specifications are
-special cases: level-rank replaces T_y(C) - 1 (W beta)'C by 1 (y - W beta)'C,
-rank-level has Z = W and drops every x term.  Each fit block (one per group
-for a grouped fit, else the whole sample) is a row range [lo, hi) of the
-fit's row order, where C and eps are read; it has its own C, eps and
-coefficients and the pooled n: the kernel sums run over the block's members,
-and every observation receives their terms.  Those terms depend on an
-observation only through its y-run and its x-run, so every kernel sum of
-every block is one per-run table, (R_y, G q) for y and (R_x, G q) for x,
-with the coefficient arithmetic and the constant -(W beta)'C applied to the
-tables.  An influence row is then the y-table's row at its y-run plus the
-x-table's row at its x-run, over n, plus eps*C in its own block's columns.
-The rows are formed in chunks of about 64k entries, cut over the fit's whole
-row order and across block bounds, and the plugin covariance, the empirical
-second moment of the influence rows, is summed over the chunks: memory is
-O((R_x + R_y) G q + chunk), and no n x G q matrix is formed.  The classical estimators drop the kernel terms and are
-provided for comparison: per fit block, Eicker-White is the second moment
-of the eps*C term alone and homoskedastic is A^-1 mean(eps^2).  They are
-inconsistent for ranked data and can come out too large or too small.
+:mod:`rankreg.ranks` down each column and beta~ is the coefficients with the
+slope's entry set to 0: the normal equations Z'eps = 0 and Z'C = n I make
+the constant -(W beta)'C/n equal -beta~ and the term eps'rank(x) vanish.
+Level-rank replaces T_y(C)/n - beta~ by (y - W beta)'C/n = rho e_0;
+rank-level has Z = W, drops every x term and keeps all of beta in beta~.
+Each fit block (one per group for a grouped fit, else the whole sample) is a
+row range [lo, hi) of the fit's row order, where C and eps are read; it has
+its own C, eps and coefficients and the pooled n: the kernel sums run over
+the block's members, and every observation receives their terms.  Those
+terms depend on an observation only through its y-run and its x-run, so
+every kernel sum of every block is one per-run table, (R_y, G q) for y and
+(R_x, G q) for x, with the coefficient arithmetic and each block's constant
+applied to the tables.  An influence row is then the y-table's row at its
+y-run plus the x-table's row at its x-run plus eps*C in its own block's
+columns.  The rows are formed in chunks of about 64k entries, cut over the
+fit's whole row order and across block bounds, and the plugin covariance,
+the empirical second moment of the influence rows, is summed over the
+chunks: memory is O((R_x + R_y) G q + chunk), and no n x G q matrix is
+formed.  The classical estimators drop the kernel terms and are provided for
+comparison: per fit block, Eicker-White is the second moment of the eps*C
+term alone and homoskedastic is A^-1 mean(eps^2).  They are inconsistent for
+ranked data and can come out too large or too small.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
 errors are sqrt(diag(variance)/n).  Grouped fits keep the pooled n as the
@@ -151,18 +153,11 @@ def _kernel_tables(fit, a_cols, C):
     ``C`` (n, k) holds each row's Z A^-1 columns ``a_cols`` (G, q, k) of its
     own block, in the fit's row order like ``fit.eps``.  A table is
     (R, k G), columns coefficient-major then block, and the run ids are
-    those of the fit's rows; the per-block constants ride in the first table.
+    those of the fit's rows; each block's constant, -beta~ (level-rank:
+    rho e_0), rides in the first table.
     """
     G, _, k = a_cols.shape
-    kx = 0 if fit.runs_x is None else 1
     blocks = None if G == 1 else np.repeat(np.arange(G), [hi - lo for lo, hi in fit.bounds])
-    const = np.empty((k, G))
-    for g, (lo, hi) in enumerate(fit.bounds):
-        Z, r = fit.system[lo:hi, :-1], fit.system[lo:hi, -1]
-        w_beta = Z[:, kx:] @ fit.coef[g, kx:]
-        const[:, g] = (r - w_beta if fit.runs_y is None else -w_beta) @ C[lo:hi]
-        if kx:
-            const[:, g] -= (fit.eps[lo:hi] @ Z[:, 0]) * a_cols[g, 0]
     tables = []
     if fit.runs_y is not None:
         tables.append((comparison_run_sums(fit.runs_y, C, fit.omega, fit.order, blocks, G),
@@ -174,10 +169,14 @@ def _kernel_tables(fit, a_cols, C):
         for l in range(k):
             t_x[:, l] += t_x_eps * a_cols[:, 0, l]
         tables.append((t_x, fit.runs_x))
-    first = tables[0][0]
-    first += const
     for table, _ in tables:
         table /= fit.n
+    first = tables[0][0]
+    if fit.runs_y is None:  # level-rank: (y - W beta)'C/n is the slope in its own entry
+        first[:, 0] += fit.coef[:, 0]
+    else:  # -(W beta)'C/n is minus the coefficients, the slope's entry set to 0
+        kx = 0 if fit.runs_x is None else 1
+        first[:, kx:] -= fit.coef.T[kx:k]
     return [(table.reshape(len(table), -1), runs.run[fit.order]) for table, runs in tables]
 
 
@@ -273,8 +272,8 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
     numerically identical to its (rank(x), rank(x)) entry.  It builds the
     kernel tables and influence chunks of A^-1's slope column alone, 3
     kernel-sum columns to the full covariance's 2q + 1.  On a coverage-lab
-    fit (n = 1,000, intercept only) the full covariance took 180 us per call
-    against 113 us for this path (best of 7 x 500 calls, 2-core x86_64 VM).
+    fit (n = 1,000, intercept only) the full covariance took 168 us per call
+    against 112 us for this path (best of 7 x 500 calls, 2-core x86_64 VM).
     """
     _check_data(fit, data)
     if fit.runs_x is None or fit.grouped:

@@ -612,11 +612,13 @@ class TestFitCommand:
          "need n >= p + 2 observations (n=1, p=1)"),
         (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "-1",
           "--n-mc", "2000"], "tolerance must be nonnegative, got -1.0"),
-    ], ids=["coverage-n", "calibrate-tol"])
+        (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "inf",
+          "--n-mc", "10000"], "tolerance must be finite, got inf"),
+    ], ids=["coverage-n", "calibrate-tol", "calibrate-tol-inf"])
     def test_simulation_refusals_come_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                       argv, message):
         # coverage used to draw the 1M-value population truth first, and a
-        # negative tolerance was accepted and echoed in the report
+        # negative or infinite tolerance was accepted and echoed in the report
         def no_draw(model, n, seed):
             raise AssertionError("a copula sample was drawn")
 

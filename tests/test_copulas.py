@@ -338,8 +338,11 @@ class TestCoverageExperiment:
      "tolerance must be nonnegative, got -1.0"),
     (lambda: calibrate_parameter("gaussian", 0.3, tolerance=float("nan")),
      "tolerance must be nonnegative, got nan"),
+    (lambda: calibrate_parameter("gaussian", 0.3, tolerance=float("inf")),
+     "tolerance must be finite, got inf"),
 ], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
-        "curve-seed", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan"])
+        "curve-seed", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
+        "calibrate-tol-inf"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()

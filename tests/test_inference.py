@@ -728,6 +728,52 @@ class TestInfluenceMatrixForm:
             assert np.max(np.abs(fast - slow)) < 1e-10 * max(1.0, np.max(np.abs(slow)))
 
 
+@st.composite
+def _scaled_problem(draw):
+    """Any spec, with or without an intercept, 1-3 covariates scaled 1e-3 to 1e3; 2-4 groups."""
+    n = draw(st.integers(12, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = draw(st.sampled_from([2, 5, None]))
+    x, y = ((rng.normal(size=n), rng.normal(size=n)) if support is None
+            else rng.integers(0, support, (2, n)).astype(float))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)))
+    w = rng.normal(size=(n, len(scales))) * scales
+    if draw(st.booleans()):
+        w = np.column_stack([np.ones(n), w])
+    spec = draw(st.sampled_from(["rank-rank", "rank-rank-group", "level-rank",
+                                 "rank-level"]))
+    g = rng.permutation(np.arange(n) % draw(st.integers(2, 4))) if spec == "rank-rank-group" else None
+    return Dataset(y=y, x=x, w=w, g=g), spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_problem())
+def test_normal_equations_give_the_constant_terms(problem):
+    # the constants -(W beta)'C/n (level-rank: (y - W beta)'C/n) and
+    # -eps'rank(x) A^-1[0, :]/n, summed over each block's rows, are the
+    # coefficients with the slope's entry set to 0, negated (level-rank: the
+    # slope in its own entry), since the block's Z'eps = 0 and Z'C = n I
+    d, spec = problem
+    try:
+        fit = fit_spec(d, spec, 0.5)
+    except RankRegressionError:
+        assume(False)
+    kx = 0 if fit.runs_x is None else 1
+    for g, (lo, hi) in enumerate(fit.bounds):
+        Z, r = fit.system[lo:hi, :-1], fit.system[lo:hi, -1]
+        C = Z @ fit.a_inv[g]
+        w_beta = Z[:, kx:] @ fit.coef[g, kx:]
+        literal = (r - w_beta if fit.runs_y is None else -w_beta) @ C / fit.n
+        literal -= (fit.eps[lo:hi] @ Z[:, 0]) * fit.a_inv[g, 0] / fit.n * kx
+        closed = np.zeros_like(literal)
+        if fit.runs_y is None:
+            closed[0] = fit.coef[g, 0]
+        else:
+            closed[kx:] = -fit.coef[g, kx:]
+        bound = 1e-12 * np.linalg.cond(Z) * max(1.0, np.max(np.abs(fit.coef[g])))
+        assert np.max(np.abs(literal - closed)) <= bound
+
+
 def _tiny_fit(spec, grouped=False):
     y, x = np.arange(8.0), np.array([3.0, 1, 4, 1, 5, 9, 2, 6])
     g = np.repeat(["a", "b"], 4) if grouped else None
