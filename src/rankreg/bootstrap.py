@@ -24,14 +24,20 @@ by B.
 
 Determinism: replicate b draws from its own counter-derived RNG stream
 ``SeedSequence(seed).spawn()[b]``, so the replicate vector depends only on
-(seed, reps, n) and not on execution order or chunking; each replicate's
-arithmetic is its own, so its value does not depend on the chunk it lands
-in.  Resamples whose design is degenerate (e.g. a covariate column
-collapsing to a constant multiple of another, or a group with fewer than 2
-rows) are redrawn from the same stream and counted; more than 10%
-rejections raises a diagnostic error.
+(seed, reps, n) and not on execution order or chunking, and not on how many
+processes run them; each replicate's arithmetic is its own, so its value
+does not depend on the chunk it lands in.  ``_spread`` runs the chunks on
+the usable CPUs and joins them in replicate order.  Resamples whose design
+is degenerate (e.g. a covariate column collapsing to a constant multiple of
+another, or a group with fewer than 2 rows) are redrawn from the same
+stream and counted; more than 10% rejections raises a diagnostic error.
 """
 
+import os
+import pickle
+import signal
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +57,102 @@ __all__ = [
 _MAX_ATTEMPTS_PER_REPLICATE = 100
 # bytes of stacked [Z, r] per chunk of replicates
 _CHUNK_BYTES = 1 << 19
+# least time the remaining units would take in one process for a split to pay
+# for its forks (1.4 ms for a 38 MB process, 19 ms at 666 MB)
+_SPLIT_MIN_S = 0.05
+# set while this process runs a split, as its caller or one of its workers
+_splitting = False
+
+
+def _cpus():
+    """Usable CPUs, or 1 where the platform cannot fork or report them.
+
+    Also 1 while the process runs other threads: a forked worker holds only
+    the calling thread, so a lock another thread held would never be freed.
+    """
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _fork(run, lo, hi):
+    """A worker running units lo..hi-1: its pid and the read end of its pipe.
+
+    The worker pickles the slice down the pipe and leaves through
+    ``os._exit``; if the slice raises it exits nonzero and sends nothing.
+    (None, None) if no worker could be started.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the caller runs the slice
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(run(lo, hi), pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pid, pipe):
+    """The pickled slice a worker sent, once it is reaped; None if it sent none."""
+    if pid is None:
+        return None
+    with pipe:
+        sent = pipe.read()
+    return sent if os.waitpid(pid, 0)[1] == 0 else None
+
+
+def _spread(run, units):
+    """Concatenate the arrays of ``run(lo, hi)`` over units 0..units-1.
+
+    ``run(lo, hi)`` returns a tuple of arrays over units lo..hi-1, each
+    unit's values its own, so they are joined in unit order bitwise as one
+    process computes them.  Unit 0 runs here and is timed.  If the other
+    units would take at least ``_SPLIT_MIN_S`` at that pace, they are cut
+    into one contiguous slice per usable CPU: the first runs here and the
+    others in forked workers.  The slice of a worker that failed, or could
+    not be started, runs again here, in unit order, so the lowest failing
+    unit raises its own error.  A process that is running a split runs
+    further calls serially, so workers never fork.
+    """
+    global _splitting
+    start = time.perf_counter()
+    parts = [run(0, 1)]
+    rest = units - 1
+    workers = min(_cpus(), rest)
+    if _splitting or workers < 2 or (time.perf_counter() - start) * rest < _SPLIT_MIN_S:
+        if rest:
+            parts.append(run(1, units))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    cuts = [1 + rest * i // workers for i in range(workers + 1)]
+    forked = []
+    _splitting = True
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            forked.append((lo, hi, *_fork(run, lo, hi)))
+        parts.append(run(cuts[0], cuts[1]))
+        while forked:
+            lo, hi, pid, pipe = forked[0]
+            sent = _receive(pid, pipe)
+            del forked[0]
+            parts.append(run(lo, hi) if sent is None else pickle.loads(sent))
+    finally:
+        _splitting = False
+        for _, _, pid, pipe in forked:
+            if pid is not None:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -105,25 +207,29 @@ def _chunk(sample, seed, replicates):
 def _replicates(sample, plan):
     """(B, k) statistic replicates of a prepared sample, solved in chunks."""
     size = max(1, _CHUNK_BYTES // sample.system.nbytes)
-    values, total_rejections = [], 0
-    for lo in range(0, plan.reps, size):
-        chunk, rejections = _chunk(sample, plan.seed, range(lo, min(lo + size, plan.reps)))
-        values.append(chunk)
-        total_rejections += rejections
+
+    def run(lo, hi):  # chunks lo..hi-1: their replicates and redraw counts
+        chunks = [_chunk(sample, plan.seed, range(c * size, min(c * size + size, plan.reps)))
+                  for c in range(lo, hi)]
+        return np.concatenate([v for v, _ in chunks]), np.array([r for _, r in chunks])
+
+    values, rejections = _spread(run, -(-plan.reps // size))
+    total_rejections = int(rejections.sum())
     if total_rejections > 0.1 * plan.reps:
         raise BootstrapDiagnosticError(
             f"{total_rejections} degenerate resamples out of {plan.reps} replicates "
             "(>10%); the design is too fragile to bootstrap"
         )
-    return np.concatenate(values)
+    return values
 
 
 def bootstrap_distribution(d, spec, omega, plan):
     """B statistic replicates, ranks recomputed per resample.
 
     Returns an array of shape (B,) for a scalar statistic, else (B, q).
-    Replicate b depends only on (d, spec, omega, plan.seed, b): each lives in
-    its own RNG stream and lands in the result by index.
+    Replicate b depends only on (d, spec, omega, plan.seed, b), and not on
+    how many processes run them: each lives in its own RNG stream and lands
+    in the result by index.
     """
     # a degenerate sample fails in its own fit, not as redraws
     out = _replicates(fit_spec(d, spec, omega), plan)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, _check_count, bootstrap_report
+from .bootstrap import BootstrapPlan, _check_count, _spread, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
 from .inference import check_alpha, check_seed, ew_covariance, hom_covariance, plugin_slope_variance
@@ -250,6 +250,8 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
         raise InvalidInputError(f"tolerance must be nonnegative, got {tolerance}")
     if tolerance == np.inf:  # the first midpoint would always meet it
         raise InvalidInputError(f"tolerance must be finite, got {tolerance}")
+    if tolerance >= 2.0:  # so would any: two rank correlations differ by at most 2
+        raise InvalidInputError(f"tolerance must be below 2, got {tolerance}")
     lo, hi, closed = _PARAM_RANGES[family]
     if not closed:
         lo, hi = lo + 1e-9, hi - 1e-9
@@ -303,6 +305,9 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     standard error, and the mean interval width, one row per distinct method.
     ``bootstrap_plan`` supplies the bootstrap's ``reps`` and ``ci_kind``;
     each rep seeds its own replicates, and ``alpha`` comes from this call.
+    Rep r draws from its own stream ``SeedSequence(seed, spawn_key=(r,))``,
+    so the rows depend only on the arguments, and not on how many processes
+    run them.
     """
     if reps < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
@@ -323,22 +328,27 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         _check_count(bootstrap_plan.reps, bootstrap_plan.ci_kind)
     truth = true_rank_correlation(model)
 
-    covered = np.zeros((reps, len(methods)))
-    widths = np.zeros((reps, len(methods)))
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-        x, y = model.sample(n, rng)
-        d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
-        fit = fit_spec(d, "rank-rank", omega)
-        # built per rep, as the bootstrap seeds from the rep's stream (and a
-        # traced run swaps these module attributes in place)
-        variances = {"plugin": plugin_slope_variance, "hom": hom_covariance, "ew": ew_covariance,
-                     "bootstrap": lambda fit, alpha: bootstrap_report(fit, replace(
-                         bootstrap_plan, seed=int(rng.integers(2**63)), alpha=alpha))}
-        for k, m in enumerate(methods):
-            lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
-            covered[rep, k] = lo_ <= truth <= hi_
-            widths[rep, k] = hi_ - lo_
+    def run(lo, hi):  # reps lo..hi-1: whether each interval covers, and its width
+        covered = np.zeros((hi - lo, len(methods)))
+        widths = np.zeros((hi - lo, len(methods)))
+        for i, rep in enumerate(range(lo, hi)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+            x, y = model.sample(n, rng)
+            d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
+            fit = fit_spec(d, "rank-rank", omega)
+            # built per rep, as the bootstrap seeds from the rep's stream (and a
+            # traced run swaps these module attributes in place)
+            variances = {"plugin": plugin_slope_variance, "hom": hom_covariance,
+                         "ew": ew_covariance,
+                         "bootstrap": lambda fit, alpha: bootstrap_report(fit, replace(
+                             bootstrap_plan, seed=int(rng.integers(2**63)), alpha=alpha))}
+            for k, m in enumerate(methods):
+                lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
+                covered[i, k] = lo_ <= truth <= hi_
+                widths[i, k] = hi_ - lo_
+        return covered, widths
+
+    covered, widths = _spread(run, reps)
 
     rows = []
     for k, m in enumerate(methods):

@@ -1,5 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_children():
+    """Fail a test that leaves a child of the test process unreaped."""
+    yield
+    try:
+        pid = os.waitpid(-1, os.WNOHANG)[0]
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture

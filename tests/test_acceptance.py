@@ -6,6 +6,7 @@ fixed seeds so the suite is deterministic.
 """
 
 import json
+import os
 import time
 from time import perf_counter
 
@@ -36,6 +37,7 @@ from rankreg import (
     spearman,
     variance_triple_mc,
 )
+import rankreg.bootstrap as bootstrap
 from rankreg.bruteforce import influence_rows_pairwise
 from rankreg.cli import main
 from rankreg.inference import influence_rows
@@ -297,20 +299,30 @@ def test_criterion_10_determinism_across_parallelism(tmp_path, monkeypatch, rng)
     out = tmp_path / "report.json"
     argv = ["fit", str(path), "--se", "plugin,bootstrap", "--bootstrap-reps", "99",
             "--seed", "4", "--out", str(out)]
-    monkeypatch.setenv("RANKREG_JOBS", "1")
+    # one CPU, then every loop split over three forked workers; a few
+    # replicates per chunk give the bootstrap chunks to split
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(bootstrap, "_SPLIT_MIN_S", 0.0)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(argv) == 0
     first = out.read_bytes()
-    monkeypatch.setenv("RANKREG_JOBS", "4")
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert main(argv) == 0
     assert out.read_bytes() == first
+    assert len(forks) == 2
 
     cov_out = tmp_path / "coverage.csv"
     cov_argv = ["coverage", "--family", "reflection", "--param", "0.5",
                 "--n", "200", "--reps", "30", "--seed", "5", "--out", str(cov_out)]
-    monkeypatch.setenv("RANKREG_JOBS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(cov_argv) == 0
     first_cov = cov_out.read_bytes()
-    monkeypatch.setenv("RANKREG_JOBS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert main(cov_argv) == 0
     assert cov_out.read_bytes() == first_cov
+    assert len(forks) == 4
     _report(10, "byte-identical reports across reruns and worker counts")

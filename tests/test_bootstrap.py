@@ -1,5 +1,7 @@
 """Bootstrap resampling: determinism, interval construction, rank recomputation."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from rankreg import (
     BootstrapPlan,
     Dataset,
     InvalidInputError,
+    RankRegressionError,
     SingularDesignError,
     bootstrap_ci,
     bootstrap_distribution,
@@ -22,6 +25,8 @@ from rankreg import (
     plugin_slope_variance,
     rank_transform,
 )
+import rankreg.bootstrap as bootstrap
+import rankreg.copulas as copulas
 import rankreg.estimators as estimators
 from rankreg.bootstrap import _CHUNK_BYTES, _chunk, _replicates
 from rankreg.estimators import FitResult, _Sample
@@ -400,6 +405,174 @@ class TestReport:
         assert report.names == ["rank(x)"]
         assert report.ci.shape == (1, 2)
         assert report.ci[0, 0] <= report.estimates[0] <= report.ci[0, 1]
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Split every loop over three CPUs; returns the pids that forked, in order."""
+    log = tmp_path / "forks"
+    fork = os.fork
+
+    def logged():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(bootstrap, "_SPLIT_MIN_S", 0.0)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+def _run_both(monkeypatch, forks, call):
+    """``call()`` on one CPU, then split over three: both results."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = call()
+    assert forks() == []
+    split = call()
+    assert forks() and set(forks()) == {os.getpid()}
+    return alone, split
+
+
+def _failing_sample(first, error):
+    """A copula sampler that raises ``error(rep)`` from rep ``first`` on."""
+    sample = copulas.CopulaModel.sample
+
+    def failing(model, n, rng):
+        rep = rng.bit_generator.seed_seq.spawn_key[0]
+        if rep >= first:
+            raise error(rep)
+        return sample(model, n, rng)
+
+    return failing
+
+
+class TestSpread:
+    """Forked workers give what one process gives, fail as it fails, and leave nothing."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bootstrap_is_bitwise_the_same_split(self, rng, monkeypatch, forks, spec):
+        # one replicate per chunk, so 60 replicates are 60 units to split
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1)
+        d = _tied_design(rng)
+
+        def call():
+            fit = FitResult(d, spec, 0.5)
+            out = [bootstrap_distribution(d, spec, 0.5, BootstrapPlan(reps=60, seed=3))]
+            for kind in ("percentile", "normal"):
+                report = bootstrap_report(fit, BootstrapPlan(reps=60, seed=4, ci_kind=kind))
+                out += [report.se, report.ci, report.variance]
+            return [a.tobytes() for a in out]
+
+        alone, split = _run_both(monkeypatch, forks, call)
+        assert split == alone
+        _no_children()
+
+    def test_coverage_is_bitwise_the_same_split(self, monkeypatch, forks):
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1 << 12)
+        plan = BootstrapPlan(reps=50, ci_kind="normal")
+
+        def call():
+            return copulas.coverage_experiment(
+                copulas.reflection(0.3), n=80, reps=9, seed=5,
+                methods=("plugin", "hom", "ew", "bootstrap"), bootstrap_plan=plan)
+
+        alone, split = _run_both(monkeypatch, forks, call)
+        assert [repr(row) for row in split] == [repr(row) for row in alone]
+        _no_children()
+
+    def test_workers_never_fork(self, monkeypatch, forks):
+        # each rep's bootstrap has 5 chunks; in a worker it runs serially, so
+        # every fork comes from this process: 2 by rep 0's own bootstrap,
+        # which runs before the reps are split, and 2 for the reps
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1 << 12)
+        copulas.coverage_experiment(copulas.reflection(0.3), n=80, reps=7, seed=1,
+                                    methods=("bootstrap",),
+                                    bootstrap_plan=BootstrapPlan(reps=50))
+        assert forks() == [os.getpid()] * 4
+        _no_children()
+
+    def test_slice_without_a_worker_runs_here(self, monkeypatch, forks):
+        # the second fork fails as under a process limit; its slice runs here
+        def call():
+            return [repr(row) for row in copulas.coverage_experiment(
+                copulas.reflection(0.5), n=40, reps=10, seed=2)]
+
+        alone, split = _run_both(monkeypatch, forks, call)
+        fork = os.fork
+        started = []
+
+        def limited():
+            started.append(os.getpid())
+            if len(started) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited)
+        assert call() == split == alone
+        assert started == [os.getpid()] * 2
+        _no_children()
+
+    def test_threaded_process_stays_serial(self, forks):
+        # a forked worker would hold only this thread
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            rows = copulas.coverage_experiment(copulas.reflection(0.5), n=40, reps=10, seed=2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks() == []
+        assert [repr(row) for row in rows] == [repr(row) for row in copulas.coverage_experiment(
+            copulas.reflection(0.5), n=40, reps=10, seed=2)]
+        assert forks() == [os.getpid()] * 2
+
+    @pytest.mark.parametrize("first", [0, 2, 5, 8],
+                             ids=["first-unit", "caller-slice", "worker-1", "worker-2"])
+    @pytest.mark.parametrize("error", [
+        lambda rep: InvalidInputError(f"rep {rep} refused"),
+        lambda rep: SingularDesignError(f"rep {rep} is singular", column=f"c{rep}"),
+    ], ids=["invalid", "singular"])
+    def test_failure_is_the_one_process_failure(self, monkeypatch, forks, first, error):
+        # 10 reps over 3 CPUs: rep 0 is timed here, then reps 1-3 run here and
+        # 4-6 and 7-9 in two workers; the lowest failing rep raises
+        monkeypatch.setattr(copulas.CopulaModel, "sample", _failing_sample(first, error))
+
+        def call():
+            with pytest.raises(RankRegressionError) as err:
+                copulas.coverage_experiment(copulas.reflection(0.5), n=40, reps=10, seed=2)
+            return type(err.value), str(err.value), getattr(err.value, "column", None)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            alone = call()
+        assert alone[1].startswith(f"rep {first} ")
+        assert call() == alone
+        assert forks() == ([] if first == 0 else [os.getpid()] * 2)
+        _no_children()
+
+    def test_interrupted_caller_reaps_its_workers(self, monkeypatch, forks):
+        sample = copulas.CopulaModel.sample
+
+        def interrupted(model, n, rng):  # rep 2 runs in the caller's slice
+            if rng.bit_generator.seed_seq.spawn_key[0] == 2:
+                raise KeyboardInterrupt
+            return sample(model, n, rng)
+
+        monkeypatch.setattr(copulas.CopulaModel, "sample", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            copulas.coverage_experiment(copulas.reflection(0.5), n=40, reps=10, seed=2)
+        assert forks() == [os.getpid()] * 2
+        assert not bootstrap._splitting
+        _no_children()
 
 
 class TestPercentileCoverage:

@@ -614,11 +614,17 @@ class TestFitCommand:
           "--n-mc", "2000"], "tolerance must be nonnegative, got -1.0"),
         (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "inf",
           "--n-mc", "10000"], "tolerance must be finite, got inf"),
-    ], ids=["coverage-n", "calibrate-tol", "calibrate-tol-inf"])
+        (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "2",
+          "--n-mc", "10000"], "tolerance must be below 2, got 2.0"),
+        (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "5",
+          "--n-mc", "10000"], "tolerance must be below 2, got 5.0"),
+    ], ids=["coverage-n", "calibrate-tol", "calibrate-tol-inf", "calibrate-tol-2",
+            "calibrate-tol-5"])
     def test_simulation_refusals_come_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                       argv, message):
         # coverage used to draw the 1M-value population truth first, and a
-        # negative or infinite tolerance was accepted and echoed in the report
+        # negative, infinite or 2-or-more tolerance was accepted and echoed in
+        # the report
         def no_draw(model, n, seed):
             raise AssertionError("a copula sample was drawn")
 
@@ -1048,12 +1054,20 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         argv = ["fit", sample_csv, "--se", "bootstrap", "--bootstrap-reps", "60",
                 "--seed", "7", "--out", str(out)]
-        monkeypatch.setenv("RANKREG_JOBS", "1")
+        # one CPU, then the bootstrap's chunks split over three forked workers
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1 << 12)
+        monkeypatch.setattr(bootstrap, "_SPLIT_MIN_S", 0.0)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(argv) == EXIT_OK
         first = out.read_bytes()
-        monkeypatch.setenv("RANKREG_JOBS", "4")
+        assert forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == first
+        assert len(forks) == 2
 
     def test_config_echo_round_trip(self, sample_csv, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Copula samplers, closed-form oracles, variance curves, and calibration."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,8 @@ class TestCoverageExperiment:
             seen.append((sample.data, plan, out[:, 0]))
             return out
 
+        # the spies see only this process's fits, so the reps stay on one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(estimators.FitResult, "__init__", counting_init)
         monkeypatch.setattr(bootstrap, "_replicates", spy)
         coverage_experiment(reflection(0.3), n=60, reps=4, methods=("bootstrap",),
@@ -340,9 +344,13 @@ class TestCoverageExperiment:
      "tolerance must be nonnegative, got nan"),
     (lambda: calibrate_parameter("gaussian", 0.3, tolerance=float("inf")),
      "tolerance must be finite, got inf"),
+    (lambda: calibrate_parameter("gaussian", 0.3, tolerance=2.0),
+     "tolerance must be below 2, got 2.0"),
+    (lambda: calibrate_parameter("gaussian", 0.3, tolerance=5.0),
+     "tolerance must be below 2, got 5.0"),
 ], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
         "curve-seed", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
-        "calibrate-tol-inf"])
+        "calibrate-tol-inf", "calibrate-tol-2", "calibrate-tol-5"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()
