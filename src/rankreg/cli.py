@@ -533,7 +533,7 @@ def _curve_grid(args):
     Reflection's parameter lies in the open (0, 1), so a default end of its
     range is left out of the grid.
     """
-    if args.grid:
+    if args.grid is not None:  # an empty grid is the curve's to refuse
         return args.grid
     if args.grid_points < 1:
         raise InvalidInputError(f"--grid-points must be at least 1, got {args.grid_points}")

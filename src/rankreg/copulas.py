@@ -38,7 +38,7 @@ from .bootstrap import BootstrapPlan, _check_count, _spread, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
 from .inference import check_alpha, check_seed, ew_covariance, hom_covariance, plugin_slope_variance
-from .kernels import comparison_counts, comparison_weighted_sums, tie_runs
+from .kernels import comparison_counts, comparison_run_sums, tie_runs
 from .ranks import check_omega, ranks_from_counts, spearman
 
 __all__ = [
@@ -197,8 +197,8 @@ def variance_triple_mc(model, n_mc, seed):
     u, v = (ranks_from_counts(*comparison_counts(r), n, 0.5) for r in (runs_x, runs_y))
     # (1/n) sum_j 1{u_j <= u_i} v_j is the total of v minus the omega = 0
     # kernel sum sum_j 1{u_i < u_j} v_j
-    h = (u * v - (v.sum() - comparison_weighted_sums(runs_x, v, 0.0)) / n
-         - (u.sum() - comparison_weighted_sums(runs_y, u, 0.0)) / n)
+    h = (u * v - (v.sum() - comparison_run_sums(runs_x, v, 0.0)[runs_x.run, 0, 0]) / n
+         - (u.sum() - comparison_run_sums(runs_y, u, 0.0)[runs_y.run, 0, 0]) / n)
     sigma2 = 144.0 * float(np.var(h))
     du = u - u.mean()
     dv = v - v.mean()
@@ -215,6 +215,8 @@ def variance_triple_mc(model, n_mc, seed):
 def variance_curve(family, grid, n_mc=200_000, seed=0):
     """One variance triple per grid point, for plotting against the parameter."""
     check_seed(seed)
+    if len(grid) == 0:
+        raise InvalidInputError("parameter grid is empty")
     rows = []
     for k, param in enumerate(grid):
         model = CopulaModel(family, float(param))

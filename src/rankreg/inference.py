@@ -330,6 +330,8 @@ def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,
     estimates = np.asarray(estimates, dtype=np.float64).reshape(-1)
     if variance.shape != (weights.size, weights.size) or estimates.size != weights.size:
         raise InvalidInputError("variance, weights, and estimates shapes disagree")
+    if n < 1:
+        raise InvalidInputError("n must be at least 1")
     point = float(weights @ estimates)
     avar = float(weights @ variance @ weights)
     if avar < 0.0:

@@ -17,10 +17,8 @@ runs of a sample of size n then cost O(n + R) for R runs:
   omega*1{a<=b} + (1-omega)*1{a<b}``: per column one ``bincount`` over the
   ids ``run * n_blocks + block``, a suffix sum over the runs and the omega
   mix.  The table is (R, k, n_blocks) for k weight columns, whatever the
-  number of elements.
-* ``comparison_weighted_sums(runs, weights, omega)`` -- the same sums for
-  every element ``i``: the one-block table gathered at the elements' runs.
-  A (n, k) weight matrix gives exactly the k single-column results.
+  number of elements, and each column is exactly its one-column table.
+  Gathering it at ``runs.run`` gives every element its run's sums.
 
 The literal O(n^2) pairwise evaluation lives in the tests and in
 :mod:`rankreg.bruteforce`, which are the correctness oracles for this path.
@@ -36,7 +34,6 @@ __all__ = [
     "tie_runs",
     "comparison_counts",
     "comparison_run_sums",
-    "comparison_weighted_sums",
 ]
 
 
@@ -100,13 +97,3 @@ def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_b
         table[:, k] += omega * suffix
     return table
 
-
-def comparison_weighted_sums(runs, weights, omega, rows=slice(None)):
-    """t_i = sum_j K(values_i, values_j) * weights_j with the tie-weighted kernel K.
-
-    ``weights`` is (n,) or (n, k) and the result has the same shape.  Given
-    an index ``rows``, ``weights`` has one row per indexed element, every
-    other element weighs zero, and the result still covers the whole sample.
-    """
-    table = comparison_run_sums(runs, weights, omega, rows)
-    return table[runs.run].reshape((runs.run.size,) + weights.shape[1:])

@@ -136,8 +136,8 @@ def spearman(x, y, omega=1.0):
 def centered_rank_moment(x, y, k, l, omega=1.0):
     """Sample moment (1/n) sum_i (Rx_i - mean Rx)^k (Ry_i - mean Ry)^l."""
     rx, ry = _rank_pair(x, y, omega)
-    if k < 0 or l < 0:
-        raise InvalidInputError("moment orders must be nonnegative")
+    if not all(float(order).is_integer() and order >= 0 for order in (k, l)):
+        raise InvalidInputError(f"moment orders must be nonnegative integers, got {k} and {l}")
     return float(np.mean((rx - rx.mean()) ** k * (ry - ry.mean()) ** l))
 
 

@@ -618,13 +618,17 @@ class TestFitCommand:
           "--n-mc", "10000"], "tolerance must be below 2, got 2.0"),
         (["calibrate", "--family", "gaussian", "--target", "0.3", "--tol", "5",
           "--n-mc", "10000"], "tolerance must be below 2, got 5.0"),
+        (["curve", "--family", "gaussian", "--grid", "", "--n-mc", "10000"],
+         "parameter grid is empty"),
+        (["curve", "--family", "gaussian", "--grid", " , ", "--n-mc", "10000"],
+         "parameter grid is empty"),
     ], ids=["coverage-n", "calibrate-tol", "calibrate-tol-inf", "calibrate-tol-2",
-            "calibrate-tol-5"])
+            "calibrate-tol-5", "curve-empty-grid", "curve-blank-grid"])
     def test_simulation_refusals_come_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                       argv, message):
-        # coverage used to draw the 1M-value population truth first, and a
+        # coverage used to draw the 1M-value population truth first, a
         # negative, infinite or 2-or-more tolerance was accepted and echoed in
-        # the report
+        # the report, and an empty curve grid ran the default grid
         def no_draw(model, n, seed):
             raise AssertionError("a copula sample was drawn")
 

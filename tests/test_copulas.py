@@ -316,6 +316,14 @@ class TestCoverageExperiment:
         for d, plan, boots in seen:
             assert np.array_equal(boots, bootstrap_distribution(d, "rank-rank", 1.0, plan))
 
+    def test_bootstrap_defaults_to_299_replicates(self):
+        def rows(plan):
+            return copulas.coverage_experiment(reflection(0.3), n=40, reps=3,
+                                               methods=("bootstrap",), alpha=0.1, seed=2,
+                                               bootstrap_plan=plan)
+
+        assert repr(rows(None)) == repr(rows(BootstrapPlan(reps=299)))
+
     def test_reports_width_and_mc_se(self):
         from rankreg import coverage_experiment, reflection
 
@@ -336,6 +344,7 @@ class TestCoverageExperiment:
      "seed must be a nonnegative integer, got -1"),
     (lambda: variance_curve("gaussian", [0.5], n_mc=10_000, seed=-1),
      "seed must be a nonnegative integer, got -1"),
+    (lambda: variance_curve("gaussian", [], n_mc=10_000), "parameter grid is empty"),
     (lambda: calibrate_parameter("gaussian", 0.3, seed=-1),
      "seed must be a nonnegative integer, got -1"),
     (lambda: calibrate_parameter("gaussian", 0.3, tolerance=-1.0),
@@ -349,7 +358,7 @@ class TestCoverageExperiment:
     (lambda: calibrate_parameter("gaussian", 0.3, tolerance=5.0),
      "tolerance must be below 2, got 5.0"),
 ], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
-        "curve-seed", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
+        "curve-seed", "curve-empty-grid", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
         "calibrate-tol-inf", "calibrate-tol-2", "calibrate-tol-5"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:

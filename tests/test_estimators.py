@@ -267,6 +267,7 @@ class TestFitAgainstDirectOls:
         rx, ry = rank_transform(d.x, omega), rank_transform(d.y, omega)
         if spec == "rank-level":
             assert fit.ranks_x is None
+            assert fit.slope is None and fit.gamma is None
             design = d.w
         else:
             assert np.array_equal(fit.ranks_x, rx)

@@ -790,10 +790,11 @@ _SLOPE_ONLY = ("slope-only variance applies to rank-rank and level-rank fits; "
     (lambda: omega_sweep(_tiny_fit("rank-rank").data, "rank-rank", []), "omega grid is empty"),
     (lambda: confidence_interval(0.0, -1.0, 10), "sigma must be nonnegative"),
     (lambda: confidence_interval(0.0, 1.0, 0), "n must be at least 1"),
+    (lambda: linear_combo_inference([[1.0]], [1.0], [0.5], n=0), "n must be at least 1"),
     (lambda: normal_quantile(0.0), "tail probability must lie in (0, 1), got 0.0"),
     (lambda: normal_quantile(1.0), "tail probability must lie in (0, 1), got 1.0"),
 ], ids=["slope-grouped", "slope-rank-level", "sweep-empty-grid", "ci-sigma", "ci-n",
-        "quantile-0", "quantile-1"])
+        "combo-n", "quantile-0", "quantile-1"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()

@@ -86,10 +86,11 @@ def test_weighted_sums_match_pairwise(rng):
         in_rows = np.zeros(90)
         in_rows[rows] = weights[rows]
         for omega in (0.0, 0.3, 0.5, 1.0):
-            fast = kernels.comparison_weighted_sums(runs, weights, omega)
+            # every element of a run has its run's entry of the one-block table
+            fast = kernels.comparison_run_sums(runs, weights, omega)[runs.run, 0, 0]
             slow = _pairwise_sums(values, weights, omega)
             assert np.max(np.abs(fast - slow)) < 1e-12
-            fast = kernels.comparison_weighted_sums(runs, weights[rows], omega, rows)
+            fast = kernels.comparison_run_sums(runs, weights[rows], omega, rows)[runs.run, 0, 0]
             slow = _pairwise_sums(values, in_rows, omega)
             assert np.max(np.abs(fast - slow)) < 1e-12
             # block g's column of the per-run table holds the sums of its members alone
@@ -106,11 +107,12 @@ def test_weight_matrix_equals_column_calls_bitwise(rng):
         weights = rng.normal(size=(values.size, 4))
         runs = kernels.tie_runs(values)
         for omega in (0.0, 0.5, 1.0):
-            batched = kernels.comparison_weighted_sums(runs, weights, omega)
-            assert batched.shape == weights.shape
+            batched = kernels.comparison_run_sums(runs, weights, omega)
+            assert batched.shape == (runs.sizes.size, weights.shape[1], 1)
             for k in range(weights.shape[1]):
-                single = kernels.comparison_weighted_sums(runs, weights[:, k], omega)
-                assert np.array_equal(batched[:, k], single)
+                single = kernels.comparison_run_sums(runs, weights[:, k], omega)
+                assert single.shape == (runs.sizes.size, 1, 1)
+                assert np.array_equal(batched[:, k], single[:, 0])
 
 
 def test_backend_name_is_known():

@@ -179,6 +179,12 @@ class TestCenteredRankMoment:
         with pytest.raises(InvalidInputError, match="moment orders must be nonnegative"):
             centered_rank_moment([1, 2, 3], [1, 2, 3], -1, 0)
 
+    @pytest.mark.parametrize("k, l", [(0.5, 1), (1.5, 2), (2, float("nan"))])
+    def test_fractional_order_is_refused(self, k, l):
+        # a fractional power of a negative deviation used to return nan
+        with pytest.raises(InvalidInputError, match="moment orders must be nonnegative integers"):
+            centered_rank_moment([1, 2, 3], [1, 2, 3], k, l)
+
     def test_first_moment_is_zero(self, rng):
         x = rng.normal(size=30)
         y = make_tied_sample(rng, 30)
