@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
 from .estimators import fit_spec
-from .inference import InferenceReport, check_alpha, check_seed, confidence_interval
+from .inference import (InferenceReport, check_alpha, check_integer, check_seed,
+                        confidence_interval)
 
 __all__ = [
     "BootstrapPlan",
@@ -163,7 +164,7 @@ class BootstrapPlan:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.reps < 1:
+        if check_integer(self.reps, "bootstrap reps") < 1:
             raise InvalidInputError("bootstrap needs at least one replicate")
         if self.ci_kind not in ("percentile", "normal"):
             raise InvalidInputError(f"unknown ci_kind {self.ci_kind!r}")

@@ -37,7 +37,8 @@ import numpy as np
 from .bootstrap import BootstrapPlan, _check_count, _spread, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
 from .estimators import Dataset, fit_spec
-from .inference import check_alpha, check_seed, ew_covariance, hom_covariance, plugin_slope_variance
+from .inference import (check_alpha, check_integer, check_seed, ew_covariance, hom_covariance,
+                        plugin_slope_variance)
 from .kernels import comparison_counts, comparison_run_sums, tie_runs
 from .ranks import check_omega, ranks_from_counts, spearman
 
@@ -101,7 +102,7 @@ class CopulaModel:
 
     def sample(self, n, seed):
         """n i.i.d. draws (x, y); ``seed`` is an int or a numpy Generator."""
-        if n < 1:
+        if check_integer(n, "n") < 1:
             raise InvalidInputError("need n >= 1 draws")
         rng = (seed if isinstance(seed, np.random.Generator)
                else np.random.default_rng(check_seed(seed)))
@@ -188,7 +189,7 @@ def variance_triple_mc(model, n_mc, seed):
         sigma_hom^2 = 1 - rho^2
         sigma_ew^2  = 144 (M_22 - 2 rho M_31 + rho^2 / 80)
     """
-    if n_mc < 10_000:
+    if check_integer(n_mc, "n_mc") < 10_000:
         raise InvalidInputError("variance_triple_mc needs n_mc >= 10000")
     x, y = model.sample(n_mc, seed)
     # ranks keep the ties and the order of the draws, so u and v have their runs
@@ -248,6 +249,7 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
     """
     if family == "independence":
         raise InvalidInputError("independence copula has no parameter to calibrate")
+    check_integer(n_mc, "n_mc")
     if not tolerance >= 0.0:  # a negative or NaN tolerance is never met
         raise InvalidInputError(f"tolerance must be nonnegative, got {tolerance}")
     if tolerance == np.inf:  # the first midpoint would always meet it
@@ -311,9 +313,9 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     so the rows depend only on the arguments, and not on how many processes
     run them.
     """
-    if reps < 1:
+    if check_integer(reps, "reps") < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
-    if n < 3:  # the intercept-only fit of every rep needs n >= p + 2
+    if check_integer(n, "n") < 3:  # the intercept-only fit of every rep needs n >= p + 2
         raise InvalidInputError(f"need n >= p + 2 observations (n={n}, p=1)")
     methods = tuple(dict.fromkeys(methods))  # a repeated method runs once
     if not methods:

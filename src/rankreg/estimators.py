@@ -77,6 +77,9 @@ _DEGENERATE_VAR = 1e-12
 # rows per slice of the blocked QR of a tall block: one QR of a taller block
 # runs out of cache, and a shorter one is as fast as the slices
 _QR_ROWS = 1024
+# entries per batch of row slices of the blocked QR, and per row chunk of the
+# influence rows: 512 KiB of float64
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _column_matrix(w, n):
@@ -230,16 +233,22 @@ def _r_factors(system):
 
     The R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
     A block of at least 2 * ``_QR_ROWS`` rows is factored by row slices
-    (TSQR): one batched QR of its ``_QR_ROWS``-row slices, then one QR of
+    (TSQR): batched QRs of its ``_QR_ROWS``-row slices, then one QR of
     their stacked R factors with the remaining rows.  Its R is that of one
     QR up to the sign of each row, which moves no solution or singular
-    value.  A system with fewer rows than columns gets zero rows below its R.
+    value.  ``np.linalg.qr`` copies its input, so the slices go in batches
+    of about ``_CHUNK_ENTRIES`` entries; each slice's R is its own, the same
+    in any batch.  A system with fewer rows than columns gets zero rows
+    below its R.
     """
     k, rows, width = system.shape
     if rows >= 2 * _QR_ROWS:
         cut = rows - rows % _QR_ROWS
-        slices = np.linalg.qr(system[:, :cut].reshape(-1, _QR_ROWS, width), mode="r")
-        system = np.concatenate([slices.reshape(k, -1, width), system[:, cut:]], axis=1)
+        slices = system[:, :cut].reshape(k, -1, _QR_ROWS, width)  # a view
+        step = max(1, _CHUNK_ENTRIES // (k * _QR_ROWS * width))
+        parts = [np.linalg.qr(slices[:, i:i + step], mode="r").reshape(k, -1, width)
+                 for i in range(0, slices.shape[1], step)]
+        system = np.concatenate(parts + [system[:, cut:]], axis=1)
     R = np.linalg.qr(system, mode="r")
     short = width - R.shape[-2]
     if short:
@@ -330,7 +339,9 @@ class _Sample:
     contiguous, and is ``slice(None)`` otherwise.  ``bounds`` holds each fit
     block's [lo, hi) in that order, and ``system`` the sample's own [Z, r] in
     it.  :class:`FitResult` is the sample solved, so a command prepares one:
-    the variances and the bootstrap read the fit's own design.
+    the variances and the bootstrap read the fit's own design.  The sample
+    holds each n-row array once: ``ranks_x`` and ``ranks_y`` are computed on
+    access from the rank columns of ``system``.
     """
 
     def __init__(self, d, spec, omega):
@@ -346,18 +357,34 @@ class _Sample:
         self.data, self.spec, self.omega = d, spec, omega
         self.runs_x = d.runs_x if spec in RANKS_X else None
         self.runs_y = d.runs_y if spec in RANKS_Y else None
-        self.ranks_x, self.ranks_y = (
+        ranks_x, ranks_y = (
             None if runs is None
             else ranks_from_counts(*kernels.comparison_counts(runs), d.n, omega)
             for runs in (self.runs_x, self.runs_y))
         self.grouped = spec == GROUPED
         self.order = np.argsort(d.group_index, kind="stable") if self.grouped else slice(None)
-        self.names = list(d.w_names) if self.ranks_x is None else ["rank(x)"] + list(d.w_names)
+        self.names = list(d.w_names) if self.runs_x is None else ["rank(x)"] + list(d.w_names)
         counts = np.bincount(d.group_index).tolist() if self.grouped else [d.n]
         ends = list(itertools.accumulate(counts))
         self.bounds = list(zip([0] + ends[:-1], ends))
-        columns = [self.ranks_x, d.w, d.y if self.ranks_y is None else self.ranks_y]
+        columns = [ranks_x, d.w, d.y if ranks_y is None else ranks_y]
         self.system = np.column_stack([c for c in columns if c is not None])[self.order]
+
+    def to_input_order(self, values):
+        """``values`` (n, ...) in the fit's row order, copied back to input order."""
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
+
+    @property
+    def ranks_x(self):
+        """rank(x) in input order, read off :attr:`system` on access; None unless x is ranked."""
+        return None if self.runs_x is None else self.to_input_order(self.system[:, 0])
+
+    @property
+    def ranks_y(self):
+        """rank(y) in input order, read off :attr:`system` on access; None unless y is ranked."""
+        return None if self.runs_y is None else self.to_input_order(self.system[:, -1])
 
     def _ranks(self, runs, mult):
         """Ranks of each resample in the stack ``mult`` (c, n).
@@ -425,7 +452,7 @@ class _Sample:
         coef = coef.reshape(c, n_blocks, -1)
         gram_inv = gram_inv.reshape((c, n_blocks) + gram_inv.shape[1:])
         refused = [err is not None for err in singular]
-        if self.ranks_x is not None:
+        if self.runs_x is not None:
             # 1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma;
             # (Z'Z)^-1[0, 0] >= 1 / |rank(x)|^2 > 0, and NaN when refused
             first = (gram_inv[:, :, 0, 0] * sizes).ravel().tolist()
@@ -465,7 +492,8 @@ class FitResult(_Sample):
     of Z A^-1 is the projection residual of Z_l on the other regressors over
     its second moment, which is everything the inference step needs.
     ``r_factors`` (G, q+1, q+1) are the blocks' R factors of [Z, r]; ``eps``
-    holds the residuals in the fit's row order, ``residuals`` in input order.
+    holds the residuals in the fit's row order, and ``residuals``, computed
+    from it on access, in input order.
 
     ``slope``, ``beta`` and ``gamma`` (the first-stage projection of rank(x)
     on W, by Frisch-Waugh-Lovell) are read off the blocks, per group for a
@@ -484,8 +512,11 @@ class FitResult(_Sample):
         self.eps = self.system[:, -1].copy()
         for (lo, hi), c in zip(self.bounds, self.coef):
             self.eps[lo:hi] -= self.system[lo:hi, :-1] @ c
-        self.residuals = np.empty_like(self.eps)
-        self.residuals[self.order] = self.eps
+
+    @property
+    def residuals(self):
+        """The residuals in input order, computed from ``eps`` on access."""
+        return self.to_input_order(self.eps)
 
     @property
     def n(self):
@@ -507,18 +538,18 @@ class FitResult(_Sample):
 
     @property
     def slope(self):
-        if self.ranks_x is None:
+        if self.runs_x is None:
             return None
         slope = self.coef[:, 0]
         return slope if self.grouped else float(slope[0])
 
     @property
     def beta(self):
-        return self._per_block(self.coef[:, 0 if self.ranks_x is None else 1:])
+        return self._per_block(self.coef[:, 0 if self.runs_x is None else 1:])
 
     @property
     def gamma(self):
-        if self.ranks_x is None:
+        if self.runs_x is None:
             return None
         # column 0 of A^-1 is proportional to e_0 minus the first-stage coefficients
         return self._per_block(-self.a_inv[:, 1:, 0] / self.a_inv[:, :1, 0])

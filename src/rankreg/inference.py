@@ -50,7 +50,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import fit_spec
+from .estimators import _CHUNK_ENTRIES, fit_spec
 from .kernels import comparison_run_sums
 from .ranks import check_omega
 
@@ -89,11 +89,21 @@ def check_alpha(alpha):
         raise InvalidInputError(f"alpha must lie in the open interval (0, 1), got {alpha}")
 
 
+def check_integer(value, what, nonnegative=False):
+    """``value`` if it is a Python or numpy integer, >= 0 if ``nonnegative``; else refuse.
+
+    Callers check each count before any draw: a count such as 10.5 would
+    otherwise fail deep in ``range`` or numpy, naming neither argument.
+    """
+    if not isinstance(value, (int, np.integer)) or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise InvalidInputError(f"{what} must be {kind}, got {value}")
+    return value
+
+
 def check_seed(seed):
     """``seed`` if it is an integer >= 0, the seeds numpy's SeedSequence takes; else refuse."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+    return check_integer(seed, "seed", nonnegative=True)
 
 
 def confidence_interval(estimate, sigma, n, alpha=0.05):
@@ -103,9 +113,9 @@ def confidence_interval(estimate, sigma, n, alpha=0.05):
     estimator; sigma = 0 collapses the interval to the point estimate.
     """
     check_alpha(alpha)
-    if sigma < 0.0:
+    if not sigma >= 0.0:  # NaN fails every comparison
         raise InvalidInputError("sigma must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise InvalidInputError("n must be at least 1")
     half = normal_quantile(alpha / 2.0) * sigma / np.sqrt(n)
     return float(estimate - half), float(estimate + half)
@@ -142,9 +152,6 @@ def _check_data(fit, data):
     """Refuse any dataset but the one the fit was prepared from."""
     if data is not None and data is not fit.data:
         raise InvalidInputError("fit was produced from a different dataset")
-
-
-_CHUNK_ENTRIES = 1 << 16  # influence entries per row chunk: 512 KiB of float64
 
 
 def _kernel_tables(fit, a_cols, C):
@@ -196,7 +203,7 @@ def _influence_chunks(fit, a_cols):
     G, _, k = a_cols.shape
     C = np.empty((fit.n, k))
     for g, (lo, hi) in enumerate(fit.bounds):
-        C[lo:hi] = fit.system[lo:hi, :-1] @ a_cols[g]
+        np.matmul(fit.system[lo:hi, :-1], a_cols[g], out=C[lo:hi])
     (first, first_runs), *rest = _kernel_tables(fit, a_cols, C)
     step = min(max(1, _CHUNK_ENTRIES // (k * G)), fit.n)
     psi, gathered = np.empty((2, step, k * G))
@@ -224,7 +231,7 @@ def influence_rows(fit, data=None):
     psi = np.empty((fit.n, len(fit.coef_names)))
     for start, stop, chunk in _influence_chunks(fit, fit.a_inv):
         psi[start:stop] = chunk
-    psi[fit.order] = psi.copy()  # back to input order
+    psi = fit.to_input_order(psi)
     scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()
     return InfluenceRows(psi=psi, names=fit.coef_names, scales=scales)
 
@@ -317,7 +324,8 @@ def ew_covariance(fit, data=None, alpha=0.05):
     G = len(fit.bounds)
     variance = np.zeros((len(fit.coef_names),) * 2)
     for g, (lo, hi) in enumerate(fit.bounds):
-        d = fit.eps[lo:hi, None] * (fit.system[lo:hi, :-1] @ fit.a_inv[g])
+        d = fit.system[lo:hi, :-1] @ fit.a_inv[g]
+        d *= fit.eps[lo:hi, None]
         variance[g::G, g::G] = d.T @ d / fit.n
     return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "ew")
 
@@ -330,7 +338,7 @@ def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,
     estimates = np.asarray(estimates, dtype=np.float64).reshape(-1)
     if variance.shape != (weights.size, weights.size) or estimates.size != weights.size:
         raise InvalidInputError("variance, weights, and estimates shapes disagree")
-    if n < 1:
+    if not n >= 1:  # NaN fails every comparison
         raise InvalidInputError("n must be at least 1")
     point = float(weights @ estimates)
     avar = float(weights @ variance @ weights)

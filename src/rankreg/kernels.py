@@ -91,9 +91,11 @@ def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_b
         per_run = np.bincount(ids, column, n_runs * n_blocks).reshape(n_runs, n_blocks)
         # suffix[r] = total weight of runs r, r+1, ..., R-1; the sum past R-1 is 0
         suffix = np.cumsum(per_run[::-1], axis=0)[::-1]
+        del per_run
         table[-1, k] = 0.0
         table[:-1, k] = suffix[1:]
         table[:, k] *= 1.0 - omega
-        table[:, k] += omega * suffix
+        suffix *= omega
+        table[:, k] += suffix
     return table
 

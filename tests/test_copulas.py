@@ -9,9 +9,12 @@ from rankreg import (
     BootstrapPlan,
     CalibrationError,
     CopulaModel,
+    Dataset,
     InvalidInputError,
+    bootstrap_report,
     calibrate_parameter,
     copulas,
+    fit_spec,
     gaussian,
     independence,
     quadratic,
@@ -381,4 +384,30 @@ def test_coverage_refuses_bad_arguments_before_any_draw(monkeypatch, kwargs, mes
     monkeypatch.setattr(copulas, "true_rank_correlation", no_truth)
     with pytest.raises(InvalidInputError) as err:
         copulas.coverage_experiment(gaussian(0.5), **{"n": 50, "reps": 2, **kwargs})
+    assert str(err.value) == message
+
+
+def _bootstrap_with_fractional_reps():
+    fit = fit_spec(Dataset(y=np.arange(8.0), x=np.arange(8.0) % 3), "rank-rank")
+    return bootstrap_report(fit, BootstrapPlan(reps=60.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (_bootstrap_with_fractional_reps, "bootstrap reps must be an integer, got 60.5"),
+    (lambda: copulas.coverage_experiment(reflection(0.2), 10.5, 3),
+     "n must be an integer, got 10.5"),
+    (lambda: copulas.coverage_experiment(reflection(0.2), 10, 2.5),
+     "reps must be an integer, got 2.5"),
+    (lambda: variance_curve("gaussian", [0.3], n_mc=10000.5),
+     "n_mc must be an integer, got 10000.5"),
+    (lambda: calibrate_parameter("gaussian", 0.3, n_mc=10000.5),
+     "n_mc must be an integer, got 10000.5"),
+    (lambda: reflection(0.2).sample(10.5, 0), "n must be an integer, got 10.5"),
+], ids=["bootstrap-reps", "coverage-n", "coverage-reps", "curve-n-mc", "calibrate-n-mc",
+        "sample-n"])
+def test_fractional_counts_are_refused(call, message):
+    # each would otherwise escape as a TypeError from range or numpy, after
+    # the arguments around it had been accepted
+    with pytest.raises(InvalidInputError) as err:
+        call()
     assert str(err.value) == message

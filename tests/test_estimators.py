@@ -1,5 +1,7 @@
 """Fits for the four specifications, their projections, and mobility measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +25,7 @@ from rankreg import (
     rank_transform,
     spearman,
 )
-from rankreg.estimators import _QR_ROWS, SPECS, _r_factors, _solve
+from rankreg.estimators import _CHUNK_ENTRIES, _QR_ROWS, SPECS, _r_factors, _solve
 
 from conftest import make_tied_sample
 
@@ -212,6 +214,35 @@ class TestBlockedQR:
                                   np.linalg.qr(system, mode="r"), system)
                 verdicts.add(isinstance(_assert_same_decision(Z, r), int))
         assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_batches_of_slices_match_one_qr_bit_for_bit(self, layout):
+        # the slices are factored a batch of about _CHUNK_ENTRIES entries at a
+        # time; each slice's R is its own, so the R factor is that of one QR
+        # over every slice: full batches, a short last one and a remainder
+        k, width = 2, 4
+        step = _CHUNK_ENTRIES // (k * _QR_ROWS * width)
+        rows = (2 * step + 3) * _QR_ROWS + 37
+        system = np.random.default_rng(11).normal(size=(k, rows, width))
+        if layout == "columns":  # the stacked resamples of solve_stack
+            system = np.ascontiguousarray(system.transpose(0, 2, 1)).transpose(0, 2, 1)
+        cut = rows - rows % _QR_ROWS
+        slices = np.linalg.qr(system[:, :cut].reshape(-1, _QR_ROWS, width), mode="r")
+        want = np.linalg.qr(np.concatenate([slices.reshape(k, -1, width), system[:, cut:]],
+                                           axis=1), mode="r")
+        assert np.array_equal(_r_factors(system), want)
+
+    def test_copies_one_batch_of_slices_at_a_time(self):
+        # np.linalg.qr copies its input, so one call over every slice would
+        # hold a second copy of the whole block
+        system = np.random.default_rng(12).normal(size=(1, 100 * _QR_ROWS, 6))
+        tracemalloc.start()
+        try:
+            _r_factors(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < system.nbytes / 4
 
 
 class TestConditionNumber:

@@ -699,6 +699,48 @@ class TestChunkedAssembly:
         assert peak < matrix_bytes / 2
 
 
+@pytest.fixture(scope="module")
+def large_data():
+    # 200,000 rows and q = 5 regressors: one n x q array is 8 MB
+    rng = np.random.default_rng(3)
+    n = 200_000
+    x = rng.integers(0, 500, n).astype(float)
+    y = rng.integers(0, 500, n).astype(float)
+    d = Dataset(y=y, x=x, w=np.column_stack([np.ones(n), rng.normal(size=(n, 3))]))
+    d.runs_x, d.runs_y  # the dataset's tie runs, found before any fit
+    return d
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyPerFit:
+    """A fit holds each n-row array once, and a variance adds one n x q array at most."""
+
+    def test_fit_holds_its_design_once(self, large_data):
+        # [Z, r] once, plus eps and the matrix-vector product that forms it;
+        # stored ranks and residuals, or a QR copy of the whole design, would
+        # each add to it
+        n = large_data.n
+        peak = _peak_bytes(lambda: fit_spec(large_data, "rank-rank", 0.5))
+        assert peak < 1.6 * 8 * n * (large_data.p + 2)
+
+    @pytest.mark.parametrize("variance", [plugin_covariance, ew_covariance],
+                             ids=["plugin", "ew"])
+    def test_variance_writes_its_products_in_place(self, large_data, variance):
+        # Z A^-1 is written once, into the array that is then read: a second
+        # n x q temporary beside it would reach 2x
+        fit = fit_spec(large_data, "rank-rank", 0.5)
+        n, q = fit.n, fit.coef.shape[1]
+        assert _peak_bytes(lambda: variance(fit)) < 1.5 * 8 * n * q
+
+
 class TestInfluenceMatrixForm:
     @settings(max_examples=60, deadline=None)
     @given(_tied_problem())
@@ -790,11 +832,15 @@ _SLOPE_ONLY = ("slope-only variance applies to rank-rank and level-rank fits; "
     (lambda: omega_sweep(_tiny_fit("rank-rank").data, "rank-rank", []), "omega grid is empty"),
     (lambda: confidence_interval(0.0, -1.0, 10), "sigma must be nonnegative"),
     (lambda: confidence_interval(0.0, 1.0, 0), "n must be at least 1"),
+    (lambda: confidence_interval(0.0, float("nan"), 10), "sigma must be nonnegative"),
+    (lambda: confidence_interval(0.0, 1.0, float("nan")), "n must be at least 1"),
     (lambda: linear_combo_inference([[1.0]], [1.0], [0.5], n=0), "n must be at least 1"),
+    (lambda: linear_combo_inference([[1.0]], [1.0], [0.5], n=float("nan")),
+     "n must be at least 1"),
     (lambda: normal_quantile(0.0), "tail probability must lie in (0, 1), got 0.0"),
     (lambda: normal_quantile(1.0), "tail probability must lie in (0, 1), got 1.0"),
 ], ids=["slope-grouped", "slope-rank-level", "sweep-empty-grid", "ci-sigma", "ci-n",
-        "combo-n", "quantile-0", "quantile-1"])
+        "ci-nan-sigma", "ci-nan-n", "combo-n", "combo-nan-n", "quantile-0", "quantile-1"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()
