@@ -34,11 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapPlan, _check_count, _spread, bootstrap_report
+from .bootstrap import BootstrapPlan, _check_count, _cpus, _spread, bootstrap_report
 from .errors import CalibrationError, InvalidInputError
-from .estimators import Dataset, fit_spec
-from .inference import (check_alpha, check_integer, check_seed, ew_covariance, hom_covariance,
-                        plugin_slope_variance)
+from .estimators import (_CHUNK_ENTRIES, _DEGENERATE_VAR, Dataset, _r_factors, _residuals,
+                         _solve_factors, fit_spec)
+from .inference import (_kernel_tables, _report_from_variance, check_alpha, check_integer,
+                        check_seed, ew_covariance, hom_covariance)
 from .kernels import comparison_counts, comparison_run_sums, tie_runs
 from .ranks import check_omega, ranks_from_counts, spearman
 
@@ -66,6 +67,14 @@ FAMILIES = ("gaussian", "student_t1", "quadratic", "reflection", "independence")
 ORACLE_SEED = 20260810
 ORACLE_DRAWS = 1_000_000
 _TRUE_RHO_CACHE = {}
+
+# draws per stack of coverage reps, each stack solved as one fit: a stack's
+# arrays peak at about 135 bytes per draw, and 5 reps of n = 1,000 keep a
+# coverage process's peak RSS within 0.4 MB of one rep at a time
+_STACK_DRAWS = 5_000
+# least stacks per usable CPU, so that the first stack, which ``_spread`` runs
+# alone before it cuts the rest, is a small share of the reps
+_STACKS_PER_CPU = 8
 
 _PARAM_RANGES = {
     "gaussian": (-1.0, 1.0, True),
@@ -286,6 +295,74 @@ def calibrate_parameter(family, target_rank_corr, tolerance=0.005, seed=0,
             hi = mid
 
 
+class _RepStack:
+    """Coverage reps drawn as the rows (c, n) of x and y and solved as one rank-rank fit.
+
+    Rep i draws from the i-th of ``streams``.  Block i of the fit is rep i's
+    n rows, with the tie runs of row i alone (:func:`kernels.tie_runs` of the
+    stack) and its own n: the variances of :mod:`rankreg.inference` read it
+    as they read a grouped fit, and every rep's values are bitwise those of
+    its lone ``fit_spec``, from the same ranks, the same R factor (one
+    stacked QR, whose items are each rep's own) and each block's arithmetic
+    on its own rows.  ``refused`` is True when a draw is not finite or a
+    rep's design is refused by the fit's rules; the reps are then drawn and
+    fit again one at a time, and the lowest refused one raises.
+    """
+
+    order = slice(None)
+
+    def __init__(self, model, n, omega, streams):
+        c = len(streams)
+        self.n, self.omega = n, omega
+        x, y = np.empty((2, c, n))
+        for i, rng in enumerate(streams):
+            x[i], y[i] = model.sample(n, rng)
+        self.refused = not (np.isfinite(x).all() and np.isfinite(y).all())
+        if self.refused:
+            return
+        self.runs_x, self.runs_y = tie_runs(x), tie_runs(y)
+        system = np.ones((c, n, 3))  # [rank(x), 1, rank(y)] of each rep
+        for j, runs in ((0, self.runs_x), (2, self.runs_y)):
+            system[:, :, j] = ranks_from_counts(*comparison_counts(runs), n, omega)
+        self.coef, gram_inv, errors = _solve_factors(_r_factors(system))
+        # as _Sample.solve_stack: a singular design, or a first-stage residual
+        # variance of rank(x) at most _DEGENERATE_VAR
+        self.refused = any(err is not None for err in errors) or any(
+            1.0 / v <= _DEGENERATE_VAR for v in (gram_inv[:, 0, 0] * n).tolist())
+        self.system = system.reshape(c * n, 3)
+        self.bounds = [(lo, lo + n) for lo in range(0, c * n, n)]
+        self.a_inv = n * gram_inv
+        self.eps = _residuals(self.system, self.bounds, self.coef)
+        self.coef_names = ["rank(x)"] * c + ["const"] * c
+        self.estimates = self.coef.T.flatten()
+
+    def intervals(self, method, alpha):
+        """(c, 2) slope intervals of the reps by ``method``: plugin, hom or ew."""
+        c = len(self.bounds)
+        if method == "hom":
+            return hom_covariance(self, alpha=alpha).ci[:c]
+        if method == "ew":
+            return ew_covariance(self, alpha=alpha).ci[:c]
+        # plugin_slope_variance of each rep: its influence values are its own
+        # block's column of the gathered tables plus eps*C, summed in chunks
+        C, tables = _kernel_tables(self, self.a_inv[:, :, :1])
+        reps = np.arange(c)[:, None]
+        (first, first_runs), *rest = tables
+        psi = first[first_runs, reps]
+        for table, runs in rest:
+            psi += table[runs, reps]
+        psi += self.eps.reshape(c, -1) * C.reshape(c, -1)
+        sigma2 = [sum(float(row[s:s + _CHUNK_ENTRIES] @ row[s:s + _CHUNK_ENTRIES])
+                      for s in range(0, self.n, _CHUNK_ENTRIES)) / self.n for row in psi]
+        return _report_from_variance(np.diag(sigma2), self.coef_names[:c], self.coef[:, 0],
+                                     alpha, self.n, "plugin").ci
+
+
+def _stack_size(n, reps):
+    """Reps per stack: ``_STACK_DRAWS`` draws, and ``_STACKS_PER_CPU`` stacks per usable CPU."""
+    return max(1, min(_STACK_DRAWS // n, reps // (_STACKS_PER_CPU * _cpus())))
+
+
 @dataclass
 class CoverageRow:
     method: str
@@ -306,17 +383,27 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
     rank-rank regression, and records whether each method's interval covers
     the true slope (= the population rank correlation, since all families
     here have continuous marginals).  Reports coverage, its Monte Carlo
-    standard error, and the mean interval width, one row per distinct method.
+    standard error, and the mean interval width, one row per distinct method;
+    ``methods`` is a sequence of method names, or one name.
     ``bootstrap_plan`` supplies the bootstrap's ``reps`` and ``ci_kind``;
     each rep seeds its own replicates, and ``alpha`` comes from this call.
     Rep r draws from its own stream ``SeedSequence(seed, spawn_key=(r,))``,
     so the rows depend only on the arguments, and not on how many processes
     run them.
+
+    The reps are solved in stacks of :func:`_stack_size` reps, each one
+    :class:`_RepStack`, and every rep's intervals are bitwise those of its
+    lone fit through ``Dataset`` and ``fit_spec``.  The bootstrap resamples
+    that lone fit, seeded from the rep's stream after its sample.  A stack
+    that holds a refused rep runs again rep by rep through ``Dataset`` and
+    ``fit_spec``, so the lowest refused rep raises its own error.
     """
     if check_integer(reps, "reps") < 1:
         raise InvalidInputError(f"coverage needs at least one rep, got {reps}")
     if check_integer(n, "n") < 3:  # the intercept-only fit of every rep needs n >= p + 2
         raise InvalidInputError(f"need n >= p + 2 observations (n={n}, p=1)")
+    if isinstance(methods, str):
+        methods = (methods,)
     methods = tuple(dict.fromkeys(methods))  # a repeated method runs once
     if not methods:
         raise InvalidInputError("coverage needs at least one se method")
@@ -331,28 +418,38 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
             bootstrap_plan = BootstrapPlan(reps=299, alpha=alpha)
         _check_count(bootstrap_plan.reps, bootstrap_plan.ci_kind)
     truth = true_rank_correlation(model)
+    size = _stack_size(n, reps)
 
-    def run(lo, hi):  # reps lo..hi-1: whether each interval covers, and its width
-        covered = np.zeros((hi - lo, len(methods)))
-        widths = np.zeros((hi - lo, len(methods)))
-        for i, rep in enumerate(range(lo, hi)):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-            x, y = model.sample(n, rng)
-            d = Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"])
-            fit = fit_spec(d, "rank-rank", omega)
-            # built per rep, as the bootstrap seeds from the rep's stream (and a
-            # traced run swaps these module attributes in place)
-            variances = {"plugin": plugin_slope_variance, "hom": hom_covariance,
-                         "ew": ew_covariance,
-                         "bootstrap": lambda fit, alpha: bootstrap_report(fit, replace(
-                             bootstrap_plan, seed=int(rng.integers(2**63)), alpha=alpha))}
-            for k, m in enumerate(methods):
-                lo_, hi_ = variances[m](fit, alpha=alpha).ci[0]
-                covered[i, k] = lo_ <= truth <= hi_
-                widths[i, k] = hi_ - lo_
-        return covered, widths
+    def stream(rep):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
-    covered, widths = _spread(run, reps)
+    def lone_fit(rep):  # rep's sample fit alone, and its bootstrap interval if asked for
+        rng = stream(rep)
+        x, y = model.sample(n, rng)
+        fit = fit_spec(Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"]), "rank-rank",
+                       omega)
+        if "bootstrap" in methods:
+            plan = replace(bootstrap_plan, seed=int(rng.integers(2**63)), alpha=alpha)
+            return bootstrap_report(fit, plan).ci[0]
+        return None
+
+    def intervals(block):  # (reps, methods, 2): each rep's interval by each method
+        stack = _RepStack(model, n, omega, [stream(rep) for rep in block])
+        if stack.refused or "bootstrap" in methods:
+            # rep by rep, as a lone fit is taken: the lowest refused rep raises here
+            boot = [lone_fit(rep) for rep in block]
+        if stack.refused:
+            raise AssertionError(f"reps {block[0]}..{block[-1]} were refused stacked, not alone")
+        return np.stack([np.array(boot) if m == "bootstrap" else stack.intervals(m, alpha)
+                         for m in methods], axis=1)
+
+    def run(lo, hi):  # stacks lo..hi-1: whether each rep's interval covers, and its width
+        ci = np.concatenate([intervals(range(start, min(start + size, reps)))
+                             for start in range(lo * size, min(hi * size, reps), size)])
+        lo_, hi_ = ci[:, :, 0], ci[:, :, 1]
+        return ((lo_ <= truth) & (truth <= hi_)).astype(float), hi_ - lo_
+
+    covered, widths = _spread(run, -(-reps // size))
 
     rows = []
     for k, m in enumerate(methods):

@@ -310,6 +310,14 @@ def _solve(system, column_names=None):
     return coef[0], gram_inv[0]
 
 
+def _residuals(system, bounds, coef):
+    """r - Z b for the rows [lo, hi) of ``system`` [Z, r] of each block, b its row of ``coef``."""
+    eps = system[:, -1].copy()
+    for (lo, hi), b in zip(bounds, coef):
+        eps[lo:hi] -= system[lo:hi, :-1] @ b
+    return eps
+
+
 def ols(design, response, column_names=None):
     """Least squares via QR, with a column-pivoted singularity check.
 
@@ -509,9 +517,7 @@ class FitResult(_Sample):
         if errors[0] is not None:
             raise errors[0]
         self.r_factors, self.coef, self.a_inv = R[0], coef[0], d.n * gram_inv[0]
-        self.eps = self.system[:, -1].copy()
-        for (lo, hi), c in zip(self.bounds, self.coef):
-            self.eps[lo:hi] -= self.system[lo:hi, :-1] @ c
+        self.eps = _residuals(self.system, self.bounds, self.coef)
 
     @property
     def residuals(self):

@@ -154,16 +154,19 @@ def _check_data(fit, data):
         raise InvalidInputError("fit was produced from a different dataset")
 
 
-def _kernel_tables(fit, a_cols, C):
-    """[(table, run ids)] whose gathers table[run ids] sum to the kernel terms over n.
+def _kernel_tables(fit, a_cols):
+    """C and [(table, run ids)] whose gathers table[run ids] sum to the kernel terms over n.
 
-    ``C`` (n, k) holds each row's Z A^-1 columns ``a_cols`` (G, q, k) of its
-    own block, in the fit's row order like ``fit.eps``.  A table is
+    ``C`` (rows, k) holds each row's Z A^-1 columns ``a_cols`` (G, q, k) of
+    its own block, in the fit's row order like ``fit.eps``.  A table is
     (R, k G), columns coefficient-major then block, and the run ids are
     those of the fit's rows; each block's constant, -beta~ (level-rank:
     rho e_0), rides in the first table.
     """
     G, _, k = a_cols.shape
+    C = np.empty((len(fit.eps), k))
+    for g, (lo, hi) in enumerate(fit.bounds):
+        np.matmul(fit.system[lo:hi, :-1], a_cols[g], out=C[lo:hi])
     blocks = None if G == 1 else np.repeat(np.arange(G), [hi - lo for lo, hi in fit.bounds])
     tables = []
     if fit.runs_y is not None:
@@ -184,7 +187,7 @@ def _kernel_tables(fit, a_cols, C):
     else:  # -(W beta)'C/n is minus the coefficients, the slope's entry set to 0
         kx = 0 if fit.runs_x is None else 1
         first[:, kx:] -= fit.coef.T[kx:k]
-    return [(table.reshape(len(table), -1), runs.run[fit.order]) for table, runs in tables]
+    return C, [(table.reshape(len(table), -1), runs.run[fit.order]) for table, runs in tables]
 
 
 def _influence_chunks(fit, a_cols):
@@ -201,10 +204,7 @@ def _influence_chunks(fit, a_cols):
     terms whatever the chunk size.
     """
     G, _, k = a_cols.shape
-    C = np.empty((fit.n, k))
-    for g, (lo, hi) in enumerate(fit.bounds):
-        np.matmul(fit.system[lo:hi, :-1], a_cols[g], out=C[lo:hi])
-    (first, first_runs), *rest = _kernel_tables(fit, a_cols, C)
+    C, ((first, first_runs), *rest) = _kernel_tables(fit, a_cols)
     step = min(max(1, _CHUNK_ENTRIES // (k * G)), fit.n)
     psi, gathered = np.empty((2, step, k * G))
     g = 0
@@ -275,12 +275,10 @@ def plugin_covariance(fit, data=None, alpha=0.05):
 def plugin_slope_variance(fit, data=None, alpha=0.05):
     """Plugin variance for the coefficient on the ranked regressor alone.
 
-    Cheaper than :func:`plugin_covariance` when only the slope matters;
-    numerically identical to its (rank(x), rank(x)) entry.  It builds the
-    kernel tables and influence chunks of A^-1's slope column alone, 3
-    kernel-sum columns to the full covariance's 2q + 1.  On a coverage-lab
-    fit (n = 1,000, intercept only) the full covariance took 168 us per call
-    against 112 us for this path (best of 7 x 500 calls, 2-core x86_64 VM).
+    Numerically identical to the (rank(x), rank(x)) entry of
+    :func:`plugin_covariance`, from the kernel tables and influence chunks of
+    A^-1's slope column alone: 3 kernel-sum columns to the full covariance's
+    2q + 1.
     """
     _check_data(fit, data)
     if fit.runs_x is None or fit.grouped:

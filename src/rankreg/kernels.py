@@ -5,8 +5,10 @@ conditional expectations) compares a variable with itself, so it depends on
 the variable only through its tie runs.  ``tie_runs(values)`` finds them by
 the package's one sort of a ranked variable, in O(n log n); a run id does
 not depend on the order of tied elements, so the sort need not be stable and
-numpy's default (SIMD where the CPU has it) serves.  The functions over the
-runs of a sample of size n then cost O(n + R) for R runs:
+numpy's default (SIMD where the CPU has it) serves.  A stack (c, n) of
+samples is sorted row by row in one call, each row with runs of its own.
+The functions over the runs of a sample of size n then cost O(n + R) for R
+runs:
 
 * ``comparison_counts(runs)`` -- for every element, how many sample values
   are strictly below it and how many are at or below it: cumulative run sizes.
@@ -55,20 +57,40 @@ class TieRuns(NamedTuple):
 
 
 def tie_runs(values):
-    """Tie runs of ``values`` from one sort; tied elements may come in any order."""
-    order = np.argsort(values)
-    ordered = values[order]
-    run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    run = np.empty(values.size, dtype=np.intp)
-    run[order] = np.cumsum(run_start) - 1
-    return TieRuns(run, np.diff(np.append(np.flatnonzero(run_start), values.size)))
+    """Tie runs of ``values`` from one sort; tied elements may come in any order.
+
+    ``values`` may be a stack (c, n) of samples, sorted row by row: each row
+    has runs of its own, ``run`` (c, n) holds ids local to the row, and
+    ``sizes`` (c, R) each row's run sizes, padded with zeros up to the most
+    runs R of any row.
+    """
+    rows = values.reshape(-1, values.shape[-1])  # a lone sample is a stack of one
+    c, n = rows.shape
+    order = np.argsort(rows, axis=1)
+    order += n * np.arange(c)[:, None]  # positions in the flat stack
+    ordered = rows.reshape(-1)[order]
+    run_start = np.ones((c, n), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
+    ids = np.cumsum(run_start, axis=1) - 1
+    run = np.empty(c * n, dtype=np.intp)
+    run[order] = ids
+    width = int(ids[:, -1].max()) + 1
+    ids += width * np.arange(c)[:, None]  # one bincount: row i owns bins i*R..i*R+R-1
+    sizes = np.bincount(ids.reshape(-1), minlength=c * width)
+    return TieRuns(run.reshape(values.shape), sizes.reshape(values.shape[:-1] + (width,)))
 
 
 def comparison_counts(runs):
     """Per-element counts (#{j: v_j < v_i}, #{j: v_j <= v_i}) as int64 arrays."""
-    ends = np.cumsum(runs.sizes)
-    at_or_below = ends[runs.run]
-    return at_or_below - runs.sizes[runs.run], at_or_below
+    run, sizes = runs
+    if run.ndim == 1:
+        ends = np.cumsum(sizes)
+    else:  # a stack: each row's own counts, read off the flat sizes, where row i's start at i*R
+        ends = np.cumsum(sizes, axis=1).reshape(-1)
+        run = run + sizes.shape[1] * np.arange(len(run))[:, None]
+        sizes = sizes.reshape(-1)
+    at_or_below = ends[run]
+    return at_or_below - sizes[run], at_or_below
 
 
 def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_blocks=1):
@@ -78,13 +100,16 @@ def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_b
     (None for one block) gives each of those elements its block in
     0..n_blocks-1.  Entry [r, l, g] is sum_j K(v_r, values_j) * weights[j, l]
     over the weighted elements j of block g, with v_r the value of run r;
-    every element of run r has that sum.
+    every element of run r has that sum.  The elements of a stack's runs are
+    its rows in turn; each row must be a block of its own, whose run ids are
+    the row's.
     """
     omega = float(omega)
-    n_runs = runs.sizes.size
-    ids = runs.run[rows]
+    n_runs = runs.sizes.shape[-1]
+    ids = runs.run.reshape(-1)[rows]
     if blocks is not None:
-        ids = ids * n_blocks + blocks
+        ids = ids * n_blocks
+        ids += blocks
     columns = weights.reshape(weights.shape[0], -1).T
     table = np.empty((n_runs, columns.shape[0], n_blocks))
     for k, column in enumerate(columns):

@@ -1,16 +1,22 @@
 """Copula samplers, closed-form oracles, variance curves, and calibration."""
 
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rankreg.estimators as estimators
 from rankreg import (
     BootstrapPlan,
     CalibrationError,
     CopulaModel,
     Dataset,
     InvalidInputError,
+    RankRegressionError,
     bootstrap_report,
     calibrate_parameter,
     copulas,
@@ -28,6 +34,9 @@ from rankreg import (
     variance_curve,
     variance_triple_mc,
 )
+from rankreg.copulas import CoverageRow
+from rankreg.estimators import _QR_ROWS
+from rankreg.inference import ew_covariance, hom_covariance, plugin_slope_variance
 
 
 class TestClosedForms:
@@ -337,9 +346,135 @@ class TestCoverageExperiment:
         assert row.true_value == pytest.approx(0.75)
 
 
+def _per_rep_rows(model, n, reps, methods, alpha, omega, seed, plan):
+    """The coverage rows rep by rep: Dataset, fit_spec, then each method's interval."""
+    truth = true_rank_correlation(model)
+    covered, widths = np.zeros((2, reps, len(methods)))
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+        x, y = model.sample(n, rng)
+        fit = fit_spec(Dataset(y=y, x=x, w=np.ones((n, 1)), w_names=["const"]), "rank-rank",
+                       omega)
+        variances = {"plugin": plugin_slope_variance, "hom": hom_covariance,
+                     "ew": ew_covariance,
+                     "bootstrap": lambda fit, alpha: bootstrap_report(fit, replace(
+                         plan, seed=int(rng.integers(2**63)), alpha=alpha))}
+        for k, m in enumerate(methods):
+            lo, hi = variances[m](fit, alpha=alpha).ci[0]
+            covered[rep, k] = lo <= truth <= hi
+            widths[rep, k] = hi - lo
+    rows = []
+    for k, m in enumerate(methods):
+        cov = float(covered[:, k].mean())
+        rows.append(CoverageRow(method=m, coverage=cov, mean_ci_width=float(widths[:, k].mean()),
+                                mc_se=float(np.sqrt(max(cov * (1.0 - cov), 1e-12) / reps)),
+                                n=n, reps=reps, alpha=alpha, true_value=float(truth)))
+    return rows
+
+
+def _outcome(call):
+    """The repr of what ``call()`` returns, or the type and message of its error."""
+    try:
+        return repr(call())
+    except RankRegressionError as err:
+        return type(err), str(err)
+
+
+def _stacks_of(m, size, n):
+    """Force stacks of ``size`` reps of n draws, in this process."""
+    m.setattr(copulas, "_STACK_DRAWS", size * n)
+    m.setattr(copulas, "_STACKS_PER_CPU", 1)
+    m.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+# a few parameters per family, so the population truths are drawn once
+MODELS = [gaussian(0.4), gaussian(-0.9), student_t1(-0.5), student_t1(1.0), quadratic(0.3),
+          quadratic(1.0), reflection(0.2), reflection(0.7), independence()]
+
+
+class TestStackedReps:
+    """Reps solved in stacks give the rows, and the errors, of one rep at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.sampled_from(MODELS),
+           n=st.one_of(st.integers(3, 60), st.integers(61, 600),
+                       st.integers(2 * _QR_ROWS, 2500)),
+           reps=st.integers(1, 7), size=st.integers(2, 4),
+           methods=st.lists(st.sampled_from(["plugin", "hom", "ew", "bootstrap"]),
+                            min_size=1, max_size=4, unique=True),
+           alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+           omega=st.sampled_from([0.0, 0.25, 0.5, 1.0]), seed=st.integers(0, 2**32))
+    def test_rows_are_bitwise_those_of_one_rep_at_a_time(self, model, n, reps, size, methods,
+                                                           alpha, omega, seed):
+        plan = BootstrapPlan(reps=20, ci_kind="normal")
+        args = (model, n, reps, tuple(methods), alpha, omega, seed)
+        with pytest.MonkeyPatch.context() as m:
+            _stacks_of(m, size, n)
+            assert copulas._stack_size(n, reps) == min(size, reps)
+            stacked = _outcome(lambda: copulas.coverage_experiment(*args, bootstrap_plan=plan))
+        assert stacked == _outcome(lambda: _per_rep_rows(*args, plan))
+
+    @pytest.mark.parametrize("refused", [
+        # a non-finite x at rep 7, then an all-tied x at rep 8: rep 7 raises
+        {7: np.nan, 8: 0.5},
+        # an all-tied x at rep 2, then a non-finite x at rep 3: rep 2 raises
+        {2: 0.5, 3: np.inf},
+    ], ids=["non-finite", "all-tied"])
+    @pytest.mark.parametrize("methods", [("plugin", "hom", "ew"), ("ew", "bootstrap")])
+    def test_the_lowest_refused_rep_raises_its_own_error(self, monkeypatch, refused, methods):
+        sample = CopulaModel.sample
+
+        def refusing(model, n, rng):  # rep k's x is all refused[k]
+            x, y = sample(model, n, rng)
+            rep = rng.bit_generator.seed_seq.spawn_key[0]
+            return (np.full(n, refused[rep]) if rep in refused else x), y
+
+        monkeypatch.setattr(CopulaModel, "sample", refusing)
+        args = (reflection(0.3), 40, 10, methods, 0.05, 1.0, 4)
+        plan = BootstrapPlan(reps=20, ci_kind="normal")
+        expected = _outcome(lambda: _per_rep_rows(*args, plan))
+        first = min(refused)
+        assert expected[1] == ("x contains non-finite values" if np.isnan(refused[first])
+                               else "design is numerically singular at rank(x)")
+        with monkeypatch.context() as m:
+            _stacks_of(m, 5, 40)  # the refused reps sit inside a stack of reps 0-4 or 5-9
+            assert _outcome(lambda: copulas.coverage_experiment(
+                *args, bootstrap_plan=plan)) == expected
+
+    def test_a_stack_is_one_qr_and_no_lone_fit(self, monkeypatch):
+        calls = {"fits": 0, "qr": 0}
+        fit_init, r_factors = estimators.FitResult.__init__, estimators._r_factors
+
+        def counting_init(fit, *args):
+            calls["fits"] += 1
+            fit_init(fit, *args)
+
+        def counting_qr(system):
+            calls["qr"] += 1
+            return r_factors(system)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(estimators.FitResult, "__init__", counting_init)
+        monkeypatch.setattr(estimators, "_r_factors", counting_qr)
+        monkeypatch.setattr(copulas, "_r_factors", counting_qr)
+        size = copulas._stack_size(1000, 40)
+        assert size > 1
+        copulas.coverage_experiment(reflection(0.2), 1000, 40, seed=7)
+        assert calls == {"fits": 0, "qr": math.ceil(40 / size)}
+        assert copulas._stack_size(copulas._STACK_DRAWS + 1, 10_000) == 1
+
+    def test_a_lone_method_name_is_one_method(self):
+        def rows(methods):
+            return repr(copulas.coverage_experiment(reflection(0.2), 50, 3, methods=methods))
+
+        assert rows("plugin") == rows(("plugin",))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: copulas.coverage_experiment(gaussian(0.5), 50, 1, methods=("jackknife",)),
      "unknown se method 'jackknife'"),
+    (lambda: copulas.coverage_experiment(reflection(0.2), 50, 3, methods="plugin,hom"),
+     "unknown se method 'plugin,hom'"),
     (lambda: CopulaModel("gaussian", 0.5).sample(0, 1), "need n >= 1 draws"),
     (lambda: calibrate_parameter("independence", 0.3),
      "independence copula has no parameter to calibrate"),
@@ -360,8 +495,8 @@ class TestCoverageExperiment:
      "tolerance must be below 2, got 2.0"),
     (lambda: calibrate_parameter("gaussian", 0.3, tolerance=5.0),
      "tolerance must be below 2, got 5.0"),
-], ids=["coverage-method", "sample-none", "calibrate-independence", "sample-seed",
-        "curve-seed", "curve-empty-grid", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
+], ids=["coverage-method", "coverage-method-string", "sample-none", "calibrate-independence",
+        "sample-seed", "curve-seed", "curve-empty-grid", "calibrate-seed", "calibrate-tol", "calibrate-tol-nan",
         "calibrate-tol-inf", "calibrate-tol-2", "calibrate-tol-5"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:

@@ -78,6 +78,39 @@ def test_tie_runs_equal_stable_sort_bitwise(problem):
     assert np.array_equal(permuted.sizes, runs.sizes)
 
 
+@st.composite
+def _tied_stacks(draw):
+    """A stack (c, n) of heavily tied integer rows, each row with its own support."""
+    c, n = draw(st.integers(1, 5)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = [draw(st.integers(1, 8)) for _ in range(c)]
+    return np.array([rng.integers(0, k, size=n) for k in support], dtype=np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tied_stacks(), st.sampled_from([0.0, 0.3, 1.0]))
+def test_stack_runs_are_each_rows_runs(stack, omega):
+    # a stack's runs, counts and per-block kernel sums are bitwise each row's own
+    runs = kernels.tie_runs(stack)
+    c, n = stack.shape
+    assert runs.run.shape == (c, n) and runs.sizes.shape[0] == c
+    counts = kernels.comparison_counts(runs)
+    weights = np.random.default_rng(c * n).normal(size=(c * n, 2))
+    blocks = np.repeat(np.arange(c), n)
+    table = kernels.comparison_run_sums(runs, weights, omega, slice(None), blocks, c)
+    for i, row in enumerate(stack):
+        alone = kernels.tie_runs(row)
+        width = alone.sizes.size
+        assert np.array_equal(runs.run[i], alone.run)
+        assert np.array_equal(runs.sizes[i, :width], alone.sizes)
+        assert not runs.sizes[i, width:].any()
+        for stacked, own in zip(counts, kernels.comparison_counts(alone)):
+            assert stacked.dtype == own.dtype and np.array_equal(stacked[i], own)
+        own = kernels.comparison_run_sums(alone, weights[i * n:(i + 1) * n], omega)
+        assert np.array_equal(table[:width, :, i], own[:, :, 0])
+        assert not table[width:, :, i].any()
+
+
 def test_weighted_sums_match_pairwise(rng):
     for values in _samples(rng, 90):
         runs = kernels.tie_runs(values)
