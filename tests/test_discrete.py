@@ -17,7 +17,7 @@ coverage of the exact slope within +-0.02.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -307,7 +307,9 @@ def _assert_plugin_is_delta(d, spec, theta, p, omega, intercepts, p_rank):
 
     Entries outside the intercepts' rows and columns are gated at omega, the
     whole matrix at omega = 1, and for the rank-rank fits the variance of
-    theta_p = intercept + p_rank * slope of every block at omega = 1.
+    theta_p = intercept + p_rank * slope of every block at omega = 1.  That
+    variance w' V w cancels to 0 at one p_rank, so it is held to the size
+    |w|' |V| |w| of its terms, as the matrix is held to its largest entry.
     """
     for w in dict.fromkeys((omega, 1.0)):
         fit = fit_spec(d, spec, w)
@@ -324,7 +326,8 @@ def _assert_plugin_is_delta(d, spec, theta, p, omega, intercepts, p_rank):
             weights[g], weights[const] = p_rank, 1.0
             combo = linear_combo_inference(plugin.variance, weights, plugin.estimates, fit.n)
             want = weights @ delta @ weights
-            assert abs(combo.variance[0, 0] - want) <= DELTA_RTOL * want
+            scale = np.abs(weights) @ np.abs(delta) @ np.abs(weights)
+            assert abs(combo.variance[0, 0] - want) <= DELTA_RTOL * scale
 
 
 def _oracle_case(spec, counts, intercept=True):
@@ -361,6 +364,9 @@ _sides = st.integers(2, 6)
        counts=st.tuples(_sides, _sides, st.sampled_from([1, 2])).flatmap(
            lambda shape: hnp.arrays(np.int64, shape, elements=_counts)),
        omega=st.floats(0.0, 1.0), p_rank=st.floats(0.0, 1.0), intercept=st.booleans())
+# equal counts of 6 x and 5 y levels: theta_p's variance is 0 at p_rank = 7/12
+@example(spec="rank-rank", counts=np.full((6, 5, 1), 2), omega=0.0, p_rank=0.5625, intercept=True)
+@example(spec="rank-rank", counts=np.full((6, 5, 1), 2), omega=1.0, p_rank=7 / 12, intercept=True)
 def test_plugin_covariance_is_the_delta_method(spec, counts, omega, p_rank, intercept):
     # without an intercept nothing absorbs the sample ranks' +(1 - omega)/n
     # shift, so only omega = 1 fits the population; with no intercept to
