@@ -30,12 +30,13 @@ conservative; other copulas (e.g. the quadratic family) push the ratio the
 opposite way and produce under-coverage.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bootstrap import BootstrapPlan, _check_count, _cpus, _spread, bootstrap_report
-from .errors import CalibrationError, InvalidInputError
+from .errors import CalibrationError, InvalidInputError, RankRegressionError
 from .estimators import (_CHUNK_ENTRIES, _DEGENERATE_VAR, Dataset, _r_factors, _residuals,
                          _solve_factors, fit_spec)
 from .inference import (_kernel_tables, _report_from_variance, check_alpha, check_integer,
@@ -72,8 +73,9 @@ _TRUE_RHO_CACHE = {}
 # arrays peak at about 135 bytes per draw, and 5 reps of n = 1,000 keep a
 # coverage process's peak RSS within 0.4 MB of one rep at a time
 _STACK_DRAWS = 5_000
-# least stacks per usable CPU, so that the first stack, which ``_spread`` runs
-# alone before it cuts the rest, is a small share of the reps
+# least stacks per usable CPU: ``_spread`` runs the first stack alone and cuts
+# the rest into one slice per CPU, so a few large stacks would leave CPUs idle
+# (by draws alone, 30 reps at n = 200 are two stacks, and nothing to split)
 _STACKS_PER_CPU = 8
 
 _PARAM_RANGES = {
@@ -304,9 +306,10 @@ class _RepStack:
     as they read a grouped fit, and every rep's values are bitwise those of
     its lone ``fit_spec``, from the same ranks, the same R factor (one
     stacked QR, whose items are each rep's own) and each block's arithmetic
-    on its own rows.  ``refused`` is True when a draw is not finite or a
-    rep's design is refused by the fit's rules; the reps are then drawn and
-    fit again one at a time, and the lowest refused one raises.
+    on its own rows.  ``refused`` is True when a draw raises the package's
+    error or is not finite, or a rep's design is refused by the fit's rules;
+    the reps are then drawn and fit again one at a time, and the lowest
+    refused one raises.
     """
 
     order = slice(None)
@@ -315,8 +318,12 @@ class _RepStack:
         c = len(streams)
         self.n, self.omega = n, omega
         x, y = np.empty((2, c, n))
-        for i, rng in enumerate(streams):
-            x[i], y[i] = model.sample(n, rng)
+        try:
+            for i, rng in enumerate(streams):
+                x[i], y[i] = model.sample(n, rng)
+        except RankRegressionError:  # a lower rep of the stack may be refused first
+            self.refused = True
+            return
         self.refused = not (np.isfinite(x).all() and np.isfinite(y).all())
         if self.refused:
             return
@@ -359,8 +366,11 @@ class _RepStack:
 
 
 def _stack_size(n, reps):
-    """Reps per stack: ``_STACK_DRAWS`` draws, and ``_STACKS_PER_CPU`` stacks per usable CPU."""
-    return max(1, min(_STACK_DRAWS // n, reps // (_STACKS_PER_CPU * _cpus())))
+    """Reps per stack: ``_STACK_DRAWS`` draws, ``_STACKS_PER_CPU`` stacks per usable
+    CPU, and at most 128 reps, whose (2c, 2c) report variances then hold at most
+    ``_CHUNK_ENTRIES`` entries."""
+    return max(1, min(_STACK_DRAWS // n, math.isqrt(_CHUNK_ENTRIES) // 2,
+                      reps // (_STACKS_PER_CPU * _cpus())))
 
 
 @dataclass

@@ -81,16 +81,17 @@ def tie_runs(values):
 
 
 def comparison_counts(runs):
-    """Per-element counts (#{j: v_j < v_i}, #{j: v_j <= v_i}) as int64 arrays."""
+    """Per-element counts (#{j: v_j < v_i}, #{j: v_j <= v_i}) as int64 arrays.
+
+    Each row of a stack has its own counts, read off the flat run sizes,
+    where row i's runs start at i*R; a lone sample is a stack of one.
+    """
     run, sizes = runs
-    if run.ndim == 1:
-        ends = np.cumsum(sizes)
-    else:  # a stack: each row's own counts, read off the flat sizes, where row i's start at i*R
-        ends = np.cumsum(sizes, axis=1).reshape(-1)
-        run = run + sizes.shape[1] * np.arange(len(run))[:, None]
-        sizes = sizes.reshape(-1)
-    at_or_below = ends[run]
-    return at_or_below - sizes[run], at_or_below
+    width = sizes.shape[-1]
+    flat = run + width * np.arange(run.size // run.shape[-1]).reshape(run.shape[:-1] + (1,))
+    at_or_below = np.cumsum(sizes, axis=-1).reshape(-1)[flat]
+    below = sizes.reshape(-1)[flat]
+    return np.subtract(at_or_below, below, out=below), at_or_below
 
 
 def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_blocks=1):

@@ -487,6 +487,21 @@ class TestSpread:
         assert [repr(row) for row in split] == [repr(row) for row in alone]
         _no_children()
 
+    def test_coverage_stacks_are_bitwise_the_same_split(self, monkeypatch, forks):
+        # 9 reps in stacks of three: stack 0 runs alone, and the other two are
+        # cut into two slices, one of them forked
+        monkeypatch.setattr(copulas, "_STACK_DRAWS", 3 * 80)
+        monkeypatch.setattr(copulas, "_STACKS_PER_CPU", 1)
+        assert copulas._stack_size(80, 9) == 3
+
+        def call():
+            return copulas.coverage_experiment(copulas.reflection(0.3), n=80, reps=9, seed=5)
+
+        alone, split = _run_both(monkeypatch, forks, call)
+        assert [repr(row) for row in split] == [repr(row) for row in alone]
+        assert forks() == [os.getpid()]
+        _no_children()
+
     def test_workers_never_fork(self, monkeypatch, forks):
         # each rep's bootstrap has 5 chunks; in a worker it runs serially, so
         # every fork comes from this process: 2 by rep 0's own bootstrap,

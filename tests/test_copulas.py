@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -419,14 +420,18 @@ class TestStackedReps:
         {7: np.nan, 8: 0.5},
         # an all-tied x at rep 2, then a non-finite x at rep 3: rep 2 raises
         {2: 0.5, 3: np.inf},
-    ], ids=["non-finite", "all-tied"])
+        # an all-tied x at rep 2, then a draw that raises at rep 3: rep 2 raises
+        {2: 0.5, 3: InvalidInputError("rep 3 refused")},
+    ], ids=["non-finite", "all-tied", "all-tied-then-raising"])
     @pytest.mark.parametrize("methods", [("plugin", "hom", "ew"), ("ew", "bootstrap")])
     def test_the_lowest_refused_rep_raises_its_own_error(self, monkeypatch, refused, methods):
         sample = CopulaModel.sample
 
-        def refusing(model, n, rng):  # rep k's x is all refused[k]
+        def refusing(model, n, rng):  # rep k's x is all refused[k], or it raises refused[k]
             x, y = sample(model, n, rng)
             rep = rng.bit_generator.seed_seq.spawn_key[0]
+            if isinstance(refused.get(rep), Exception):
+                raise refused[rep]
             return (np.full(n, refused[rep]) if rep in refused else x), y
 
         monkeypatch.setattr(CopulaModel, "sample", refusing)
@@ -462,6 +467,21 @@ class TestStackedReps:
         copulas.coverage_experiment(reflection(0.2), 1000, 40, seed=7)
         assert calls == {"fits": 0, "qr": math.ceil(40 / size)}
         assert copulas._stack_size(copulas._STACK_DRAWS + 1, 10_000) == 1
+
+    def test_small_reps_stack_no_larger_than_their_report(self, monkeypatch):
+        # by draws alone a stack at n = 3 would hold 1,666 reps, and each of its
+        # (2c, 2c) report variances would take 89 MB
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(copulas, "_STACKS_PER_CPU", 1)
+        c = copulas._stack_size(3, 10_000)
+        assert (2 * c) ** 2 <= estimators._CHUNK_ENTRIES < (2 * c + 2) ** 2
+        tracemalloc.start()
+        try:
+            copulas.coverage_experiment(reflection(0.3), 3, 5 * c, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * estimators._CHUNK_ENTRIES  # 4 MiB
 
     def test_a_lone_method_name_is_one_method(self):
         def rows(methods):
