@@ -15,12 +15,15 @@ of ``m`` over their tie runs, as a fresh rank transform of it gives.
 
 Replicates are solved in chunks: as many resamples as fit ``_CHUNK_BYTES``
 of stacked [Z, r] (every row weighted by sqrt(m), so rows drawn zero times
-add nothing) go through one ``_Sample.solve_stack`` call, which makes one
-stacked QR per fit block and one batched singular-value pass.  The rejection
-rule stays exact: a resample whose R factor has condition number below 1e10
-cannot trip the 1e-12 pivoted-QR rule, so only the others take the
-column-pivoted QR, one at a time.  Memory stays bounded by the chunk, not
-by B.
+add nothing) are solved as one stack, with one QR call per fit block and
+one batched singular-value pass.  Each slice of chunks solves them in one
+workspace (``estimators._Resamples``), built once and reused by every chunk
+and redraw of the slice: the draws' multiplicities, sqrt(m), the (c, q+1, n)
+columns of [Z, r], which LAPACK's ``dgeqrf`` factors in place, and the run
+ids the ranks are gathered through.  The rejection rule stays exact: a
+resample whose R factor has condition number below 1e10 cannot trip the
+1e-12 pivoted-QR rule, so only the others take the column-pivoted QR, one
+at a time.  Memory stays bounded by the chunk, not by B.
 
 Determinism: replicate b draws from its own counter-derived RNG stream
 ``SeedSequence(seed).spawn()[b]``, so the replicate vector depends only on
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BootstrapDiagnosticError, InvalidInputError
-from .estimators import fit_spec
+from .estimators import _Resamples, fit_spec
 from .inference import (InferenceReport, check_alpha, check_integer, check_seed,
                         confidence_interval)
 
@@ -172,14 +175,19 @@ class BootstrapPlan:
         check_seed(self.seed)
 
 
-def _chunk(sample, seed, replicates):
+def _chunk(work, seed, replicates):
     """Statistics (len(replicates), k) of the listed replicates and their redraw count.
 
-    Replicate b draws from its own stream ``SeedSequence(seed, spawn_key=(b,))``
-    (identical to ``SeedSequence(seed).spawn(...)[b]`` but O(1) in b); the
-    draws of the chunk are solved as one stack, and each refused draw is
-    redrawn from its own stream in the next, smaller stack.
+    ``work`` is the :class:`estimators._Resamples` workspace the chunk is
+    solved in, with a row for each replicate.  Replicate b draws from its
+    own stream ``SeedSequence(seed, spawn_key=(b,))`` (identical to
+    ``SeedSequence(seed).spawn(...)[b]`` but O(1) in b) and writes the
+    ``bincount`` of its draw into its row of ``work.m``; the draws of the
+    chunk are solved as one stack, and each refused draw is redrawn from its
+    own stream in the next, smaller stack, the leading rows of the same
+    workspace.
     """
+    sample = work.sample
     n = sample.data.n
     streams = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
                for b in replicates]
@@ -188,9 +196,9 @@ def _chunk(sample, seed, replicates):
     pending = list(range(len(replicates)))
     rejections = 0
     for _ in range(_MAX_ATTEMPTS_PER_REPLICATE):
-        m = np.array([np.bincount(streams[i].integers(0, n, size=n), minlength=n)
-                      for i in pending], dtype=np.float64)
-        _, coef, _, errors = sample.solve_stack(m)
+        for row, i in zip(work.m, pending):
+            row[:] = np.bincount(streams[i].integers(0, n, size=n), minlength=n)[sample.order]
+        _, coef, _, errors = work.solve(len(pending))
         stats = coef[:, :, :width].reshape(len(pending), -1)
         for i, stat, err in zip(pending, stats, errors):
             if err is None:
@@ -206,11 +214,17 @@ def _chunk(sample, seed, replicates):
 
 
 def _replicates(sample, plan):
-    """(B, k) statistic replicates of a prepared sample, solved in chunks."""
+    """(B, k) statistic replicates of a prepared sample, solved in chunks.
+
+    Each slice of chunks that ``_spread`` runs, in this process or in a
+    forked worker, solves them in one workspace of its own, sized for its
+    first chunk, which does not outlive the slice.
+    """
     size = max(1, _CHUNK_BYTES // sample.system.nbytes)
 
     def run(lo, hi):  # chunks lo..hi-1: their replicates and redraw counts
-        chunks = [_chunk(sample, plan.seed, range(c * size, min(c * size + size, plan.reps)))
+        work = _Resamples(sample, min(size, plan.reps - lo * size))
+        chunks = [_chunk(work, plan.seed, range(c * size, min(c * size + size, plan.reps)))
                   for c in range(lo, hi)]
         return np.concatenate([v for v, _ in chunks]), np.array([r for _, r in chunks])
 
@@ -245,9 +259,17 @@ def _check_count(reps, ci_kind="normal"):
         raise InvalidInputError("percentile interval needs at least 50 replicates")
 
 
+def _as_replicates(replicates):
+    """``replicates`` as a float array, refused unless every value is finite."""
+    reps = np.asarray(replicates, dtype=np.float64)
+    if not np.isfinite(reps).all():
+        raise InvalidInputError("bootstrap replicates must all be finite")
+    return reps
+
+
 def bootstrap_se(replicates):
     """Standard error(s) of the estimate: sample SD of the replicates."""
-    reps = np.asarray(replicates, dtype=np.float64)
+    reps = _as_replicates(replicates)
     if reps.ndim == 1:
         reps = reps[:, None]
     _check_count(reps.shape[0])
@@ -265,7 +287,7 @@ def _type1_quantile(sorted_reps, q):
 
 def bootstrap_ci(replicates, point, plan):
     """Percentile or normal-with-bootstrap-SE interval for a scalar statistic."""
-    reps = np.asarray(replicates, dtype=np.float64).reshape(-1)
+    reps = _as_replicates(replicates).reshape(-1)
     _check_count(reps.size, plan.ci_kind)
     if plan.ci_kind == "percentile":
         s = np.sort(reps)

@@ -331,7 +331,8 @@ class _RepStack:
         system = np.ones((c, n, 3))  # [rank(x), 1, rank(y)] of each rep
         for j, runs in ((0, self.runs_x), (2, self.runs_y)):
             system[:, :, j] = ranks_from_counts(*comparison_counts(runs), n, omega)
-        self.coef, gram_inv, errors = _solve_factors(_r_factors(system))
+        # a transposed view, which _r_factors copies: the variances read the system
+        self.coef, gram_inv, errors = _solve_factors(_r_factors(system.transpose(0, 2, 1)))
         # as _Sample.solve_stack: a singular design, or a first-stage residual
         # variance of rank(x) at most _DEGENERATE_VAR
         self.refused = any(err is not None for err in errors) or any(

@@ -17,11 +17,13 @@ is the sample solved as the stack of one where every multiplicity is 1;
 a chunk of bootstrap replicates is a stack of draws.  Covariates are taken
 exactly as given; no intercept column is added here (the CLI adds one by
 default).  Each block takes the R factor of the design with the response
-appended: one numpy QR, or for a tall block a batched QR of its row slices
-and one QR of their stacked R factors (TSQR).  That factor gives both the
-coefficients and A^-1 = (Z'Z/n)^-1; a batched singular-value pass over the
-small R factors clears the well-conditioned ones, and a column-pivoted QR
-of each other R factor decides whether its design is singular.  By the
+appended from ``_r_factors``, the package's one QR: LAPACK's ``dgeqrf``
+run in place on the block by columns, or for a tall block on batches of
+its row slices and then on their stacked R factors (TSQR).  That factor
+gives both the coefficients and A^-1 = (Z'Z/n)^-1; a batched
+singular-value pass over the small R factors clears the well-conditioned
+ones, and a column-pivoted QR of each other R factor decides whether its
+design is singular.  By the
 Frisch-Waugh-Lovell identity A^-1 holds every projection the asymptotic
 variance needs later: the first stage of rank(x) on W and, per covariate
 column, the projection of that column on the remaining regressors.  A fit
@@ -37,6 +39,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import (
     AssumptionViolationError,
@@ -45,7 +48,7 @@ from .errors import (
     SingularDesignError,
 )
 from . import kernels
-from .ranks import check_omega, ranks_from_counts
+from .ranks import check_omega, ranks_from_counts, ranks_over_counts
 
 __all__ = [
     "Dataset",
@@ -228,32 +231,68 @@ def _singular(R, column_names=None):
     return SingularDesignError(f"design is numerically singular at {name}", column=bad)
 
 
-def _r_factors(system):
-    """R factors of a stack (k, rows, q+1) of [Z, r], each (q+1, q+1).
+def _householder(stack):
+    """R factors (k, q+1, q+1) of a C-contiguous stack (k, q+1, rows), overwritten.
 
-    The R factor of [Z, r] holds Z's R factor and Q'r, so Q is never formed.
-    A block of at least 2 * ``_QR_ROWS`` rows is factored by row slices
-    (TSQR): batched QRs of its ``_QR_ROWS``-row slices, then one QR of
-    their stacked R factors with the remaining rows.  Its R is that of one
-    QR up to the sign of each row, which moves no solution or singular
-    value.  ``np.linalg.qr`` copies its input, so the slices go in batches
-    of about ``_CHUNK_ENTRIES`` entries; each slice's R is its own, the same
-    in any batch.  A system with fewer rows than columns gets zero rows
-    below its R.
+    Item i of the stack holds [Z, r] by columns, which LAPACK reads as the
+    column-major rows x (q+1) matrix, and LAPACK's ``dgeqrf`` factors it
+    where it lies, with the workspace its own query asks for.  numpy's QR
+    runs the same routine the same way on a copy, so the R factor is bitwise
+    numpy's R-only QR of the system.  A system with fewer rows than columns
+    gets zero rows below its R.
     """
-    k, rows, width = system.shape
-    if rows >= 2 * _QR_ROWS:
-        cut = rows - rows % _QR_ROWS
-        slices = system[:, :cut].reshape(k, -1, _QR_ROWS, width)  # a view
-        step = max(1, _CHUNK_ENTRIES // (k * _QR_ROWS * width))
-        parts = [np.linalg.qr(slices[:, i:i + step], mode="r").reshape(k, -1, width)
-                 for i in range(0, slices.shape[1], step)]
-        system = np.concatenate(parts + [system[:, cut:]], axis=1)
-    R = np.linalg.qr(system, mode="r")
-    short = width - R.shape[-2]
-    if short:
-        R = np.concatenate([R, np.zeros(R.shape[:-2] + (short, R.shape[-1]))], axis=-2)
+    # LAPACK writes where it is pointed, whatever numpy's flags say
+    if not (stack.dtype == np.float64 and stack.flags.c_contiguous and stack.flags.writeable):
+        raise ValueError("dgeqrf needs a writeable C-contiguous float64 stack")
+    k, width, rows = stack.shape
+    lda = max(1, rows)
+    tau, work = np.empty(width), np.empty(1)
+    lapack_lite.dgeqrf(rows, width, stack, lda, tau, work, -1, 0)
+    lwork = max(width, int(work[0]))
+    work = np.empty(lwork)
+    for a in stack:
+        info = lapack_lite.dgeqrf(rows, width, a, lda, tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info}")
+    R = np.zeros((k, width, width))
+    for i in range(min(rows, width)):  # row i of R is column i of the factored stack from i on
+        R[:, i, i:] = stack[:, i:, i]
     return R
+
+
+def _r_factors(system):
+    """R factors of a stack (k, q+1, rows) of [Z, r] by columns, each (q+1, q+1).
+
+    The package's one QR.  Item i of ``system`` holds its [Z, r] by columns,
+    the Fortran layout LAPACK reads; the R factor of [Z, r] holds Z's R
+    factor and Q'r, so Q is never formed.  A block of fewer than
+    2 * ``_QR_ROWS`` rows is factored where it lies when the stack is
+    C-contiguous, which overwrites it, as a bootstrap chunk's workspace
+    wants; any other stack, such as the transposed view of a fit's row-major
+    [Z, r] that the fit still reads, is copied first.  A taller block is
+    factored by row slices (TSQR) and only read: its ``_QR_ROWS``-row slices
+    are copied a batch of about ``_CHUNK_ENTRIES`` entries at a time and
+    factored there, then their stacked R factors with the remaining rows
+    are factored once.  Its R is that of one QR up to the sign of each row,
+    which moves no solution or singular value; each slice's R is its own,
+    the same in any batch.
+    """
+    k, width, rows = system.shape
+    if rows < 2 * _QR_ROWS:
+        return _householder(np.ascontiguousarray(system))
+    n_slices, rest = divmod(rows, _QR_ROWS)
+    top = np.empty((k, width, n_slices * width + rest))
+    top[:, :, n_slices * width:] = system[:, :, rows - rest:]
+    tops = top[:, :, :n_slices * width].reshape(k, width, n_slices, width)
+    # slice j of item i is slices[i, j], its rows by columns (a view)
+    slices = system[:, :, :rows - rest].reshape(k, width, n_slices, _QR_ROWS).transpose(0, 2, 1, 3)
+    step = max(1, _CHUNK_ENTRIES // (k * _QR_ROWS * width))
+    for s in range(0, n_slices, step):
+        batch = np.ascontiguousarray(slices[:, s:s + step])
+        R = _householder(batch.reshape(-1, width, _QR_ROWS)).reshape(k, -1, width, width)
+        # the rows of each slice's R, by columns
+        tops[:, :, s:s + step] = R.transpose(0, 3, 1, 2)
+    return _householder(top)
 
 
 def _solve_factors(R, column_names=None):
@@ -298,13 +337,13 @@ def _solve_factors(R, column_names=None):
 def _solve(system, column_names=None):
     """Least-squares coefficients of r on Z plus (Z'Z)^-1 for one system [Z, r].
 
-    ``system`` is the design with the response as its last column; callers
-    build it in one piece so that Z is not copied again here.  The stack of
+    ``system`` is the design with the response as its last column, which
+    :func:`_r_factors` reads by columns and does not overwrite.  The stack of
     one of :func:`_solve_factors`; raises its :class:`SingularDesignError`.
     """
     if system.shape[1] == 1:
         return np.zeros(0), np.zeros((0, 0))
-    coef, gram_inv, errors = _solve_factors(_r_factors(system[None]), column_names)
+    coef, gram_inv, errors = _solve_factors(_r_factors(system.T[None]), column_names)
     if errors[0] is not None:
         raise errors[0]
     return coef[0], gram_inv[0]
@@ -394,35 +433,12 @@ class _Sample:
         """rank(y) in input order, read off :attr:`system` on access; None unless y is ranked."""
         return None if self.runs_y is None else self.to_input_order(self.system[:, -1])
 
-    def _ranks(self, runs, mult):
-        """Ranks of each resample in the stack ``mult`` (c, n).
-
-        A resample's ranks are run totals of its multiplicities, scaled by
-        its own size, the total of its row of ``mult``; they come in the row
-        order of ``mult``, which is the order of :attr:`system`.
-        """
-        n_runs = runs.sizes.size
-        run = runs.run[self.order]
-        # one bincount over the whole stack: resample i owns runs i*R..i*R+R-1
-        ids = run + n_runs * np.arange(mult.shape[0])[:, None]
-        per_run = np.bincount(ids.ravel(), weights=mult.ravel(), minlength=mult.shape[0] * n_runs)
-        at_or_below = np.cumsum(per_run.reshape(-1, n_runs), axis=1)
-        # ranks_from_counts is elementwise: rank each run, then give every
-        # row the rank of its run
-        ranks = ranks_from_counts(at_or_below - per_run.reshape(-1, n_runs), at_or_below,
-                                  mult.sum(axis=1, keepdims=True), self.omega)
-        return ranks.ravel()[ids]
-
-    @functools.cached_property
-    def _columns(self):
-        """:attr:`system` by columns, (q+1, n): the base of every resample's [Z, r]."""
-        return np.ascontiguousarray(self.system.T)
-
     def solve_stack(self, m=None):
         """Solve every fit block of the sample, or of each resample in a stack of multiplicities.
 
         ``m`` is None for the sample itself, else (c, n) multiplicities of
-        the rows, one resample per row of ``m``.  Returns the R factors
+        the rows in input order, one resample per row of ``m``, solved in a
+        :class:`_Resamples` of their own.  Returns the R factors
         (c, G, q+1, q+1) of each fit block's [Z, r], the coefficients
         (c, G, q) and (Z'Z)^-1 (c, G, q, q) of the G fit blocks, and per
         resample None or the error that refuses it (its values are NaN).
@@ -431,31 +447,30 @@ class _Sample:
         and weights every row by sqrt(m): rows with m = 0 add nothing to the R
         factor, which is that of the design with each row repeated m times, so
         it equals the fit of the repeated rows and the singular-design rule is
-        unchanged.  Each block is one stacked QR over the resamples; the
-        coefficients, the singular-value pass and the first-stage check are
-        batched over every block of every resample.  A refused block names
+        unchanged.  Each block is one :func:`_r_factors` call over the stack;
+        the coefficients, the singular-value pass and the first-stage check
+        are batched over every block of every resample.  A refused block names
         rank(x) when x is all tied in it; a resample with a group of fewer
         than 2 rows is refused with DegenerateInputError.
         """
         if m is None:
-            system = self.system[None]
             sizes = np.array([[hi - lo for lo, hi in self.bounds]])
-        else:
-            m = np.asarray(m, dtype=np.float64)[:, self.order]
-            # built by columns, so each resample's [Z, r] is in LAPACK's order
-            columns = np.empty((m.shape[0],) + self._columns.shape)
-            columns[:] = self._columns
-            if self.runs_x is not None:
-                columns[:, 0] = self._ranks(self.runs_x, m)
-            if self.runs_y is not None:
-                columns[:, -1] = self._ranks(self.runs_y, m)
-            columns *= np.sqrt(m)[:, None, :]
-            system = columns.transpose(0, 2, 1)
-            sizes = np.add.reduceat(m, [lo for lo, _ in self.bounds], axis=1)
+            return self._solve_blocks(self.system.T[None], sizes)
+        work = _Resamples(self, len(m))
+        work.m[:] = np.asarray(m, dtype=np.float64)[:, self.order]
+        return work.solve(len(m))
+
+    def _solve_blocks(self, columns, sizes, m=None):
+        """:meth:`solve_stack` of the stack ``columns`` (c, q+1, n) of [Z, r] by columns.
+
+        The rows are in the fit's row order; ``sizes`` (c, G) holds each
+        block's size, and ``m`` the multiplicities in that order, None for
+        the sample.  :func:`_r_factors` overwrites a C-contiguous block.
+        """
         c, n_blocks = sizes.shape
-        R = np.empty((c, n_blocks) + (system.shape[-1],) * 2)
+        R = np.empty((c, n_blocks) + (columns.shape[1],) * 2)
         for g, (lo, hi) in enumerate(self.bounds):
-            R[:, g] = _r_factors(system[:, lo:hi])
+            R[:, g] = _r_factors(columns[:, :, lo:hi])
         coef, gram_inv, singular = _solve_factors(R.reshape((c * n_blocks,) + R.shape[2:]), self.names)
         coef = coef.reshape(c, n_blocks, -1)
         gram_inv = gram_inv.reshape((c, n_blocks) + gram_inv.shape[1:])
@@ -488,6 +503,61 @@ class _Sample:
         if self.grouped:
             err.args = (f"group {self.data.group_names[g]!r}: {err}",)
         return err
+
+
+class _Resamples:
+    """One workspace for stacks of up to ``size`` resamples of a prepared sample.
+
+    It holds every array of a stack's size: the multiplicities ``m``
+    (size, n) of the rows in the fit's row order, their square roots, and
+    the columns (size, q+1, n) of each resample's [Z, r], which
+    :func:`_r_factors` factors where they lie.  Per ranked variable it holds
+    the ids (size, n) of each row's run, offset so that resample i owns runs
+    i*R..i*R+R-1, and the counts (size, R) below and at or below each run
+    that its ranks are computed in.  A caller fills the leading rows of
+    ``m`` and :meth:`solve` reuses the rest, stack after stack; only the
+    ``bincount`` of each ranked variable is made afresh, R values per
+    resample, and freed before the ranks are.
+    """
+
+    def __init__(self, sample, size):
+        self.sample = sample
+        n, width = sample.system.shape
+        self.m = np.empty((size, n))
+        self.root = np.empty((size, n))
+        self.columns = np.empty((size, width, n))
+        # the columns that are not ranks, copied in again for every stack
+        self.fixed = slice(0 if sample.runs_x is None else 1,
+                           width if sample.runs_y is None else width - 1)
+        self.base = np.ascontiguousarray(sample.system[:, self.fixed].T)
+        self.ranked = []
+        for j, runs in ((0, sample.runs_x), (width - 1, sample.runs_y)):
+            if runs is not None:
+                n_runs = runs.sizes.size
+                ids = runs.run[sample.order] + n_runs * np.arange(size)[:, None]
+                self.ranked.append((j, ids, *np.empty((2, size, n_runs))))
+
+    def solve(self, c):
+        """:meth:`_Sample.solve_stack` of the resamples in the first c rows of ``m``."""
+        sample = self.sample
+        m, columns = self.m[:c], self.columns[:c]
+        columns[:, self.fixed] = self.base
+        totals = m.sum(axis=1, keepdims=True)
+        for j, ids, below, at_or_below in self.ranked:
+            # a resample's ranks are run totals of its multiplicities, scaled
+            # by its own size: one bincount over the stack, then every row
+            # gathers the rank of its run
+            ids, below, at_or_below = ids[:c], below[:c], at_or_below[:c]
+            per_run = np.bincount(ids.reshape(-1), m.reshape(-1), below.size).reshape(below.shape)
+            np.cumsum(per_run, axis=1, out=at_or_below)
+            np.subtract(at_or_below, per_run, out=below)
+            del per_run
+            ranks = ranks_over_counts(below, at_or_below, totals, sample.omega).reshape(-1)
+            for i in range(c):
+                np.take(ranks, ids[i], out=columns[i, j], mode="clip")
+        columns *= np.sqrt(m, out=self.root[:c])[:, None, :]
+        sizes = np.add.reduceat(m, [lo for lo, _ in sample.bounds], axis=1)
+        return sample._solve_blocks(columns, sizes, m)
 
 
 class FitResult(_Sample):

@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = [
     "TieRuns",
     "backend_name",
@@ -62,8 +64,12 @@ def tie_runs(values):
     ``values`` may be a stack (c, n) of samples, sorted row by row: each row
     has runs of its own, ``run`` (c, n) holds ids local to the row, and
     ``sizes`` (c, R) each row's run sizes, padded with zeros up to the most
-    runs R of any row.
+    runs R of any row.  An empty sample, or an empty stack, has no runs and
+    is refused.
     """
+    if values.size == 0:
+        raise InvalidInputError(
+            f"tie runs need at least one sample of at least one value, got shape {values.shape}")
     rows = values.reshape(-1, values.shape[-1])  # a lone sample is a stack of one
     c, n = rows.shape
     order = np.argsort(rows, axis=1)

@@ -97,8 +97,23 @@ def ranks_from_counts(below, at_or_below, n, omega):
     The counts may be integers or floats holding integers; both give the same
     bits.  ``omega`` must already be checked.
     """
-    # single division keeps e.g. (0.5*4 + 0.5*2 + 0.5)/10 bit-equal to 0.35
-    return (omega * at_or_below + (1.0 - omega) * below + (1.0 - omega)) / n
+    return ranks_over_counts(np.array(below, dtype=np.float64),
+                             np.array(at_or_below, dtype=np.float64), n, omega)
+
+
+def ranks_over_counts(below, at_or_below, n, omega):
+    """:func:`ranks_from_counts` of float count arrays, written over ``at_or_below``.
+
+    ``below`` is overwritten too; no array of their size is made.
+    """
+    # (omega*at_or_below + (1-omega)*below + (1-omega)) / n: one division keeps
+    # e.g. (0.5*4 + 0.5*2 + 0.5)/10 bit-equal to 0.35
+    at_or_below *= omega
+    below *= 1.0 - omega
+    at_or_below += below
+    at_or_below += 1.0 - omega
+    at_or_below /= n
+    return at_or_below
 
 
 def tie_count(values):

@@ -29,7 +29,7 @@ import rankreg.bootstrap as bootstrap
 import rankreg.copulas as copulas
 import rankreg.estimators as estimators
 from rankreg.bootstrap import _CHUNK_BYTES, _chunk, _replicates
-from rankreg.estimators import FitResult, _Sample
+from rankreg.estimators import FitResult, _Resamples, _Sample
 
 from conftest import make_tied_sample
 
@@ -105,7 +105,7 @@ class TestDistribution:
         sample = _Sample(d, "rank-rank", 1.0)
         shuffled = np.empty(plan.reps)
         for b in reversed(range(plan.reps)):
-            values, _ = _chunk(sample, plan.seed, [b])
+            values, _ = _chunk(_Resamples(sample, 1), plan.seed, [b])
             shuffled[b] = values[0, 0]
         assert np.array_equal(reference, shuffled)
 
@@ -193,7 +193,7 @@ class TestLiteralOracle:
         sample = _Sample(d, "rank-rank", 0.5)
         total = 0
         for b in range(80):
-            (value,), rejections = _chunk(sample, 2, [b])
+            (value,), rejections = _chunk(_Resamples(sample, 1), 2, [b])
             want, want_rejections = _literal_replicate(d, "rank-rank", 0.5, 2, b)
             assert rejections == want_rejections
             assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
@@ -214,7 +214,7 @@ class TestLiteralOracle:
         sample = _Sample(d, "rank-rank-group", 1.0)
         missed = 0
         for b in range(40):
-            (value,), rejections = _chunk(sample, 1, [b])
+            (value,), rejections = _chunk(_Resamples(sample, 1), 1, [b])
             want, want_rejections = _literal_replicate(d, "rank-rank-group", 1.0, 1, b)
             assert value.shape == (d.n_groups,)
             assert rejections == want_rejections
@@ -232,7 +232,7 @@ class TestLiteralOracle:
         sample = _Sample(d, spec, 0.5)
         reversed_order = np.empty_like(full.reshape(24, -1))
         for b in reversed(range(24)):
-            reversed_order[b] = _chunk(sample, 8, [b])[0][0]
+            reversed_order[b] = _chunk(_Resamples(sample, 1), 8, [b])[0][0]
         assert np.array_equal(full.reshape(24, -1), reversed_order)
 
 
@@ -262,7 +262,7 @@ class TestStackedReplicates:
         monkeypatch.setattr(estimators, "_singular", spy)
         sample = FitResult(d, "rank-rank", 0.5)
         for b, (want, want_rejections) in enumerate(wants):
-            (value,), rejections = _chunk(sample, 2, [b])
+            (value,), rejections = _chunk(_Resamples(sample, 1), 2, [b])
             assert rejections == want_rejections == 0
             assert abs(value[0] - want[0]) <= 1e-12 * abs(want[0])
         assert len(judged) == 61
@@ -276,7 +276,7 @@ class TestStackedReplicates:
         with pytest.raises(SingularDesignError):
             bootstrap_distribution(d, "rank-rank", 0.5, BootstrapPlan(reps=5, seed=2))
         with pytest.raises(BootstrapDiagnosticError, match="100 consecutive"):
-            _chunk(_Sample(d, "rank-rank", 0.5), 2, [0])
+            _chunk(_Resamples(_Sample(d, "rank-rank", 0.5), 1), 2, [0])
         r = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(0,)))
         for _ in range(100):
             with pytest.raises(SingularDesignError):
@@ -308,7 +308,7 @@ class TestStackedReplicates:
         one_at_a_time = np.empty_like(full.reshape(reps, -1))
         redrawn = []
         for b in reversed(range(reps)):
-            (one_at_a_time[b],), rejections = _chunk(sample, seed, [b])
+            (one_at_a_time[b],), rejections = _chunk(_Resamples(sample, 1), seed, [b])
             redrawn += [b] * rejections
         assert np.array_equal(full.reshape(reps, -1), one_at_a_time)
         assert any(0 < b % size < size - 1 for b in redrawn)
@@ -334,6 +334,56 @@ class TestStackedReplicates:
         finally:
             tracemalloc.stop()
         assert peak < 6 * _CHUNK_BYTES
+
+
+def _income_sample(n):
+    """boot-replicates' shape: incomes rounded to $100 (about 990 runs at n = 2,000), one covariate."""
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((3, n))
+    x = np.round(np.exp(np.log(50_000.0) + 0.7 * z[0]) / 100.0) * 100.0
+    y = np.round(np.exp(np.log(45_000.0) + 0.8 * (0.35 * z[0] + 0.94 * z[1])) / 100.0) * 100.0
+    return FitResult(Dataset(y=y, x=x, w=np.column_stack([np.ones(n), z[2]])), "rank-rank", 1.0)
+
+
+class TestWorkspace:
+    """A slice of chunks is solved in one workspace: a chunk makes no array of the stack's size."""
+
+    def test_a_chunk_allocates_no_stack_sized_array(self):
+        # the workspace holds the (c, q+1, n) columns, m, sqrt(m), the run ids
+        # and the run counts; a chunk makes its draws one at a time, one
+        # bincount per ranked variable (R per resample), arrays of (q+1)^2 per
+        # resample, and numpy's ufunc buffer of at most 8,192 values
+        sample = _income_sample(2000)
+        size = _CHUNK_BYTES // sample.system.nbytes
+        assert size == 8
+        tracemalloc.start()
+        try:
+            work = _Resamples(sample, size)
+            workspace = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _chunk(work, 7, range(size))
+            peak = tracemalloc.get_traced_memory()[1] - workspace
+        finally:
+            tracemalloc.stop()
+        assert work.columns.nbytes == 8 * 4 * 2000 * 8
+        assert peak < workspace / 10
+
+    def test_peak_does_not_grow_with_the_replicates(self, monkeypatch):
+        # one process, where every chunk is traced; the workspace is sized for
+        # the first chunk, so the peak grows by the replicates' own values and
+        # their chunks' entries alone, under 64 bytes a replicate, where one
+        # chunk's columns are 512 KB
+        monkeypatch.setattr(bootstrap, "_cpus", lambda: 1)
+        sample = _income_sample(2000)
+        peaks = {}
+        for reps in (80, 640):
+            tracemalloc.start()
+            try:
+                _replicates(sample, BootstrapPlan(reps=reps, seed=0))
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[640] - peaks[80] < 64 * (640 - 80)
 
 
 class TestFrozenRankRegression:
@@ -613,7 +663,17 @@ class TestPercentileCoverage:
     (lambda: bootstrap_se([0.3]), "need at least two replicates for a bootstrap SE"),
     (lambda: bootstrap_se(np.ones((1, 3))), "need at least two replicates for a bootstrap SE"),
     (lambda: BootstrapPlan(seed=-1), "seed must be a nonnegative integer, got -1"),
-], ids=["se-one-scalar", "se-one-vector", "plan-seed"])
+    (lambda: bootstrap_se([1.0, np.nan, 2.0]), "bootstrap replicates must all be finite"),
+    (lambda: bootstrap_se(np.array([[0.1, 0.2], [np.inf, 0.3], [0.2, 0.1]])),
+     "bootstrap replicates must all be finite"),
+    # a NaN sorts last, so it would still count in B and move the upper quantile
+    (lambda: bootstrap_ci(np.r_[np.arange(60.0), np.nan], 0.0, BootstrapPlan(reps=61)),
+     "bootstrap replicates must all be finite"),
+    (lambda: bootstrap_ci(np.r_[np.arange(60.0), -np.inf], 0.0,
+                          BootstrapPlan(reps=61, ci_kind="normal")),
+     "bootstrap replicates must all be finite"),
+], ids=["se-one-scalar", "se-one-vector", "plan-seed", "se-nan", "se-inf-vector",
+        "ci-percentile-nan", "ci-normal-inf"])
 def test_refusal_messages(call, message):
     with pytest.raises(InvalidInputError) as err:
         call()

@@ -1,6 +1,7 @@
 """Fits for the four specifications, their projections, and mobility measures."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from rankreg import (
     AssumptionViolationError,
+    BootstrapPlan,
     Dataset,
     InvalidInputError,
+    RankRegressionError,
     SingularDesignError,
+    bootstrap_distribution,
     expected_rank_at,
     fit_level_rank,
     fit_rank_level,
@@ -25,6 +29,7 @@ from rankreg import (
     rank_transform,
     spearman,
 )
+import rankreg.estimators as estimators
 from rankreg.estimators import _CHUNK_ENTRIES, _QR_ROWS, SPECS, _r_factors, _solve
 
 from conftest import make_tied_sample
@@ -188,7 +193,7 @@ class TestBlockedQR:
     def test_matches_one_qr_and_lapack_decision(self, problem):
         Z, r = problem
         system = np.column_stack([Z, r])
-        blocked = _r_factors(system[None])[0]
+        blocked = _r_factors(system.T[None])[0]
         whole = np.linalg.qr(system, mode="r")
         _assert_same_gram(blocked, whole, system)
         if isinstance(_assert_same_decision(Z, r), int):
@@ -210,7 +215,7 @@ class TestBlockedQR:
                 Z = (U * np.logspace(0.0, -np.log10(kappa), q)) @ V.T
                 r = rng.normal(size=rows)
                 system = np.column_stack([Z, r])
-                _assert_same_gram(_r_factors(system[None])[0],
+                _assert_same_gram(_r_factors(system.T[None])[0],
                                   np.linalg.qr(system, mode="r"), system)
                 verdicts.add(isinstance(_assert_same_decision(Z, r), int))
         assert verdicts == {False, True}
@@ -230,7 +235,7 @@ class TestBlockedQR:
         slices = np.linalg.qr(system[:, :cut].reshape(-1, _QR_ROWS, width), mode="r")
         want = np.linalg.qr(np.concatenate([slices.reshape(k, -1, width), system[:, cut:]],
                                            axis=1), mode="r")
-        assert np.array_equal(_r_factors(system), want)
+        assert np.array_equal(_r_factors(system.transpose(0, 2, 1)), want)
 
     def test_copies_one_batch_of_slices_at_a_time(self):
         # np.linalg.qr copies its input, so one call over every slice would
@@ -238,11 +243,90 @@ class TestBlockedQR:
         system = np.random.default_rng(12).normal(size=(1, 100 * _QR_ROWS, 6))
         tracemalloc.start()
         try:
-            _r_factors(system)
+            _r_factors(system.transpose(0, 2, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < system.nbytes / 4
+
+
+def _numpy_r_factors(system):
+    """R factors of a stack (k, rows, q+1) by ``np.linalg.qr``, sliced as _r_factors slices.
+
+    A block of at least 2 * _QR_ROWS rows takes the QR of its _QR_ROWS-row
+    slices, then of their stacked R factors with the remaining rows; a
+    system with fewer rows than columns gets zero rows below its R.
+    """
+    k, rows, width = system.shape
+    if rows >= 2 * _QR_ROWS:
+        cut = rows - rows % _QR_ROWS
+        slices = np.linalg.qr(system[:, :cut].reshape(-1, _QR_ROWS, width), mode="r")
+        system = np.concatenate([slices.reshape(k, -1, width), system[:, cut:]], axis=1)
+    R = np.linalg.qr(system, mode="r")
+    return np.concatenate([R, np.zeros((k, width - R.shape[1], width))], axis=1)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def _qr_stacks(draw):
+    """Stacks (k, rows, q+1) of [Z, r]: scaled and duplicate columns, rows zeroed as m = 0 zeroes them."""
+    k = draw(st.integers(1, 9))
+    width = draw(st.integers(2, 7))
+    rows = draw(st.one_of(st.integers(1, 2 * width), st.integers(2 * width, 2 * _QR_ROWS - 1),
+                          st.integers(2 * _QR_ROWS, 3 * _QR_ROWS + 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = rng.normal(size=(k, rows, width)) * 10.0 ** rng.uniform(0.0, 8.0, size=width)
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(width)))[:2]
+        system[:, :, j] = system[:, :, i]
+    system[:, rng.random(rows) < draw(st.sampled_from([0.0, 0.4, 0.9]))] = 0.0
+    return system
+
+
+class TestInPlaceQR:
+    """LAPACK's dgeqrf in place gives the R factors of np.linalg.qr(mode="r"), bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_qr_stacks())
+    def test_matches_numpy_qr_bit_for_bit(self, system):
+        want = _numpy_r_factors(system)
+        columns = np.ascontiguousarray(system.transpose(0, 2, 1))
+        _assert_bitwise(_r_factors(columns), want)  # factored where it lies
+        view = system.transpose(0, 2, 1)
+        kept = system.copy()
+        _assert_bitwise(_r_factors(view), want)  # a view is copied, and kept
+        assert np.array_equal(system, kept)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from([1.0, 1e4, 1e8]))
+    def test_grouped_bootstrap_blocks_match_numpy_qr(self, seed, n_groups, scale):
+        # every block of every chunk, checked against np.linalg.qr of the
+        # same [Z, r] before _r_factors overwrites it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12 * n_groups, 40 * n_groups))
+        x, y = make_tied_sample(rng, n), make_tied_sample(rng, n)
+        w = np.column_stack([np.ones(n), scale * rng.normal(size=n)])
+        g = rng.permutation(np.arange(n) % n_groups)
+        factor, blocks = estimators._r_factors, []
+
+        def checked(system):
+            want = _numpy_r_factors(np.array(system.transpose(0, 2, 1)))
+            got = factor(system)
+            _assert_bitwise(got, want)
+            blocks.append(system.shape)
+            return got
+
+        with mock.patch.object(estimators, "_r_factors", checked):
+            try:
+                bootstrap_distribution(Dataset(y=y, x=x, w=w, g=g), "rank-rank-group", 0.5,
+                                       BootstrapPlan(reps=9, seed=seed))
+            except RankRegressionError:  # the blocks solved until the refusal were checked
+                assume(len(blocks) > n_groups)
+        assert len(blocks) > n_groups  # the fit's blocks, then the resamples'
 
 
 class TestConditionNumber:

@@ -1,10 +1,11 @@
 """Correctness of the low-level kernels against their literal definitions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankreg import kernels
+from rankreg import InvalidInputError, kernels
 
 
 def _samples(rng, n):
@@ -109,6 +110,15 @@ def test_stack_runs_are_each_rows_runs(stack, omega):
         own = kernels.comparison_run_sums(alone, weights[i * n:(i + 1) * n], omega)
         assert np.array_equal(table[:width, :, i], own[:, :, 0])
         assert not table[width:, :, i].any()
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+def test_tie_runs_refuse_an_empty_sample(shape):
+    # still a ValueError, which numpy's failed reshape used to raise
+    with pytest.raises(InvalidInputError) as err:
+        kernels.tie_runs(np.zeros(shape))
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == f"tie runs need at least one sample of at least one value, got shape {shape}"
 
 
 def test_weighted_sums_match_pairwise(rng):
