@@ -39,9 +39,8 @@ from .bootstrap import BootstrapPlan, _check_count, _cpus, _spread, bootstrap_re
 from .errors import CalibrationError, InvalidInputError, RankRegressionError
 from .estimators import (_CHUNK_ENTRIES, _DEGENERATE_VAR, Dataset, _r_factors, _residuals,
                          _solve_factors, fit_spec)
-from .inference import (_kernel_tables, _report_from_variance, check_alpha, check_integer,
-                        check_seed, ew_covariance, hom_covariance)
-from .kernels import comparison_counts, comparison_run_sums, tie_runs
+from .inference import _kernel_tables, check_alpha, check_integer, check_seed, normal_quantile
+from .kernels import TieRuns, comparison_counts, comparison_run_sums, tie_runs
 from .ranks import check_omega, ranks_from_counts, spearman
 
 __all__ = [
@@ -70,8 +69,13 @@ ORACLE_DRAWS = 1_000_000
 _TRUE_RHO_CACHE = {}
 
 # draws per stack of coverage reps, each stack solved as one fit: a stack's
-# arrays peak at about 135 bytes per draw, and 5 reps of n = 1,000 keep a
-# coverage process's peak RSS within 0.4 MB of one rep at a time
+# arrays peak at about 121 bytes per draw (tracemalloc at 10 reps of
+# n = 1,000), in its plugin kernel tables and its ranks, with 65 live between
+# stages.  For 250 reps of n = 1,000, larger stacks raised the max RSS of a
+# coverage process on 2 CPUs (7,000 draws by 0.1 MB, 10,000 by 0.6 MB, 15,000
+# by 1.2 MB) and were no faster: in process, 5,000 draws took 51 ms on one
+# CPU and 35 ms on two, 7,000 took 54 and 35 ms, 10,000 took 54 and 38 ms
+# (medians of 8 processes, 2-core x86_64 VM)
 _STACK_DRAWS = 5_000
 # least stacks per usable CPU: ``_spread`` runs the first stack alone and cuts
 # the rest into one slice per CPU, so a few large stacks would leave CPUs idle
@@ -201,7 +205,7 @@ def variance_triple_mc(model, n_mc, seed):
         sigma_ew^2  = 144 (M_22 - 2 rho M_31 + rho^2 / 80)
     """
     if check_integer(n_mc, "n_mc") < 10_000:
-        raise InvalidInputError("variance_triple_mc needs n_mc >= 10000")
+        raise InvalidInputError(f"n_mc must be at least 10000, got {n_mc}")
     x, y = model.sample(n_mc, seed)
     # ranks keep the ties and the order of the draws, so u and v have their runs
     runs_x, runs_y = tie_runs(x), tie_runs(y)
@@ -301,13 +305,15 @@ class _RepStack:
     """Coverage reps drawn as the rows (c, n) of x and y and solved as one rank-rank fit.
 
     Rep i draws from the i-th of ``streams``.  Block i of the fit is rep i's
-    n rows, with the tie runs of row i alone (:func:`kernels.tie_runs` of the
-    stack) and its own n: the variances of :mod:`rankreg.inference` read it
-    as they read a grouped fit, and every rep's values are bitwise those of
-    its lone ``fit_spec``, from the same ranks, the same R factor (one
-    stacked QR, whose items are each rep's own) and each block's arithmetic
-    on its own rows.  ``refused`` is True when a draw raises the package's
-    error or is not finite, or a rep's design is refused by the fit's rules;
+    n rows, with the tie runs of row i alone (one :func:`kernels.tie_runs`
+    of the x and y rows together) and its own n: the plugin kernel tables of
+    :mod:`rankreg.inference` read it as they read a grouped fit, and every
+    rep's values are bitwise those of its lone ``fit_spec``, from the same
+    ranks, the same R factor (one stacked QR, whose items are each rep's
+    own) and each block's arithmetic on its own rows.  The x and y runs
+    share the padded width of the stack's run sizes; the extra runs are
+    empty and add exact zeros.  ``refused`` is True when a draw raises the
+    package's error or is not finite, or a rep's design is refused by the fit's rules;
     the reps are then drawn and fit again one at a time, and the lowest
     refused one raises.
     """
@@ -317,20 +323,21 @@ class _RepStack:
     def __init__(self, model, n, omega, streams):
         c = len(streams)
         self.n, self.omega = n, omega
-        x, y = np.empty((2, c, n))
+        draws = np.empty((2, c, n))  # x, then y
         try:
             for i, rng in enumerate(streams):
-                x[i], y[i] = model.sample(n, rng)
+                draws[0, i], draws[1, i] = model.sample(n, rng)
         except RankRegressionError:  # a lower rep of the stack may be refused first
             self.refused = True
             return
-        self.refused = not (np.isfinite(x).all() and np.isfinite(y).all())
+        self.refused = not np.isfinite(draws).all()
         if self.refused:
             return
-        self.runs_x, self.runs_y = tie_runs(x), tie_runs(y)
+        runs = tie_runs(draws)
+        del draws
+        self.runs_x, self.runs_y = (TieRuns(*both) for both in zip(*runs))
         system = np.ones((c, n, 3))  # [rank(x), 1, rank(y)] of each rep
-        for j, runs in ((0, self.runs_x), (2, self.runs_y)):
-            system[:, :, j] = ranks_from_counts(*comparison_counts(runs), n, omega)
+        system[:, :, 0], system[:, :, 2] = ranks_from_counts(*comparison_counts(runs), n, omega)
         # a transposed view, which _r_factors copies: the variances read the system
         self.coef, gram_inv, errors = _solve_factors(_r_factors(system.transpose(0, 2, 1)))
         # as _Sample.solve_stack: a singular design, or a first-stage residual
@@ -341,35 +348,42 @@ class _RepStack:
         self.bounds = [(lo, lo + n) for lo in range(0, c * n, n)]
         self.a_inv = n * gram_inv
         self.eps = _residuals(self.system, self.bounds, self.coef)
-        self.coef_names = ["rank(x)"] * c + ["const"] * c
-        self.estimates = self.coef.T.flatten()
 
-    def intervals(self, method, alpha):
-        """(c, 2) slope intervals of the reps by ``method``: plugin, hom or ew."""
-        c = len(self.bounds)
-        if method == "hom":
-            return hom_covariance(self, alpha=alpha).ci[:c]
-        if method == "ew":
-            return ew_covariance(self, alpha=alpha).ci[:c]
-        # plugin_slope_variance of each rep: its influence values are its own
-        # block's column of the gathered tables plus eps*C, summed in chunks
-        C, tables = _kernel_tables(self, self.a_inv[:, :, :1])
-        reps = np.arange(c)[:, None]
-        (first, first_runs), *rest = tables
-        psi = first[first_runs, reps]
-        for table, runs in rest:
-            psi += table[runs, reps]
-        psi += self.eps.reshape(c, -1) * C.reshape(c, -1)
-        sigma2 = [sum(float(row[s:s + _CHUNK_ENTRIES] @ row[s:s + _CHUNK_ENTRIES])
-                      for s in range(0, self.n, _CHUNK_ENTRIES)) / self.n for row in psi]
-        return _report_from_variance(np.diag(sigma2), self.coef_names[:c], self.coef[:, 0],
-                                     alpha, self.n, "plugin").ci
+    def intervals(self, method, z):
+        """(c, 2) slope intervals of the reps by ``method`` (plugin, hom or ew), z = z_{alpha/2}.
+
+        Each rep's slope variance is its lone report's (rank(x), rank(x))
+        entry, and its interval that report's arithmetic on it.
+        """
+        c, n = len(self.bounds), self.n
+        eps = self.eps.reshape(c, n)
+        if method == "hom":  # A^-1 mean(eps^2)
+            sigma2 = self.a_inv[:, 0, 0] * np.mean(eps ** 2, axis=1)
+        elif method == "ew":  # D'D/n with D = Z A^-1 * eps
+            d = np.matmul(self.system.reshape(c, n, 3)[:, :, :-1], self.a_inv)
+            d *= eps[:, :, None]
+            sigma2 = (d.transpose(0, 2, 1) @ d / n)[:, 0, 0]
+        else:
+            # plugin_slope_variance of each rep: its influence values are its own
+            # block's column of the gathered tables plus eps*C, summed in chunks
+            C, tables = _kernel_tables(self, self.a_inv[:, :, :1])
+            reps = np.arange(c)[:, None]
+            (first, first_runs), *rest = tables
+            psi = first[first_runs, reps]
+            for table, runs in rest:
+                psi += table[runs, reps]
+            psi += eps * C.reshape(c, -1)
+            sigma2 = np.array([sum(float(row[s:s + _CHUNK_ENTRIES] @ row[s:s + _CHUNK_ENTRIES])
+                                   for s in range(0, n, _CHUNK_ENTRIES)) / n for row in psi])
+        se = np.sqrt(np.clip(0.5 * (sigma2 + sigma2), 0.0, None) / n)
+        slope = self.coef[:, 0]
+        return np.column_stack([slope - z * se, slope + z * se])
 
 
 def _stack_size(n, reps):
     """Reps per stack: ``_STACK_DRAWS`` draws, ``_STACKS_PER_CPU`` stacks per usable
-    CPU, and at most 128 reps, whose (2c, 2c) report variances then hold at most
-    ``_CHUNK_ENTRIES`` entries."""
+    CPU, and at most 128 reps: at small n a rep's stream and bounds outweigh its
+    draws (at n = 3 a stack of 1,666 reps peaks at 3.2 MiB, one of 128 at 1.0)."""
     return max(1, min(_STACK_DRAWS // n, math.isqrt(_CHUNK_ENTRIES) // 2,
                       reps // (_STACKS_PER_CPU * _cpus())))
 
@@ -422,6 +436,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
         if m not in ("plugin", "hom", "ew", "bootstrap"):
             raise InvalidInputError(f"unknown se method {m!r}")
     check_alpha(alpha)
+    z = normal_quantile(alpha / 2.0)
     check_omega(omega)
     check_seed(seed)
     if "bootstrap" in methods:
@@ -451,7 +466,7 @@ def coverage_experiment(model, n, reps, methods=("plugin", "hom", "ew"),
             boot = [lone_fit(rep) for rep in block]
         if stack.refused:
             raise AssertionError(f"reps {block[0]}..{block[-1]} were refused stacked, not alone")
-        return np.stack([np.array(boot) if m == "bootstrap" else stack.intervals(m, alpha)
+        return np.stack([np.array(boot) if m == "bootstrap" else stack.intervals(m, z)
                          for m in methods], axis=1)
 
     def run(lo, hi):  # stacks lo..hi-1: whether each rep's interval covers, and its width

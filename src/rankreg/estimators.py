@@ -231,26 +231,51 @@ def _singular(R, column_names=None):
     return SingularDesignError(f"design is numerically singular at {name}", column=bad)
 
 
+def _leading_dimension(stack):
+    """Column stride, in entries, of the items of a stack (k, q+1, rows) read by columns.
+
+    None unless each column's rows are adjacent and neither the columns nor
+    the items overlap, as in a C-contiguous stack (rows) or a row block
+    [lo, hi) of one (the stack's row count): the layout LAPACK reads where it
+    lies.  The stride of an axis of length 1 is never stepped, as numpy's
+    flags hold.
+    """
+    k, width, rows = stack.shape
+    item, column, row = stack.strides
+    size = stack.itemsize
+    lda = max(1, rows) if width == 1 else column // size
+    adjacent = rows < 2 or row == size
+    apart = width == 1 or (column % size == 0 and lda >= rows)
+    disjoint = k < 2 or item >= width * lda * size
+    return lda if adjacent and apart and disjoint else None
+
+
 def _householder(stack):
-    """R factors (k, q+1, q+1) of a C-contiguous stack (k, q+1, rows), overwritten.
+    """R factors (k, q+1, q+1) of a stack (k, q+1, rows) of contiguous columns, overwritten.
 
     Item i of the stack holds [Z, r] by columns, which LAPACK reads as the
-    column-major rows x (q+1) matrix, and LAPACK's ``dgeqrf`` factors it
-    where it lies, with the workspace its own query asks for.  numpy's QR
-    runs the same routine the same way on a copy, so the R factor is bitwise
-    numpy's R-only QR of the system.  A system with fewer rows than columns
-    gets zero rows below its R.
+    column-major rows x (q+1) matrix with the stack's column stride as its
+    leading dimension, and LAPACK's ``dgeqrf`` factors it where it lies,
+    with the workspace its own query asks for.  numpy's QR runs the same
+    routine the same way on a copy, so the R factor is bitwise numpy's
+    R-only QR of the system.  A system with fewer rows than columns gets
+    zero rows below its R.
     """
+    lda = _leading_dimension(stack)
     # LAPACK writes where it is pointed, whatever numpy's flags say
-    if not (stack.dtype == np.float64 and stack.flags.c_contiguous and stack.flags.writeable):
-        raise ValueError("dgeqrf needs a writeable C-contiguous float64 stack")
+    if lda is None or not (stack.dtype == np.float64 and stack.flags.writeable):
+        raise ValueError("dgeqrf needs a writeable float64 stack of contiguous columns")
     k, width, rows = stack.shape
-    lda = max(1, rows)
+    if rows == 0:
+        return np.zeros((k, width, width))
+    # lapack_lite takes a C-contiguous array and passes LAPACK its first
+    # entry: each item's first column, from which LAPACK steps by lda
+    firsts = stack[:, 0]
     tau, work = np.empty(width), np.empty(1)
-    lapack_lite.dgeqrf(rows, width, stack, lda, tau, work, -1, 0)
+    lapack_lite.dgeqrf(rows, width, firsts[:1], lda, tau, work, -1, 0)
     lwork = max(width, int(work[0]))
     work = np.empty(lwork)
-    for a in stack:
+    for a in firsts:
         info = lapack_lite.dgeqrf(rows, width, a, lda, tau, work, lwork, 0)["info"]
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info}")
@@ -266,10 +291,11 @@ def _r_factors(system):
     The package's one QR.  Item i of ``system`` holds its [Z, r] by columns,
     the Fortran layout LAPACK reads; the R factor of [Z, r] holds Z's R
     factor and Q'r, so Q is never formed.  A block of fewer than
-    2 * ``_QR_ROWS`` rows is factored where it lies when the stack is
-    C-contiguous, which overwrites it, as a bootstrap chunk's workspace
-    wants; any other stack, such as the transposed view of a fit's row-major
-    [Z, r] that the fit still reads, is copied first.  A taller block is
+    2 * ``_QR_ROWS`` rows is factored where it lies when each column's rows
+    are adjacent, as in a C-contiguous stack or a row block of one, which
+    overwrites it, as a bootstrap chunk's workspace wants; any other stack,
+    such as the transposed view of a fit's row-major [Z, r] that the fit
+    still reads, is copied first.  A taller block is
     factored by row slices (TSQR) and only read: its ``_QR_ROWS``-row slices
     are copied a batch of about ``_CHUNK_ENTRIES`` entries at a time and
     factored there, then their stacked R factors with the remaining rows
@@ -279,7 +305,8 @@ def _r_factors(system):
     """
     k, width, rows = system.shape
     if rows < 2 * _QR_ROWS:
-        return _householder(np.ascontiguousarray(system))
+        in_place = _leading_dimension(system) is not None
+        return _householder(system if in_place else np.ascontiguousarray(system))
     n_slices, rest = divmod(rows, _QR_ROWS)
     top = np.empty((k, width, n_slices * width + rest))
     top[:, :, n_slices * width:] = system[:, :, rows - rest:]
@@ -455,7 +482,12 @@ class _Sample:
         """
         if m is None:
             sizes = np.array([[hi - lo for lo, hi in self.bounds]])
-            return self._solve_blocks(self.system.T[None], sizes)
+            # the fit reads its system afterwards: a grouped fit's blocks are
+            # factored in one copy of it, by columns (a lone block is copied by
+            # _r_factors, or read by row slices when it is tall)
+            columns = self.system.T[None]
+            return self._solve_blocks(np.ascontiguousarray(columns) if self.grouped else columns,
+                                      sizes)
         work = _Resamples(self, len(m))
         work.m[:] = np.asarray(m, dtype=np.float64)[:, self.order]
         return work.solve(len(m))
@@ -465,7 +497,7 @@ class _Sample:
 
         The rows are in the fit's row order; ``sizes`` (c, G) holds each
         block's size, and ``m`` the multiplicities in that order, None for
-        the sample.  :func:`_r_factors` overwrites a C-contiguous block.
+        the sample.  :func:`_r_factors` overwrites a block of a C-contiguous stack.
         """
         c, n_blocks = sizes.shape
         R = np.empty((c, n_blocks) + (columns.shape[1],) * 2)

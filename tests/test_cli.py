@@ -622,8 +622,10 @@ class TestFitCommand:
          "parameter grid is empty"),
         (["curve", "--family", "gaussian", "--grid", " , ", "--n-mc", "10000"],
          "parameter grid is empty"),
+        (["curve", "--family", "reflection", "--grid", "0.1,0.5", "--n-mc", "10"],
+         "n_mc must be at least 10000, got 10"),
     ], ids=["coverage-n", "calibrate-tol", "calibrate-tol-inf", "calibrate-tol-2",
-            "calibrate-tol-5", "curve-empty-grid", "curve-blank-grid"])
+            "calibrate-tol-5", "curve-empty-grid", "curve-blank-grid", "curve-n-mc"])
     def test_simulation_refusals_come_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                       argv, message):
         # coverage used to draw the 1M-value population truth first, a

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankreg.estimators as estimators
+import rankreg.inference as inference
 from rankreg import (
     BootstrapPlan,
     CalibrationError,
@@ -38,6 +39,7 @@ from rankreg import (
 from rankreg.copulas import CoverageRow
 from rankreg.estimators import _QR_ROWS
 from rankreg.inference import ew_covariance, hom_covariance, plugin_slope_variance
+from rankreg.kernels import tie_runs
 
 
 class TestClosedForms:
@@ -468,9 +470,38 @@ class TestStackedReps:
         assert calls == {"fits": 0, "qr": math.ceil(40 / size)}
         assert copulas._stack_size(copulas._STACK_DRAWS + 1, 10_000) == 1
 
+    def test_intervals_build_no_covariance_or_report(self, monkeypatch):
+        # each method's slope variances come from the stack's arrays, not from
+        # a (2c, 2c) variance and a report per stack
+        def refused(*args, **kwargs):
+            raise AssertionError("a generic covariance or report was built")
+
+        for module in (inference, copulas):
+            for name in ("hom_covariance", "ew_covariance", "_report_from_variance"):
+                monkeypatch.setattr(module, name, refused, raising=False)
+        with monkeypatch.context() as m:
+            _stacks_of(m, 4, 60)
+            rows = copulas.coverage_experiment(reflection(0.3), 60, 10, alpha=0.1, omega=0.5,
+                                               seed=2)
+        assert [row.method for row in rows] == ["plugin", "hom", "ew"]
+
+    def test_one_tie_runs_call_per_stack(self, monkeypatch):
+        # x and y of every rep in a stack are sorted in one call
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return tie_runs(values)
+
+        monkeypatch.setattr(copulas, "tie_runs", counting)
+        with monkeypatch.context() as m:
+            _stacks_of(m, 4, 50)
+            copulas.coverage_experiment(gaussian(0.4), 50, 10, seed=5)
+        assert calls == [(2, 4, 50), (2, 4, 50), (2, 2, 50)]
+
     def test_small_reps_stack_no_larger_than_their_report(self, monkeypatch):
-        # by draws alone a stack at n = 3 would hold 1,666 reps, and each of its
-        # (2c, 2c) report variances would take 89 MB
+        # by draws alone a stack at n = 3 would hold 1,666 reps, whose streams
+        # and bounds would outweigh its draws
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(copulas, "_STACKS_PER_CPU", 1)
         c = copulas._stack_size(3, 10_000)

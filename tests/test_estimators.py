@@ -1,5 +1,6 @@
 """Fits for the four specifications, their projections, and mobility measures."""
 
+import os
 import tracemalloc
 from unittest import mock
 
@@ -327,6 +328,51 @@ class TestInPlaceQR:
             except RankRegressionError:  # the blocks solved until the refusal were checked
                 assume(len(blocks) > n_groups)
         assert len(blocks) > n_groups  # the fit's blocks, then the resamples'
+
+    @settings(max_examples=40, deadline=None)
+    @given(_qr_stacks(), st.integers(0, 40), st.integers(0, 40))
+    def test_row_blocks_of_a_stack_are_factored_where_they_lie(self, system, before, after):
+        # rows [lo, hi) of a C-contiguous stack (k, q+1, n), read with n as
+        # LAPACK's leading dimension, against numpy's QR of a copy of them
+        k, rows, width = system.shape
+        lo, hi = before, before + rows
+        columns = np.random.default_rng(rows).normal(size=(k, width, hi + after))
+        columns[:, :, lo:hi] = system.transpose(0, 2, 1)
+        kept = columns.copy()
+        R = _r_factors(columns[:, :, lo:hi])
+        _assert_bitwise(R, _numpy_r_factors(system))
+        outside = np.ones(hi + after, dtype=bool)
+        outside[lo:hi] = False
+        assert np.array_equal(columns[:, :, outside], kept[:, :, outside])
+        if rows < 2 * _QR_ROWS:  # the block holds its R factor by columns
+            for i in range(min(rows, width)):
+                _assert_bitwise(columns[:, i:, lo + i], R[:, i, i:])
+        else:  # a tall block is read by row slices
+            assert np.array_equal(columns, kept)
+
+    def test_grouped_blocks_are_factored_in_one_array(self, monkeypatch):
+        # a grouped fit copies its system once for all of its blocks, and a
+        # grouped bootstrap factors every block of every chunk in its workspace
+        owners = []
+        householder = estimators._householder
+
+        def recording(stack):
+            owners.append(stack if stack.base is None else stack.base)
+            return householder(stack)
+
+        monkeypatch.setattr(estimators, "_householder", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rng = np.random.default_rng(5)
+        n, n_groups = 160, 4
+        d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
+                    w=np.ones((n, 1)), g=np.arange(n) % n_groups)
+        fit = fit_spec(d, "rank-rank-group", 0.5)
+        assert len(owners) == n_groups and all(o is owners[0] for o in owners)
+        assert not np.shares_memory(owners[0], fit.system)
+        owners.clear()
+        bootstrap_distribution(d, "rank-rank-group", 0.5, BootstrapPlan(reps=40, seed=1))
+        assert len(owners) >= 2 * n_groups
+        assert len({id(o) for o in owners}) == 2  # the fit's copy, then the workspace
 
 
 class TestConditionNumber:

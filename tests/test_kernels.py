@@ -112,6 +112,26 @@ def test_stack_runs_are_each_rows_runs(stack, omega):
         assert not table[width:, :, i].any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(_tied_stacks(), st.sampled_from([0.0, 0.3, 1.0]))
+def test_run_sums_are_the_omega_mix_bitwise(stack, omega):
+    # omega = 0 and 1 take the suffix scan alone; the table keeps the bits of
+    # (1 - omega) * above + omega * at_or_above, each from the per-run weights
+    runs = kernels.tie_runs(stack)
+    c, n = stack.shape
+    width = runs.sizes.shape[-1]
+    weights = np.random.default_rng(c * n).normal(size=(c * n, 2))
+    blocks = np.repeat(np.arange(c), n)
+    table = kernels.comparison_run_sums(runs, weights, omega, slice(None), blocks, c)
+    for k in range(2):
+        per_run = np.bincount(runs.run.reshape(-1) * c + blocks, weights[:, k], width * c)
+        at_or_above = np.cumsum(per_run.reshape(width, c)[::-1], axis=0)[::-1]
+        above = np.zeros_like(at_or_above)
+        above[:-1] = at_or_above[1:]
+        want = (1.0 - omega) * above + omega * at_or_above
+        assert np.array_equal(table[:, k].view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
 def test_tie_runs_refuse_an_empty_sample(shape):
     # still a ValueError, which numpy's failed reshape used to raise
