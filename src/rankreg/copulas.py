@@ -30,7 +30,6 @@ conservative; other copulas (e.g. the quadratic family) push the ratio the
 opposite way and produce under-coverage.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +76,11 @@ _TRUE_RHO_CACHE = {}
 # CPU and 35 ms on two, 7,000 took 54 and 35 ms, 10,000 took 54 and 38 ms
 # (medians of 8 processes, 2-core x86_64 VM)
 _STACK_DRAWS = 5_000
+# most reps per stack: at small n a rep's stream and bounds outweigh its draws
+# (tracemalloc, 8,330 reps of n = 3 on one CPU: stacks of 128 reps peaked at
+# 0.78 MiB, of 512 at 0.97, of 1,666, as many as 5,000 draws allow, at 2.45;
+# each took 1.4-1.7 s)
+_STACK_REPS = 128
 # least stacks per usable CPU: ``_spread`` runs the first stack alone and cuts
 # the rest into one slice per CPU, so a few large stacks would leave CPUs idle
 # (by draws alone, 30 reps at n = 200 are two stacks, and nothing to split)
@@ -381,11 +385,9 @@ class _RepStack:
 
 
 def _stack_size(n, reps):
-    """Reps per stack: ``_STACK_DRAWS`` draws, ``_STACKS_PER_CPU`` stacks per usable
-    CPU, and at most 128 reps: at small n a rep's stream and bounds outweigh its
-    draws (at n = 3 a stack of 1,666 reps peaks at 3.2 MiB, one of 128 at 1.0)."""
-    return max(1, min(_STACK_DRAWS // n, math.isqrt(_CHUNK_ENTRIES) // 2,
-                      reps // (_STACKS_PER_CPU * _cpus())))
+    """Reps per stack: ``_STACK_DRAWS`` draws, ``_STACK_REPS`` reps and
+    ``_STACKS_PER_CPU`` stacks per usable CPU, whichever is least."""
+    return max(1, min(_STACK_DRAWS // n, _STACK_REPS, reps // (_STACKS_PER_CPU * _cpus())))
 
 
 @dataclass

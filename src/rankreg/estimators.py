@@ -294,8 +294,8 @@ def _r_factors(system):
     2 * ``_QR_ROWS`` rows is factored where it lies when each column's rows
     are adjacent, as in a C-contiguous stack or a row block of one, which
     overwrites it, as a bootstrap chunk's workspace wants; any other stack,
-    such as the transposed view of a fit's row-major [Z, r] that the fit
-    still reads, is copied first.  A taller block is
+    such as the transposed view of a coverage stack's row-major [Z, r] that
+    its variances still read, is copied first.  A taller block is
     factored by row slices (TSQR) and only read: its ``_QR_ROWS``-row slices
     are copied a batch of about ``_CHUNK_ENTRIES`` entries at a time and
     factored there, then their stacked R factors with the remaining rows
@@ -482,12 +482,13 @@ class _Sample:
         """
         if m is None:
             sizes = np.array([[hi - lo for lo, hi in self.bounds]])
-            # the fit reads its system afterwards: a grouped fit's blocks are
-            # factored in one copy of it, by columns (a lone block is copied by
-            # _r_factors, or read by row slices when it is tall)
+            # the fit reads its system afterwards: when a block is short enough
+            # to be factored where it lies, every block is factored in one copy
+            # of it, by columns; tall blocks alone are read by row slices
             columns = self.system.T[None]
-            return self._solve_blocks(np.ascontiguousarray(columns) if self.grouped else columns,
-                                      sizes)
+            if sizes.min() < 2 * _QR_ROWS:
+                columns = np.ascontiguousarray(columns)
+            return self._solve_blocks(columns, sizes)
         work = _Resamples(self, len(m))
         work.m[:] = np.asarray(m, dtype=np.float64)[:, self.order]
         return work.solve(len(m))

@@ -18,10 +18,10 @@ runs:
   the value of run ``r`` and the tie-weighted step kernel ``K(a, b) =
   omega*1{a<=b} + (1-omega)*1{a<b}``: per column one ``bincount`` over the
   ids ``run * n_blocks + block`` and a suffix sum over the runs, written
-  into the table in place.  At omega = 1 that suffix sum is the table, at
-  omega = 0 it is shifted by one run, and only for 0 < omega < 1 are the two
-  mixed.  The table is (R, k, n_blocks) for k weight columns, whatever the
-  number of elements, and each column is exactly its one-column table.
+  into the table in place.  At omega = 1 that suffix sum is the table; for
+  omega < 1 it is mixed in place with itself shifted by one run.  The table
+  is (R, k, n_blocks) for k weight columns, whatever the number of
+  elements, and each column is exactly its one-column table.
   Gathering it at ``runs.run`` gives every element its run's sums.
 
 The literal O(n^2) pairwise evaluation lives in the tests and in
@@ -124,10 +124,6 @@ def comparison_run_sums(runs, weights, omega, rows=slice(None), blocks=None, n_b
     for k, column in enumerate(columns):
         per_run = np.bincount(ids, column, n_runs * n_blocks).reshape(n_runs, n_blocks)
         out = table[:, k]
-        if omega == 0.0:  # K(a, b) = 1{a < b}: row r is the weight of runs r+1, ..., R-1
-            out[-1] = 0.0
-            np.cumsum(per_run[:0:-1], axis=0, out=out[-2::-1])
-            continue
         # row r is the weight of runs r, r+1, ..., R-1, which is the table at omega = 1
         np.cumsum(per_run[::-1], axis=0, out=out[::-1])
         if omega < 1.0:  # (1 - omega) * row r+1 (0 past the last run) + omega * row r

@@ -505,7 +505,7 @@ class TestStackedReps:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(copulas, "_STACKS_PER_CPU", 1)
         c = copulas._stack_size(3, 10_000)
-        assert (2 * c) ** 2 <= estimators._CHUNK_ENTRIES < (2 * c + 2) ** 2
+        assert c == copulas._STACK_REPS < copulas._STACK_DRAWS // 3
         tracemalloc.start()
         try:
             copulas.coverage_experiment(reflection(0.3), 3, 5 * c, seed=1)

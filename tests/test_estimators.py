@@ -374,6 +374,23 @@ class TestInPlaceQR:
         assert len(owners) >= 2 * n_groups
         assert len({id(o) for o in owners}) == 2  # the fit's copy, then the workspace
 
+    def test_tall_groups_are_read_without_a_copy(self):
+        # groups of at least 2 * _QR_ROWS rows are factored by row slices, which
+        # only read the fit's system, so the fit makes no copy of it
+        rng = np.random.default_rng(6)
+        n = 2 * 100 * _QR_ROWS
+        d = Dataset(y=make_tied_sample(rng, n), x=make_tied_sample(rng, n),
+                    w=np.ones((n, 1)), g=np.arange(n) % 2)
+        fit = fit_spec(d, "rank-rank-group", 0.5)
+        tracemalloc.start()
+        try:
+            R = fit.solve_stack()[0][0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fit.system.nbytes / 4
+        _assert_bitwise(R, fit.r_factors)
+
 
 class TestConditionNumber:
     @pytest.mark.parametrize("spec", SPECS)

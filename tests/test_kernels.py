@@ -115,8 +115,9 @@ def test_stack_runs_are_each_rows_runs(stack, omega):
 @settings(max_examples=60, deadline=None)
 @given(_tied_stacks(), st.sampled_from([0.0, 0.3, 1.0]))
 def test_run_sums_are_the_omega_mix_bitwise(stack, omega):
-    # omega = 0 and 1 take the suffix scan alone; the table keeps the bits of
-    # (1 - omega) * above + omega * at_or_above, each from the per-run weights
+    # omega = 1 takes the suffix scan alone and omega < 1 mixes it in place;
+    # the table keeps the bits of (1 - omega) * above + omega * at_or_above,
+    # each from the per-run weights
     runs = kernels.tie_runs(stack)
     c, n = stack.shape
     width = runs.sizes.shape[-1]
