@@ -36,9 +36,9 @@ import numpy as np
 
 from .bootstrap import BootstrapPlan, _check_count, _cpus, _spread, bootstrap_report
 from .errors import CalibrationError, InvalidInputError, RankRegressionError
-from .estimators import (_CHUNK_ENTRIES, _DEGENERATE_VAR, Dataset, _r_factors, _residuals,
-                         _solve_factors, fit_spec)
-from .inference import _kernel_tables, check_alpha, check_integer, check_seed, normal_quantile
+from .estimators import Dataset, _r_factors, _residuals, _solve_factors, fit_spec
+from .inference import (_naive_variances, _normal_intervals, _slope_plugin, check_alpha,
+                        check_integer, check_seed, normal_quantile)
 from .kernels import TieRuns, comparison_counts, comparison_run_sums, tie_runs
 from .ranks import check_omega, ranks_from_counts, spearman
 
@@ -310,16 +310,16 @@ class _RepStack:
 
     Rep i draws from the i-th of ``streams``.  Block i of the fit is rep i's
     n rows, with the tie runs of row i alone (one :func:`kernels.tie_runs`
-    of the x and y rows together) and its own n: the plugin kernel tables of
-    :mod:`rankreg.inference` read it as they read a grouped fit, and every
-    rep's values are bitwise those of its lone ``fit_spec``, from the same
-    ranks, the same R factor (one stacked QR, whose items are each rep's
-    own) and each block's arithmetic on its own rows.  The x and y runs
-    share the padded width of the stack's run sizes; the extra runs are
-    empty and add exact zeros.  ``refused`` is True when a draw raises the
-    package's error or is not finite, or a rep's design is refused by the fit's rules;
-    the reps are then drawn and fit again one at a time, and the lowest
-    refused one raises.
+    of the x and y rows together) and its own n.  The fit takes the lone
+    fit's own functions: one stacked QR, whose items are each rep's R
+    factor, the solve and refusal rule of :func:`estimators._solve_factors`,
+    and the slope variances and intervals of :mod:`rankreg.inference`, which
+    read the stack as they read a one-block fit.  So every rep's values are
+    bitwise those of its lone ``fit_spec``.  The x and y runs share the
+    padded width of the stack's run sizes; the extra runs are empty and add
+    exact zeros.  ``refused`` is True when a draw raises the package's error
+    or is not finite, or a rep's design is refused; the reps are then drawn
+    and fit again one at a time, and the lowest refused one raises.
     """
 
     order = slice(None)
@@ -343,45 +343,23 @@ class _RepStack:
         system = np.ones((c, n, 3))  # [rank(x), 1, rank(y)] of each rep
         system[:, :, 0], system[:, :, 2] = ranks_from_counts(*comparison_counts(runs), n, omega)
         # a transposed view, which _r_factors copies: the variances read the system
-        self.coef, gram_inv, errors = _solve_factors(_r_factors(system.transpose(0, 2, 1)))
-        # as _Sample.solve_stack: a singular design, or a first-stage residual
-        # variance of rank(x) at most _DEGENERATE_VAR
-        self.refused = any(err is not None for err in errors) or any(
-            1.0 / v <= _DEGENERATE_VAR for v in (gram_inv[:, 0, 0] * n).tolist())
+        self.coef, gram_inv, errors = _solve_factors(_r_factors(system.transpose(0, 2, 1)),
+                                                     sizes=n)
+        self.refused = any(err is not None for err in errors)
         self.system = system.reshape(c * n, 3)
         self.bounds = [(lo, lo + n) for lo in range(0, c * n, n)]
         self.a_inv = n * gram_inv
         self.eps = _residuals(self.system, self.bounds, self.coef)
 
     def intervals(self, method, z):
-        """(c, 2) slope intervals of the reps by ``method`` (plugin, hom or ew), z = z_{alpha/2}.
-
-        Each rep's slope variance is its lone report's (rank(x), rank(x))
-        entry, and its interval that report's arithmetic on it.
-        """
+        """(c, 2) slope intervals of the reps by ``method`` (plugin, hom or ew), z = z_{alpha/2}."""
         c, n = len(self.bounds), self.n
-        eps = self.eps.reshape(c, n)
-        if method == "hom":  # A^-1 mean(eps^2)
-            sigma2 = self.a_inv[:, 0, 0] * np.mean(eps ** 2, axis=1)
-        elif method == "ew":  # D'D/n with D = Z A^-1 * eps
-            d = np.matmul(self.system.reshape(c, n, 3)[:, :, :-1], self.a_inv)
-            d *= eps[:, :, None]
-            sigma2 = (d.transpose(0, 2, 1) @ d / n)[:, 0, 0]
+        if method == "plugin":
+            sigma2 = _slope_plugin(self)
         else:
-            # plugin_slope_variance of each rep: its influence values are its own
-            # block's column of the gathered tables plus eps*C, summed in chunks
-            C, tables = _kernel_tables(self, self.a_inv[:, :, :1])
-            reps = np.arange(c)[:, None]
-            (first, first_runs), *rest = tables
-            psi = first[first_runs, reps]
-            for table, runs in rest:
-                psi += table[runs, reps]
-            psi += eps * C.reshape(c, -1)
-            sigma2 = np.array([sum(float(row[s:s + _CHUNK_ENTRIES] @ row[s:s + _CHUNK_ENTRIES])
-                                   for s in range(0, n, _CHUNK_ENTRIES)) / n for row in psi])
-        se = np.sqrt(np.clip(0.5 * (sigma2 + sigma2), 0.0, None) / n)
-        slope = self.coef[:, 0]
-        return np.column_stack([slope - z * se, slope + z * se])
+            sigma2 = _naive_variances(method, self.system.reshape(c, n, 3)[:, :, :-1], self.a_inv,
+                                      self.eps.reshape(c, n), n)[:, 0, 0]
+        return _normal_intervals(sigma2, self.coef[:, 0], n, z)[1]
 
 
 def _stack_size(n, reps):

@@ -322,13 +322,17 @@ def _r_factors(system):
     return _householder(top)
 
 
-def _solve_factors(R, column_names=None):
+def _solve_factors(R, column_names=None, sizes=None):
     """Least-squares coefficients and (Z'Z)^-1 of a stack of systems from their R factors.
 
     ``R`` is (k, q+1, q+1), the R factors of k systems [Z, r].  Returns the
     coefficients (k, q), (Z'Z)^-1 = R^-1 R^-T (k, q, q) and a list of k
-    entries, None or the :class:`SingularDesignError` that refuses the
-    system; a refused system's coefficients are NaN.  Accuracy follows
+    entries, None or the error that refuses the system.  A singular system
+    is refused with :class:`SingularDesignError` and its coefficients are
+    NaN.  Given the row counts ``sizes`` (k,), or one count for all, Z's
+    first column is rank(x), and a system whose first-stage residual
+    variance 1 / ((Z'Z)^-1[0, 0] size) is at most ``_DEGENERATE_VAR`` is
+    refused with :class:`AssumptionViolationError`.  Accuracy follows
     cond(Z) rather than the cond(Z)^2 of inverting Z'Z.
 
     The rejection rule is exact at the cost of one batched singular-value
@@ -358,6 +362,12 @@ def _solve_factors(R, column_names=None):
     coef, gram_inv = sol[:, :, 0], r_inv @ r_inv.transpose(0, 2, 1)
     if refused:
         coef[refused] = gram_inv[refused] = np.nan
+    if sizes is not None:
+        # (Z'Z)^-1[0, 0] >= 1 / |rank(x)|^2 > 0, and NaN when refused
+        first = (gram_inv[:, 0, 0] * sizes).tolist()
+        errors = [AssumptionViolationError("rank variation is fully explained by the covariates")
+                  if err is None and 1.0 / v <= _DEGENERATE_VAR else err
+                  for err, v in zip(errors, first)]
     return coef, gram_inv, errors
 
 
@@ -504,28 +514,24 @@ class _Sample:
         R = np.empty((c, n_blocks) + (columns.shape[1],) * 2)
         for g, (lo, hi) in enumerate(self.bounds):
             R[:, g] = _r_factors(columns[:, :, lo:hi])
-        coef, gram_inv, singular = _solve_factors(R.reshape((c * n_blocks,) + R.shape[2:]), self.names)
+        coef, gram_inv, refused = _solve_factors(R.reshape((c * n_blocks,) + R.shape[2:]),
+                                                 self.names,
+                                                 None if self.runs_x is None else sizes.ravel())
         coef = coef.reshape(c, n_blocks, -1)
         gram_inv = gram_inv.reshape((c, n_blocks) + gram_inv.shape[1:])
-        refused = [err is not None for err in singular]
-        if self.runs_x is not None:
-            # 1 / (Z'Z)^-1[0, 0] is the sum of squares of rank(x) - W'gamma;
-            # (Z'Z)^-1[0, 0] >= 1 / |rank(x)|^2 > 0, and NaN when refused
-            first = (gram_inv[:, :, 0, 0] * sizes).ravel().tolist()
-            refused = [bad or 1.0 / v <= _DEGENERATE_VAR for bad, v in zip(refused, first)]
         errors = [None] * c
         if m is not None:  # a Dataset has no group of fewer than 2 rows
             for i in np.flatnonzero((sizes < 2).any(axis=1)).tolist():
                 errors[i] = DegenerateInputError("a group has fewer than 2 rows in the resample")
-        for k in [k for k, bad in enumerate(refused) if bad]:
+        for k in [k for k, err in enumerate(refused) if err is not None]:
             i, g = divmod(k, n_blocks)
             if errors[i] is None:
-                errors[i] = self._refusal(singular[k], None if m is None else m[i], g)
+                errors[i] = self._refusal(refused[k], None if m is None else m[i], g)
         return R, coef, gram_inv, errors
 
     def _refusal(self, err, m, g):
-        """The error refusing block g of the sample, or of the resample with multiplicities m."""
-        err = err or AssumptionViolationError("rank variation is fully explained by the covariates")
+        """``err``, refusing block g of the sample or of the resample with multiplicities m,
+        named: rank(x) when x is all tied in the block, and the group of a grouped fit."""
         lo, hi = self.bounds[g]
         # an all-tied x makes rank(x) a constant column, which the pivot may
         # keep in place of the intercept it duplicates

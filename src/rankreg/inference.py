@@ -37,7 +37,11 @@ chunks: memory is O((R_x + R_y) G q + chunk), and no n x G q matrix is
 formed.  The classical estimators drop the kernel terms and are provided for
 comparison: per fit block, Eicker-White is the second moment of the eps*C
 term alone and homoskedastic is A^-1 mean(eps^2).  They are inconsistent for
-ranked data and can come out too large or too small.
+ranked data and can come out too large or too small.  Each formula is one
+function, batched over blocks of one size, and so are the slope's plugin
+variance and the normal interval: the coverage lab's stack of reps
+(:class:`rankreg.copulas._RepStack`) reads every rep's slope interval from
+the functions a lone fit's report uses.
 
 All reported variances are for the sqrt(n)-scaled estimator, so standard
 errors are sqrt(diag(variance)/n).  Grouped fits keep the pooled n as the
@@ -190,10 +194,10 @@ def _kernel_tables(fit, a_cols):
     return C, [(table.reshape(len(table), -1), runs.run[fit.order]) for table, runs in tables]
 
 
-def _influence_chunks(fit, a_cols):
-    """Influence rows for the columns ``a_cols`` (G, q, k) of each block's A^-1, in row chunks.
+def _influence_chunks(fit):
+    """Influence rows of every coefficient of every block, in row chunks.
 
-    Yields (start, stop, psi): psi (stop - start, k G) holds the influence
+    Yields (start, stop, psi): psi (stop - start, q G) holds the influence
     values of rows start..stop-1 of the fit's row order, columns
     coefficient-major then block, and the next chunk overwrites it.  A chunk
     holds about ``_CHUNK_ENTRIES`` values, so no n-row influence matrix is
@@ -203,8 +207,8 @@ def _influence_chunks(fit, a_cols):
     costs O(chunks + G).  Every influence value is the same sum of the same
     terms whatever the chunk size.
     """
-    G, _, k = a_cols.shape
-    C, ((first, first_runs), *rest) = _kernel_tables(fit, a_cols)
+    G, _, k = fit.a_inv.shape
+    C, ((first, first_runs), *rest) = _kernel_tables(fit, fit.a_inv)
     step = min(max(1, _CHUNK_ENTRIES // (k * G)), fit.n)
     psi, gathered = np.empty((2, step, k * G))
     g = 0
@@ -229,22 +233,25 @@ def influence_rows(fit, data=None):
     """Per-observation influence values for every coefficient of a fit, in input order."""
     _check_data(fit, data)
     psi = np.empty((fit.n, len(fit.coef_names)))
-    for start, stop, chunk in _influence_chunks(fit, fit.a_inv):
+    for start, stop, chunk in _influence_chunks(fit):
         psi[start:stop] = chunk
     psi = fit.to_input_order(psi)
     scales = 1.0 / np.diagonal(fit.a_inv, axis1=1, axis2=2).T.ravel()
     return InfluenceRows(psi=psi, names=fit.coef_names, scales=scales)
 
 
+def _normal_intervals(variances, estimates, n, z):
+    """Standard errors sqrt(v / n), each variance v clipped at 0, and the intervals est -+ z se."""
+    se = np.sqrt(np.clip(variances, 0.0, None) / n)
+    return se, np.column_stack([estimates - z * se, estimates + z * se])
+
+
 def _report_from_variance(variance, names, estimates, alpha, n, method):
     check_alpha(alpha)
     variance = np.atleast_2d(np.asarray(variance, dtype=np.float64))
     variance = 0.5 * (variance + variance.T)  # absorb round-off asymmetry
-    diag = np.clip(np.diag(variance), 0.0, None)
-    se = np.sqrt(diag / n)
-    z = normal_quantile(alpha / 2.0)
     est = np.asarray(estimates, dtype=np.float64).reshape(-1)
-    ci = np.column_stack([est - z * se, est + z * se])
+    se, ci = _normal_intervals(np.diag(variance), est, n, normal_quantile(alpha / 2.0))
     return InferenceReport(
         method=method,
         names=list(names),
@@ -266,19 +273,37 @@ def plugin_covariance(fit, data=None, alpha=0.05):
     _check_data(fit, data)
     width = len(fit.coef_names)
     sigma = np.zeros((width, width))
-    for _, _, psi in _influence_chunks(fit, fit.a_inv):
+    for _, _, psi in _influence_chunks(fit):
         sigma += psi.T @ psi
     return _report_from_variance(sigma / fit.n, fit.coef_names, fit.estimates, alpha, fit.n,
                                  "plugin")
 
 
+def _slope_plugin(fit):
+    """(G,) plugin slope variances of a fit whose G blocks are independent samples of one size.
+
+    Such a fit is a one-block fit or a stack of coverage reps.  Each block's
+    influence values are its own column of the kernel tables of A^-1's slope
+    column, gathered at its rows, plus its eps*C, and their second moment is
+    summed over chunks of ``_CHUNK_ENTRIES`` rows.
+    """
+    G = len(fit.bounds)
+    C, tables = _kernel_tables(fit, fit.a_inv[:, :, :1])
+    psi = sum(table[runs.reshape(G, -1), np.arange(G)[:, None]] for table, runs in tables)
+    psi += fit.eps.reshape(G, -1) * C.reshape(G, -1)
+    step = _CHUNK_ENTRIES
+    return np.array([sum(float(row[s:s + step] @ row[s:s + step])
+                         for s in range(0, len(row), step)) for row in psi]) / fit.n
+
+
 def plugin_slope_variance(fit, data=None, alpha=0.05):
     """Plugin variance for the coefficient on the ranked regressor alone.
 
-    Numerically identical to the (rank(x), rank(x)) entry of
-    :func:`plugin_covariance`, from the kernel tables and influence chunks of
-    A^-1's slope column alone: 3 kernel-sum columns to the full covariance's
-    2q + 1.
+    Agrees to rounding with the (rank(x), rank(x)) entry of
+    :func:`plugin_covariance`, from the kernel tables of A^-1's slope column
+    alone: 3 kernel-sum columns to the full covariance's 2q + 1.  The two
+    sum the same influence values in different chunks, one by a dot product
+    and the other by a matrix product.
     """
     _check_data(fit, data)
     if fit.runs_x is None or fit.grouped:
@@ -286,15 +311,39 @@ def plugin_slope_variance(fit, data=None, alpha=0.05):
             "slope-only variance applies to rank-rank and level-rank fits; "
             "use plugin_covariance for grouped or rank-level fits"
         )
-    sigma2 = sum(float(psi[:, 0] @ psi[:, 0])
-                 for _, _, psi in _influence_chunks(fit, fit.a_inv[:, :, :1])) / fit.n
-    return _report_from_variance([[sigma2]], fit.coef_names[:1], [fit.slope], alpha, fit.n,
-                                 "plugin")
+    return _report_from_variance([_slope_plugin(fit)], fit.coef_names[:1], [fit.slope], alpha,
+                                 fit.n, "plugin")
 
 
 # ---------------------------------------------------------------------------
 # classical (inconsistent-for-ranks) variance estimators, kept for comparison
 # ---------------------------------------------------------------------------
+
+def _naive_variances(method, z, a_inv, eps, n):
+    """hom or EW variances (B, q, q) of B blocks of one row count, on the pooled n.
+
+    ``z`` (B, rows, q) holds each block's regressors, ``a_inv`` (B, q, q)
+    its A^-1 and ``eps`` (B, rows) its residuals.  hom is A^-1 mean(eps^2);
+    EW is D'D/n with D = Z A^-1 * eps, the eps*C term of the influence rows.
+    """
+    if method == "hom":
+        return a_inv * np.mean(eps ** 2, axis=-1)[:, None, None]
+    d = np.matmul(z, a_inv)
+    d *= eps[:, :, None]
+    return d.transpose(0, 2, 1) @ d / n
+
+
+def _naive_covariance(fit, data, alpha, method):
+    """The report of :func:`_naive_variances` by ``method``, block by block."""
+    _check_data(fit, data)
+    G = len(fit.bounds)
+    variance = np.zeros((len(fit.coef_names),) * 2)
+    for g, (lo, hi) in enumerate(fit.bounds):
+        variance[g::G, g::G] = _naive_variances(method, fit.system[None, lo:hi, :-1],
+                                                fit.a_inv[g:g + 1], fit.eps[None, lo:hi],
+                                                fit.n)[0]
+    return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, method)
+
 
 def hom_covariance(fit, data=None, alpha=0.05):
     """Homoskedastic OLS variance, ignoring rank-estimation noise.
@@ -304,12 +353,7 @@ def hom_covariance(fit, data=None, alpha=0.05):
     n, which already puts each block on the pooled sqrt(n) convention, so one
     report covers all coefficients.
     """
-    _check_data(fit, data)
-    G = len(fit.bounds)
-    variance = np.zeros((len(fit.coef_names),) * 2)
-    for g, (lo, hi) in enumerate(fit.bounds):
-        variance[g::G, g::G] = fit.a_inv[g] * float(np.mean(fit.eps[lo:hi] ** 2))
-    return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "hom")
+    return _naive_covariance(fit, data, alpha, "hom")
 
 
 def ew_covariance(fit, data=None, alpha=0.05):
@@ -318,14 +362,7 @@ def ew_covariance(fit, data=None, alpha=0.05):
     Each fit block's variance is the second moment of the eps*C term that
     every influence row carries, so it is A^-1 meat A^-1 on the pooled n.
     """
-    _check_data(fit, data)
-    G = len(fit.bounds)
-    variance = np.zeros((len(fit.coef_names),) * 2)
-    for g, (lo, hi) in enumerate(fit.bounds):
-        d = fit.system[lo:hi, :-1] @ fit.a_inv[g]
-        d *= fit.eps[lo:hi, None]
-        variance[g::G, g::G] = d.T @ d / fit.n
-    return _report_from_variance(variance, fit.coef_names, fit.estimates, alpha, fit.n, "ew")
+    return _naive_covariance(fit, data, alpha, "ew")
 
 
 def linear_combo_inference(variance, weights, estimates, n, alpha=0.05,

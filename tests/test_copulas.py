@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import rankreg.estimators as estimators
 import rankreg.inference as inference
 from rankreg import (
+    AssumptionViolationError,
     BootstrapPlan,
     CalibrationError,
     CopulaModel,
@@ -447,6 +448,30 @@ class TestStackedReps:
             _stacks_of(m, 5, 40)  # the refused reps sit inside a stack of reps 0-4 or 5-9
             assert _outcome(lambda: copulas.coverage_experiment(
                 *args, bootstrap_plan=plan)) == expected
+
+    def test_the_first_stage_rule_is_the_lone_fits(self, monkeypatch):
+        # a rep of the stack is refused by the lone fit's first-stage rule
+        # itself: with the threshold above every rank variance, the stack and
+        # rep by rep both raise it
+        monkeypatch.setattr(estimators, "_DEGENERATE_VAR", 1.0)
+        args = (reflection(0.3), 40, 6, ("plugin", "hom", "ew"), 0.05, 1.0, 4)
+        expected = _outcome(lambda: _per_rep_rows(*args, None))
+        assert expected == (AssumptionViolationError,
+                            "rank variation is fully explained by the covariates")
+        with monkeypatch.context() as m:
+            _stacks_of(m, 3, 40)
+            assert _outcome(lambda: copulas.coverage_experiment(*args)) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("model", [quadratic(0.3), reflection(0.7)])
+    def test_plugin_sums_over_many_chunks_are_the_lone_fits(self, monkeypatch, chunk, model):
+        # at n = 300 each rep's plugin sum runs over 300, 43 or 5 chunks
+        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", chunk)
+        args = (model, 300, 8, ("plugin",), 0.05, 0.5, 9)
+        with monkeypatch.context() as m:
+            _stacks_of(m, 4, 300)
+            stacked = _outcome(lambda: copulas.coverage_experiment(*args))
+        assert stacked == _outcome(lambda: _per_rep_rows(*args, None))
 
     def test_a_stack_is_one_qr_and_no_lone_fit(self, monkeypatch):
         calls = {"fits": 0, "qr": 0}
